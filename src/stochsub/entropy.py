@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .language import LanguageTable
 from .measure import FrequencyMeasure
 from .substitution import SubstitutionRule
 from .words import abelianise
@@ -31,8 +30,7 @@ def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:
     """log(number of legal n-words) / n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    table = LanguageTable(rule)
-    return math.log(len(table.words_of_length(n))) / n
+    return math.log(len(rule.language().words_of_length(n))) / n
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 ITERATE_SUPPORT_LIMIT = 10**6   # words in the support of an iterate law
 INDUCED_COLUMN_LIMIT = 10**7    # enumeration states per induced-matrix column
 SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
+LANGUAGE_STATE_LIMIT = 10**6    # automaton states expanded for one word length
 
 
 class GuardExceeded(RuntimeError):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guards import SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
-from .language import LanguageTable
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike, abelianise, count_occurrences
@@ -115,8 +114,7 @@ def empirical_frequency(
     if trials < 1 or n < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     v = rule.encode(v)
-    table = LanguageTable(rule)
-    if not table.is_legal(v):
+    if not rule.language().is_legal(v):
         raise ValueError(f"word {rule.alphabet.decode(v)!r} is not legal")
     start = rule.alphabet.code(letter) if isinstance(letter, str) else int(letter)
     limit = guard_limit(SAMPLE_LETTER_LIMIT, max_letters)

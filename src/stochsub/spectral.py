@@ -64,7 +64,8 @@ def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, floa
         residual = float(np.abs(mat @ x - lam * x).sum())
         if residual <= tol:
             return lam, x, residual, it
-        if residual < best - STALL_IMPROVEMENT * max(best, 1.0):
+        # the first residual always counts as progress: inf - inf is nan
+        if best == np.inf or residual < best - STALL_IMPROVEMENT * max(best, 1.0):
             best = residual
             since_best = 0
         else:

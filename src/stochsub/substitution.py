@@ -132,6 +132,7 @@ class SubstitutionRule:
         self.alphabet = alphabet
         self.images = tuple(tuple(entries) for entries in images)
         self._primitive: tuple[bool, int | None] | None = None
+        self._language = None
         if len(self.images) != alphabet.size:
             raise ValueError("one image distribution per letter is required")
 
@@ -229,6 +230,9 @@ class SubstitutionRule:
     def max_image_length(self) -> int:
         return max(len(w) for entries in self.images for w, _ in entries)
 
+    def min_image_length(self) -> int:
+        return min(len(w) for entries in self.images for w, _ in entries)
+
     def encode(self, word: WordLike) -> Word:
         return self.alphabet.encode(word)
 
@@ -313,6 +317,15 @@ class SubstitutionRule:
         if self._primitive is None:
             self._primitive = self.mean_matrix().is_primitive()
         return self._primitive
+
+    def language(self):
+        """The rule's LanguageTable, created on first use and shared by its
+        frequency measures, entropy partial sums and samplers."""
+        if self._language is None:
+            from .language import LanguageTable  # language imports this module
+
+            self._language = LanguageTable(self)
+        return self._language
 
     def is_expanding(self) -> bool:
         """True iff some image word is longer than one letter."""

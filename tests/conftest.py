@@ -5,6 +5,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
 from stochsub import Alphabet, SubstitutionRule
 
@@ -51,6 +52,46 @@ def make_deterministic_fibonacci() -> SubstitutionRule:
         [(AB.encode("ab"), Fraction(1))],
         [(AB.encode("a"), Fraction(1))],
     ])
+
+
+def make_no_inflating_power() -> SubstitutionRule:
+    """a -> a | bb, b -> a: primitive and expanding, but a -> a keeps a
+    one-letter image in every power."""
+    half = Fraction(1, 2)
+    return SubstitutionRule(AB, [
+        [(AB.encode("a"), half), (AB.encode("bb"), half)],
+        [(AB.encode("a"), Fraction(1))],
+    ])
+
+
+def make_large_power() -> SubstitutionRule:
+    """Three letters whose shortest images reach two letters only at the
+    third power, which has millions of realisations."""
+    abc = Alphabet(["a", "b", "c"])
+    support = (("b", "ab", "ba", "ac", "ca"), ("c", "bc", "cb", "ab"),
+               ("ab", "ba", "bc", "cb", "ac", "ca", "abc"))
+    return SubstitutionRule(abc, [
+        [(abc.encode(w), Fraction(1, len(ws))) for w in ws] for ws in support
+    ])
+
+
+@st.composite
+def small_rules(draw, max_letters=3, max_images=3, max_length=3):
+    """Random rules with 2..max_letters letters, each with 1..max_images
+    distinct images of length 1..max_length and positive rational weights;
+    callers filter for primitivity."""
+    size = draw(st.integers(2, max_letters))
+    alphabet = Alphabet("abc"[:size])
+    word = st.lists(st.integers(0, size - 1), min_size=1, max_size=max_length)
+    images = []
+    for _ in range(size):
+        words = draw(st.lists(word.map(tuple), min_size=1, max_size=max_images,
+                              unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(words),
+                                max_size=len(words)))
+        images.append([(w, Fraction(x, sum(weights)))
+                       for w, x in zip(words, weights)])
+    return SubstitutionRule(alphabet, images)
 
 
 @pytest.fixture(scope="session")

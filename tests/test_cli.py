@@ -139,3 +139,12 @@ class TestCheckAndErrors:
                               "--letter", "a", "--n", "12")
         assert code == 2
         assert "budget" in err or "guard" in err
+
+    @pytest.mark.parametrize("name", ["dyck", "period_doubling"])
+    def test_language_guard_exit_two(self, capsys, monkeypatch, name):
+        # dyck enumerates by closure, period_doubling by recursive inflation
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "50")
+        code, out, err = invoke(capsys, "language", "--config", cfg(name),
+                                "--ell", "6")
+        assert code == 2 and out == ""
+        assert "language enumeration exceeds guard 50" in err

@@ -46,7 +46,7 @@ def zeta_metric_oracle(p: float, length: int) -> float:
 
 class TestZetaMetric:
     @pytest.mark.parametrize("p", [F(1, 4), F(1, 2), F(3, 4)])
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_matches_oracle(self, p, n):
         fm = FrequencyMeasure(make_zeta(p))
         assert abs(metric_entropy_partial(fm, n)

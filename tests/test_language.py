@@ -1,8 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings
 
-from stochsub import LanguageTable, collar, legal_words
+from stochsub import LanguageTable, SubstitutionRule, collar, legal_words
+from stochsub.language import _inflation_pieces
 
-from conftest import make_non_expanding
+from conftest import (
+    CONFIG_DIR,
+    make_large_power,
+    make_no_inflating_power,
+    make_non_expanding,
+    small_rules,
+)
 
 
 def brute_force_language(rule, ell):
@@ -35,6 +43,30 @@ def brute_force_language(rule, ell):
             break
         words = new
     return tuple(sorted(w for w in words if len(w) == ell))
+
+
+def fixed_point_language(rule, ell):
+    """Oracle: the set fixed point of the multi-valued substitution.
+
+    Iterates on set states until a state repeats (the state space is
+    finite), then unions every state seen: plain stabilisation could miss
+    late-appearing words under non-monotone iteration.  No power of the rule
+    and no shorter length is used.
+    """
+    supports = rule.supports()
+    state = frozenset((c,) for c in range(rule.alphabet.size))
+    seen = {state}
+    union = set(state)
+    while True:
+        pieces = set()
+        for w in state:
+            pieces |= _inflation_pieces(supports, w, ell)[0]
+        state = frozenset(pieces)
+        union |= pieces
+        if state in seen:
+            break
+        seen.add(state)
+    return tuple(sorted(w for w in union if len(w) == ell))
 
 
 class TestCollar:
@@ -110,6 +142,45 @@ class TestLegalWords:
                                      [(ab.encode("bb"), Fraction(1))]])
         with pytest.raises(ValueError, match="primitive"):
             legal_words(rule, 2)
+
+
+class TestAgainstFixedPoint:
+    @pytest.mark.parametrize("name,max_ell", [
+        ("fibonacci", 6), ("period_doubling", 6), ("zeta", 6),
+        ("deterministic_fibonacci", 6), ("non_expanding", 6), ("dyck", 5),
+    ])
+    def test_bundled_configs(self, name, max_ell):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        table = LanguageTable(rule)
+        for ell in range(1, max_ell + 1):
+            assert table.words_of_length(ell) == fixed_point_language(rule, ell)
+
+    @pytest.mark.parametrize("make", [make_no_inflating_power, make_large_power])
+    def test_rules_without_usable_power(self, make):
+        rule = make()
+        assert LanguageTable(rule).power is None
+        for ell in range(1, 5):
+            assert legal_words(rule, ell) == fixed_point_language(rule, ell)
+
+    def test_third_power(self):
+        # a -> b -> c -> ab: the shortest image has two letters from theta^3 on
+        from fractions import Fraction
+        from stochsub import Alphabet
+        abc = Alphabet(["a", "b", "c"])
+        rule = SubstitutionRule(abc, [[(abc.encode(w), Fraction(1))]
+                                      for w in ("b", "c", "ab")])
+        table = LanguageTable(rule)
+        assert table.power[0] == 3
+        for ell in range(1, 9):
+            assert table.words_of_length(ell) == fixed_point_language(rule, ell)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_rules())
+    def test_small_primitive_rules(self, rule):
+        assume(rule.is_primitive()[0])
+        table = LanguageTable(rule)
+        for ell in range(1, 5):
+            assert table.words_of_length(ell) == fixed_point_language(rule, ell)
 
 
 class TestLanguageTable:

@@ -1,20 +1,30 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from stochsub import (
     FrequencyMeasure,
     IllegalWordWarning,
+    SubstitutionRule,
+    induced_mean_matrix,
+    pf_eigenpair,
     unique_ergodicity_probe,
 )
 
 from conftest import (
+    CONFIG_DIR,
     make_deterministic_fibonacci,
     make_fibonacci,
+    make_large_power,
+    make_no_inflating_power,
     make_period_doubling,
     make_zeta,
+    small_rules,
 )
 
 F = Fraction
@@ -48,6 +58,80 @@ class TestFrequencyVector:
         for rule in (fibonacci, period_doubling, zeta):
             _, vec = FrequencyMeasure(rule).frequency_vector(ell)
             assert abs(float(vec.sum()) - 1.0) <= 1e-9
+
+
+    def test_period_doubling_depth_sixteen(self, period_doubling):
+        fm = FrequencyMeasure(period_doubling)
+        words, vec = fm.frequency_vector(16)
+        assert len(words) == 9816
+        assert abs(float(vec.sum()) - 1.0) <= 1e-9
+        assert fm.consistency_residual(2, 16) <= 1e-9
+
+
+def assert_matches_pf_route(rule, max_ell):
+    """frequency_vector agrees with the PF eigenvector of the full induced
+    matrix, word for word."""
+    fm = FrequencyMeasure(rule)
+    for ell in range(1, max_ell + 1):
+        words, vec = fm.frequency_vector(ell)
+        matrix = induced_mean_matrix(rule, ell)
+        assert words == matrix.labels
+        assert np.abs(vec - pf_eigenpair(matrix).right).max() <= 1e-12
+
+
+def test_concurrent_recursion_does_not_deadlock():
+    # more threads than cores, each asking for the lengths in its own order;
+    # the recursion fetches shorter lengths before taking the lock
+    fm = FrequencyMeasure(make_fibonacci())
+    expected = {ell: FrequencyMeasure(make_fibonacci()).frequency_vector(ell)[1]
+                for ell in range(1, 9)}
+    results, errors = [], []
+
+    def work(order):
+        try:
+            for ell in order:
+                results.append((ell, fm.frequency_vector(ell)[1]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    orders = [range(8, 0, -1), range(1, 9), (5, 8, 3, 1, 7, 2, 6, 4),
+              (8, 4, 6, 2, 7, 1, 5, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == 8 * len(orders)
+    for ell, vec in results:
+        assert np.array_equal(vec, expected[ell])
+
+
+class TestAgainstPFRoute:
+    @pytest.mark.parametrize("name,max_ell", [
+        ("fibonacci", 6), ("period_doubling", 6), ("zeta", 6),
+        ("deterministic_fibonacci", 6), ("dyck", 3),
+    ])
+    def test_bundled_configs(self, name, max_ell):
+        assert_matches_pf_route(
+            SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json"), max_ell)
+
+    @pytest.mark.parametrize("make", [make_no_inflating_power, make_large_power])
+    def test_rules_without_usable_power(self, make):
+        rule = make()
+        assert rule.language().power is None
+        assert_matches_pf_route(rule, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_rules())
+    def test_small_primitive_rules(self, rule):
+        assume(rule.is_primitive()[0] and rule.is_expanding())
+        assert_matches_pf_route(rule, 4)
 
 
 class TestCylinderMeasure:

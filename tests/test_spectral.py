@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochsub import NonConvergence, pf_eigenpair
+from stochsub import Alphabet, NonConvergence, SubstitutionRule, pf_eigenpair
 
 from conftest import make_fibonacci, make_non_expanding, make_period_doubling
 
@@ -49,6 +49,18 @@ class TestEigenpair:
         # Jordan block: power iteration converges only polynomially
         with pytest.raises((NonConvergence, ValueError)):
             pf_eigenpair(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_slow_spectral_gap_converges(self):
+        # a -> bbb, b -> a | aa | ba: |lambda_2 / lambda| is about 0.85, so
+        # each side needs well over 100 iterations without stalling
+        ab = Alphabet(["a", "b"])
+        third = Fraction(1, 3)
+        rule = SubstitutionRule(ab, [
+            [(ab.encode("bbb"), Fraction(1))],
+            [(ab.encode(w), third) for w in ("a", "aa", "ba")],
+        ])
+        pair = pf_eigenpair(rule.mean_matrix())
+        assert abs(pair.value - (1 + math.sqrt(145)) / 6) <= 1e-12
 
     def test_known_matrix_against_numpy(self):
         rng = np.random.default_rng(7)
