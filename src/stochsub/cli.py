@@ -16,7 +16,6 @@ import sys
 from .entropy import metric_entropy_partial, topological_entropy_partial
 from .guards import GuardExceeded
 from .induced import induced_mean_matrix
-from .language import LanguageTable
 from .measure import FrequencyMeasure
 from .sampler import DEFAULT_SEED, empirical_frequency, length_tail, sample_iterate
 from .spectral import NonConvergence, pf_eigenpair
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_language(rule, args):
-    words = LanguageTable(rule).words_of_length(args.ell)
+    words = rule.language().words_of_length(args.ell)
     decoded = [rule.alphabet.decode(w) for w in words]
     report = {"ell": args.ell, "count": len(decoded), "words": decoded}
     return report, [[w] for w in decoded]
@@ -206,7 +205,7 @@ def _cmd_check(rule, args):
                                _fmt(float(vec.sum()))))
             res = fm.consistency_residual(1, 3)
             checks.append(("consistency-1-3", res <= 1e-9, _fmt(res)))
-            ind = induced_mean_matrix(rule, 2, table=fm.table)
+            ind = induced_mean_matrix(rule, 2)
             lam2 = pf_eigenpair(ind).value
             checks.append(("induced-eigenvalue-2",
                            abs(lam2 - pair.value) <= 1e-9, _fmt(lam2)))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .guards import INDUCED_COLUMN_LIMIT, GuardExceeded, guard_limit
-from .language import LanguageTable
 from .substitution import RationalMatrix, SubstitutionRule, Word
 
 
@@ -75,14 +74,9 @@ def _window_row(index: dict[Word, int], w: Word) -> int:
         ) from None
 
 
-def induced_mean_matrix(
-    rule: SubstitutionRule,
-    ell: int,
-    table: LanguageTable | None = None,
-    max_states: int | None = None,
-) -> RationalMatrix:
+def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     """Exact mean matrix of the ell-induced substitution, indexed by the
-    legal ell-words in lexicographic order.
+    legal ell-words of `rule.language()` in lexicographic order.
 
     For ell = 1 this is the plain mean substitution matrix.  For ell > 1 the
     rule must be expanding, matching the standing hypothesis under which the
@@ -95,11 +89,10 @@ def induced_mean_matrix(
     primitive, _ = rule.is_primitive()
     if not primitive:
         raise ValueError("induced matrices require a primitive rule")
-    if table is None:
-        table = LanguageTable(rule)
+    table = rule.language()
     words = table.words_of_length(ell)
     index = table.index(ell)
-    limit = guard_limit(INDUCED_COLUMN_LIMIT, max_states)
+    limit = guard_limit(INDUCED_COLUMN_LIMIT)
     n = len(words)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j, u in enumerate(words):

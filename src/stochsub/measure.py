@@ -78,7 +78,7 @@ class FrequencyMeasure:
         return self._cache[ell]
 
     def _pf_vector(self, ell: int) -> tuple[tuple[Word, ...], np.ndarray]:
-        matrix = induced_mean_matrix(self.rule, ell, table=self.table)
+        matrix = induced_mean_matrix(self.rule, ell)
         pair = pf_eigenpair(matrix)
         vec = pair.right
         total = vec.sum()

@@ -5,13 +5,21 @@ numpy's PCG64 generator seeded with SeedSequence([s, i]).  Within a trial,
 words are rewritten round by round; each round consumes one uniform per
 letter, left to right (also for letters with a single image, so streams stay
 aligned across rules).  Results are therefore independent of scheduling.
+
+Input contract, shared by every sampler and checked before the first trial:
+the start letter is a symbol or an in-range letter code (KeyError
+otherwise), the depth satisfies n >= 0 and the trial count trials >= 1
+(ValueError otherwise).  Each sampler states its own further conditions.
+All samplers draw from one trial loop, `_trials`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,10 +52,6 @@ class DirectionStats:
     seed: int
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
-
-
 def _image_tables(rule: SubstitutionRule):
     """Per letter: list of image words and cumulative probability thresholds."""
     words, thresholds = [], []
@@ -63,41 +67,49 @@ def _image_tables(rule: SubstitutionRule):
     return words, thresholds
 
 
-def _run_trial(
-    rule: SubstitutionRule,
-    tables,
-    start: int,
-    n: int,
-    rng: np.random.Generator,
-    limit: int,
-) -> list[int]:
-    words, thresholds = tables
-    word = [start]
-    for _ in range(n):
-        draws = rng.random(len(word))
-        out: list[int] = []
-        for c, u in zip(word, draws):
-            out.extend(words[c][bisect_right(thresholds[c], u)])
-        if len(out) > limit:
-            raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
-        word = out
-    return word
+def _trials(
+    rule: SubstitutionRule, letter, n: int, trials: int, seed: int
+) -> Iterator[list[int]]:
+    """Realisations of the n-th iterate of `letter` for trials 0..trials-1,
+    as lists of letter codes.
+
+    The arguments are checked here, before the first trial is drawn: the
+    start is a symbol or an in-range letter code (KeyError otherwise), and
+    n >= 0 and trials >= 1 (ValueError otherwise).
+    """
+    (start,) = rule.encode((letter,))
+    if n < 0:
+        raise ValueError("iteration depth must be nonnegative")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    limit = guard_limit(SAMPLE_LETTER_LIMIT)
+    words, thresholds = _image_tables(rule)
+
+    # a generator, so that the checks above run at the call; its inputs are
+    # passed as arguments because the round loop reads locals faster than
+    # closure cells
+    def realisations(start, n, trials, seed, limit, words, thresholds):
+        for i in range(trials):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+            word = [start]
+            for _ in range(n):
+                draws = rng.random(len(word))
+                out: list[int] = []
+                for c, u in zip(word, draws):
+                    out.extend(words[c][bisect_right(thresholds[c], u)])
+                if len(out) > limit:
+                    raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
+                word = out
+            yield word
+
+    return realisations(start, n, trials, seed, limit, words, thresholds)
 
 
 def sample_iterate(
-    rule: SubstitutionRule,
-    letter,
-    n: int,
-    seed: int = DEFAULT_SEED,
-    max_letters: int | None = None,
+    rule: SubstitutionRule, letter, n: int, seed: int = DEFAULT_SEED
 ) -> Word:
     """One realisation of the n-th iterate; deterministic in (rule, args, seed)."""
-    if n < 0:
-        raise ValueError("iteration depth must be nonnegative")
-    start = rule.alphabet.code(letter) if isinstance(letter, str) else int(letter)
-    limit = guard_limit(SAMPLE_LETTER_LIMIT, max_letters)
-    word = _run_trial(rule, _image_tables(rule), start, n, _trial_rng(seed, 0), limit)
-    return tuple(word)
+    return tuple(next(_trials(rule, letter, n, 1, seed)))
 
 
 def empirical_frequency(
@@ -107,22 +119,17 @@ def empirical_frequency(
     n: int,
     trials: int,
     seed: int = DEFAULT_SEED,
-    max_letters: int | None = None,
 ) -> SampleStats:
     """Mean and standard error of the relative frequency of v across
-    independent realisations of the n-th iterate."""
-    if trials < 1 or n < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
+    independent realisations of the n-th iterate; needs n >= 1 and a legal v
+    (ValueError otherwise)."""
+    realisations = _trials(rule, letter, n, trials, seed)
+    if n < 1:
+        raise ValueError("need n >= 1")
     v = rule.encode(v)
     if not rule.language().is_legal(v):
         raise ValueError(f"word {rule.alphabet.decode(v)!r} is not legal")
-    start = rule.alphabet.code(letter) if isinstance(letter, str) else int(letter)
-    limit = guard_limit(SAMPLE_LETTER_LIMIT, max_letters)
-    tables = _image_tables(rule)
-    freqs = np.empty(trials)
-    for i in range(trials):
-        word = _run_trial(rule, tables, start, n, _trial_rng(seed, i), limit)
-        freqs[i] = count_occurrences(word, v) / len(word)
+    freqs = np.array([count_occurrences(word, v) / len(word) for word in realisations])
     stderr = float(freqs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SampleStats(
         estimate=float(freqs.mean()), stderr=stderr, trials=trials, depth=n, seed=seed
@@ -137,14 +144,7 @@ def sample_iterate_law(
     seed: int = DEFAULT_SEED,
 ) -> dict[Word, int]:
     """Empirical counts of the realisations of the n-th iterate."""
-    start = rule.alphabet.code(letter) if isinstance(letter, str) else int(letter)
-    limit = guard_limit(SAMPLE_LETTER_LIMIT, None)
-    tables = _image_tables(rule)
-    counts: dict[Word, int] = {}
-    for i in range(trials):
-        word = tuple(_run_trial(rule, tables, start, n, _trial_rng(seed, i), limit))
-        counts[word] = counts.get(word, 0) + 1
-    return counts
+    return dict(Counter(map(tuple, _trials(rule, letter, n, trials, seed))))
 
 
 def gw_direction_estimate(
@@ -158,20 +158,18 @@ def gw_direction_estimate(
 
     Per trial, the normalised letter-count vector is compared (L1) against
     the PF right eigenvector; word length over lambda^n estimates the
-    limiting growth factor, whose law is not modelled here.
+    limiting growth factor, whose law is not modelled here.  Needs a
+    primitive expanding rule (ValueError otherwise).
     """
     primitive, _ = rule.is_primitive()
     if not (primitive and rule.is_expanding()):
         raise ValueError("direction estimates need a primitive expanding rule")
-    start = rule.alphabet.code(letter) if isinstance(letter, str) else int(letter)
+    realisations = _trials(rule, letter, n, trials, seed)
     pair = pf_eigenpair(rule.mean_matrix())
     size = rule.alphabet.size
-    limit = guard_limit(SAMPLE_LETTER_LIMIT, None)
-    tables = _image_tables(rule)
     worst = 0.0
     growth = []
-    for i in range(trials):
-        word = _run_trial(rule, tables, start, n, _trial_rng(seed, i), limit)
+    for word in realisations:
         counts = np.array(abelianise(word, size), dtype=float)
         direction = counts / counts.sum()
         worst = max(worst, float(np.abs(direction - pair.right).sum()))
@@ -195,14 +193,5 @@ def length_tail(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Empirical probability that the n-th iterate is shorter than k * n."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    start = rule.alphabet.code(letter) if isinstance(letter, str) else int(letter)
-    limit = guard_limit(SAMPLE_LETTER_LIMIT, None)
-    tables = _image_tables(rule)
-    hits = 0
-    for i in range(trials):
-        word = _run_trial(rule, tables, start, n, _trial_rng(seed, i), limit)
-        if len(word) < k * n:
-            hits += 1
+    hits = sum(len(word) < k * n for word in _trials(rule, letter, n, trials, seed))
     return hits / trials

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .guards import ITERATE_SUPPORT_LIMIT, GuardExceeded, guard_limit
-from .words import Alphabet, WordLike, abelianise, count_occurrences
+from .words import Alphabet, WordLike, abelianise
 
 Word = tuple[int, ...]
 
@@ -48,11 +48,6 @@ class RationalMatrix:
     def size(self) -> int:
         return len(self.labels)
 
-    def entry(self, row_label, col_label) -> Fraction:
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return self.rows[i][j]
-
     def column_sums(self) -> tuple[Fraction, ...]:
         n = self.size
         return tuple(sum(self.rows[i][j] for i in range(n)) for j in range(n))
@@ -72,13 +67,12 @@ class RationalMatrix:
         (True, k) for the smallest k with an all-positive power.
         """
         n = self.size
-        cur = self.support()
+        cur = step = self.support()
         bound = (n - 1) ** 2 + 1
         for k in range(1, bound + 1):
             if all(all(row) for row in cur):
                 return True, k
             # boolean product with the one-step support
-            step = self.support()
             cur = tuple(
                 tuple(
                     any(cur[i][t] and step[t][j] for t in range(n))
@@ -106,9 +100,6 @@ class IterateDistribution:
             for i, c in enumerate(abelianise(w, size)):
                 acc[i] += p * c
         return tuple(acc)
-
-    def expected_length(self) -> Fraction:
-        return sum(p * len(w) for w, p in self.entries.items())
 
 
 def _parse_probability(raw) -> Fraction:
@@ -159,15 +150,18 @@ class SubstitutionRule:
             raise RuleValidationError(["missing or malformed 'rules' mapping"])
 
         images: list[list[tuple[Word, Fraction]]] = [[] for _ in range(alphabet.size)]
+        flagged: set[int] = set()  # letters with a problem of their own
         for symbol in alphabet.symbols:
             if symbol not in raw_rules:
                 problems.append(f"letter {symbol!r} has no image distribution")
+                flagged.add(alphabet.code(symbol))
         for symbol, entries in raw_rules.items():
             try:
                 code = alphabet.code(symbol)
             except KeyError:
                 problems.append(f"rule for unknown letter {symbol!r}")
                 continue
+            before = len(problems)
             seen: set[Word] = set()
             total = Fraction(0)
             for entry in entries:
@@ -197,17 +191,17 @@ class SubstitutionRule:
                 seen.add(word)
                 total += prob
                 images[code].append((word, prob))
-            if not images[code] and not problems:
-                problems.append(f"letter {symbol!r} has no image words")
             if images[code] and total != 1:
                 problems.append(
                     f"image probabilities of {symbol!r} sum to {total}, not 1"
                 )
+            if len(problems) > before:
+                flagged.add(code)
         for code, entries in enumerate(images):
-            if not entries:
-                sym = alphabet.symbol(code)
-                if not any(sym in p for p in problems):
-                    problems.append(f"letter {sym!r} has no image words")
+            if not entries and code not in flagged:
+                problems.append(
+                    f"letter {alphabet.symbol(code)!r} has no image words"
+                )
         if problems:
             raise RuleValidationError(problems)
         return cls(alphabet, images)
@@ -346,11 +340,7 @@ class SubstitutionRule:
         return f"SubstitutionRule({'; '.join(parts)})"
 
 
-# re-exported convenience wrappers matching the operation names
+# re-exported convenience wrapper matching the operation name
 
 def validate_rule(data: Mapping) -> SubstitutionRule:
     return SubstitutionRule.from_data(data)
-
-
-def occurrences(u: Sequence, v: Sequence) -> int:
-    return count_occurrences(u, v)

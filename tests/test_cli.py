@@ -106,6 +106,25 @@ class TestSample:
         assert code == 0
         assert out.strip() == "fraction\t0"
 
+    @pytest.mark.parametrize("extra", [
+        ("--n", "-1", "--tail-K", "2"),
+        ("--n", "-1", "--word", "a"),
+        ("--n", "-1"),
+        ("--n", "3", "--trials", "0", "--tail-K", "2"),
+        ("--n", "3", "--trials", "0", "--word", "a"),
+    ])
+    def test_bad_depth_or_trials_exit_one(self, capsys, extra):
+        code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
+                                "--letter", "a", *extra)
+        assert code == 1 and out == ""
+        assert "nonnegative" in err or "trials >= 1" in err
+
+    def test_unknown_letter_exit_one(self, capsys):
+        code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
+                                "--letter", "c", "--n", "3")
+        assert code == 1 and out == ""
+        assert "unknown letter" in err
+
 
 class TestCheckAndErrors:
     def test_check_passes_on_examples(self, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochsub import LanguageTable, induced_mean_matrix, pf_eigenpair
+from stochsub import induced_mean_matrix, pf_eigenpair
 
 from conftest import (
     make_deterministic_fibonacci,
@@ -64,9 +64,8 @@ class TestAgainstPlainEnumeration:
     def test_bit_identical(self, ell):
         for rule in (make_fibonacci(F(1, 3)), make_period_doubling(F(2, 5)),
                      make_zeta(F(1, 7))):
-            table = LanguageTable(rule)
-            mat = induced_mean_matrix(rule, ell, table=table)
-            index = table.index(ell)
+            mat = induced_mean_matrix(rule, ell)
+            index = rule.language().index(ell)
             for j, u in enumerate(mat.labels):
                 oracle = plain_column_weights(rule, u, ell)
                 for w, weight in oracle.items():
@@ -104,7 +103,7 @@ class TestStructure:
         rule = make_deterministic_fibonacci()
         mat = induced_mean_matrix(rule, 2)
         # classical induced (collared) substitution: single realisation per word
-        table = LanguageTable(rule)
+        table = rule.language()
         for j, u in enumerate(mat.labels):
             oracle = plain_column_weights(rule, u, 2)
             for w, weight in oracle.items():

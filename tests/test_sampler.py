@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from scipy import stats as sps
 
 from stochsub import (
     FrequencyMeasure,
+    SubstitutionRule,
     empirical_frequency,
     gw_direction_estimate,
     length_tail,
@@ -13,7 +15,10 @@ from stochsub import (
     sample_iterate_law,
 )
 
+from stochsub.sampler import _trials
+
 from conftest import (
+    CONFIG_DIR,
     make_deterministic_fibonacci,
     make_fibonacci,
     make_non_expanding,
@@ -140,3 +145,88 @@ class TestLengthTail:
         vals = [length_tail(period_doubling, "a", n, 1.0, 50, seed=4)
                 for n in (4, 8, 12)]
         assert vals[0] >= vals[1] >= vals[2]
+
+
+# every sampler called as (rule, letter, n, trials); sample_iterate draws
+# exactly one trial and takes no trial count
+SAMPLERS = {
+    "sample_iterate": lambda r, a, n, t: sample_iterate(r, a, n),
+    "empirical_frequency": lambda r, a, n, t: empirical_frequency(r, a, "a", n, t),
+    "sample_iterate_law": lambda r, a, n, t: sample_iterate_law(r, a, n, t),
+    "gw_direction_estimate": lambda r, a, n, t: gw_direction_estimate(r, a, n, t),
+    "length_tail": lambda r, a, n, t: length_tail(r, a, n, 1.0, t),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_letter_code_out_of_range(self, name, fibonacci):
+        for code in (-1, fibonacci.alphabet.size):
+            with pytest.raises(KeyError, match="out of range"):
+                SAMPLERS[name](fibonacci, code, 3, 5)
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_unknown_symbol(self, name, fibonacci):
+        with pytest.raises(KeyError, match="unknown letter"):
+            SAMPLERS[name](fibonacci, "c", 3, 5)
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_negative_depth(self, name, fibonacci):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SAMPLERS[name](fibonacci, "a", -1, 5)
+
+    @pytest.mark.parametrize("name", [s for s in SAMPLERS if s != "sample_iterate"])
+    def test_no_trials(self, name, fibonacci):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            SAMPLERS[name](fibonacci, "a", 3, 0)
+
+    def test_checked_before_first_trial(self, fibonacci):
+        with pytest.raises(KeyError):
+            _trials(fibonacci, -1, 3, 1, 0)
+        with pytest.raises(ValueError):
+            _trials(fibonacci, "a", -1, 1, 0)
+        with pytest.raises(ValueError):
+            _trials(fibonacci, "a", 3, 0, 0)
+
+    def test_code_and_symbol_agree(self, fibonacci):
+        for code, symbol in enumerate(fibonacci.alphabet.symbols):
+            assert sample_iterate(fibonacci, code, 6, seed=3) == \
+                sample_iterate(fibonacci, symbol, 6, seed=3)
+
+
+def sampler_outputs(rule):
+    """repr of every sampler's output at fixed arguments and seeds."""
+    a = rule.alphabet.symbols[0]
+    out = [sample_iterate(rule, a, 7, seed=11),
+           sample_iterate(rule, 1, 5, seed=12),
+           empirical_frequency(rule, a, a, 6, 8, seed=13),
+           sorted(sample_iterate_law(rule, a, 3, 40, seed=14).items()),
+           length_tail(rule, a, 6, 1.5, 30, seed=16)]
+    try:
+        out.append(gw_direction_estimate(rule, a, 6, 8, seed=15))
+    except ValueError as exc:  # non_expanding
+        out.append(str(exc))
+    return repr(out)
+
+
+# sha256 of sampler_outputs per bundled config, recorded before the samplers
+# shared one trial loop; a mismatch means the seed contract has changed
+SAMPLER_DIGESTS = {
+    "deterministic_fibonacci":
+        "482aed81a8b874b60abbd9d764c735abcae2876c034fceadedb0f8f56b821e28",
+    "dyck": "5ced8fda6f1bf057d70d3386479e904b35a3685032658febb7e54a89c19a6849",
+    "fibonacci":
+        "fc8e71cce558e48e7839f51b6cdacad3dab0a80f3901660f0d31bc5149a4190b",
+    "non_expanding":
+        "04042739e341dd72b562730157a6223bf9d7a36d578bdf54054a0b5f8a409bdb",
+    "period_doubling":
+        "57c85cf6caadb8dbe34fcd72018b70e356f91bbd521d6a6b3e5e974a1276a5e7",
+    "zeta": "b69dca009d549fd2ef98f6c15eb66c980d95633637253c912f2ba0e72c0e9d83",
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_DIGESTS)
+def test_seed_contract_pinned(name):
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    digest = hashlib.sha256(sampler_outputs(rule).encode()).hexdigest()
+    assert digest == SAMPLER_DIGESTS[name]

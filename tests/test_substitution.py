@@ -55,6 +55,19 @@ class TestValidation:
         assert "unknown letter 'c'" in text
         assert "'b' has no image" in text
 
+    def test_missing_images_listed_beside_other_problems(self):
+        # 'b' occurs in the text of the probability problem of 'a'; the
+        # missing images of 'b' must still be reported
+        with pytest.raises(RuleValidationError) as exc:
+            validate_rule({
+                "alphabet": ["a", "b"],
+                "rules": {"a": [{"word": "b", "prob": "2"}], "b": []},
+            })
+        assert exc.value.problems == [
+            "image probability of 'a' must lie in (0,1], got 2",
+            "letter 'b' has no image words",
+        ]
+
     def test_duplicate_image_word(self):
         with pytest.raises(RuleValidationError, match="duplicate"):
             validate_rule({"alphabet": ["a"],
