@@ -32,7 +32,6 @@ from .substitution import (
     RationalMatrix,
     RuleValidationError,
     SubstitutionRule,
-    validate_rule,
 )
 from .words import Alphabet, abelianise, count_occurrences
 
@@ -70,5 +69,4 @@ __all__ = [
     "sample_iterate_law",
     "topological_entropy_partial",
     "unique_ergodicity_probe",
-    "validate_rule",
 ]

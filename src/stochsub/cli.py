@@ -168,6 +168,9 @@ def _cmd_sample(rule, args):
         report = {"mode": "tail", "K": args.tail_k, "fraction": frac,
                   "trials": args.trials, "n": args.n, "seed": args.seed}
         return report, [["fraction", frac]]
+    # sample_iterate draws one trial, but --trials is checked as in the other modes
+    if args.trials < 1:
+        raise ValueError("need trials >= 1")
     word = sample_iterate(rule, args.letter, args.n, seed=args.seed)
     decoded = rule.alphabet.decode(word)
     report = {"mode": "iterate", "n": args.n, "seed": args.seed,

@@ -11,9 +11,20 @@ import os
 ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 
 ITERATE_SUPPORT_LIMIT = 10**6   # words in the support of an iterate law
-INDUCED_COLUMN_LIMIT = 10**7    # enumeration states per induced-matrix column
+INDUCED_COLUMN_LIMIT = 10**7    # kernel states spent on one induced-matrix column
 SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
-LANGUAGE_STATE_LIMIT = 10**6    # automaton states expanded for one word length
+
+# LANGUAGE_STATE_LIMIT counts the states of the realisation kernel
+# (`language._column_weights`), summed over the letters of every word it
+# inflates for one word length.  Measured counts on the bundled configs:
+#
+#   period_doubling  ell 23:   507 607   ell 24: 1 369 124
+#   zeta             ell 23:   778 050   ell 24: 2 080 514 (refused)
+#   fibonacci        ell 19: 1 568 443   ell 20: 4 681 187 (refused)
+#   dyck (closure)   ell 7:  1 281 752   ell 8:  7 816 592 (refused)
+#
+# 2 * 10**6 is the smallest round limit that admits the first column.
+LANGUAGE_STATE_LIMIT = 2 * 10**6
 
 
 class GuardExceeded(RuntimeError):

@@ -1,28 +1,37 @@
-"""Enumeration of the legal words of a random substitution.
+"""Enumeration of the legal words of a random substitution, and the
+realisation kernel that the induced matrix and the frequencies share.
 
 The language is a purely combinatorial object: it depends only on the image
 supports, never on the probabilities.  A legal ell-word meets the images of
 at most m = (ell - 2) // minlen + 2 consecutive letters of a legal word,
 where minlen is the shortest image length, so when minlen >= 2 the legal
-ell-words are the ell-windows of the inflations of the legal m-words.  This
-recursion runs through a LanguageTable, which enumerates each length once.
-A rule whose shortest image is a single letter uses instead the smallest
-power theta^k whose shortest image has two letters: a primitive rule and its
-powers have the same language (Rust & Spindeler, Indag. Math. 2018).
+ell-words are the ell-windows that start in the image of the first letter
+of an inflated legal m-word.  This recursion runs through a LanguageTable,
+which enumerates each length once.  A rule whose shortest image is a single
+letter uses instead the smallest power theta^k whose shortest image has two
+letters: a primitive rule and its powers have the same language (Rust &
+Spindeler, Indag. Math. 2018).
 
 Where the recursion does not apply -- at the base lengths with m >= ell, for
 rules without such a power (a letter whose single-letter images lead back to
 itself, like Dyck's "(" -> "("), and for powers whose exact law would be
 large -- the legal ell-words are found in the closure of the single letters
-under one-step inflation, computed with a worklist.  Either way words are
-inflated through a sliding-window automaton, so that realisations sharing a
-suffix are never expanded twice; the automaton's frontier states are counted
-against a resource guard.
+under the same step, computed with a worklist.  The closure misses nothing:
+every ell-window of a realisation of theta^(j+1)(a) starts in the image of
+the first letter of theta(x), where x is the ell-window (cut short at the
+end) of the realisation of theta^j(a) at that letter, so by induction on j
+the worklist collects them all.
+
+Both branches, the induced matrix and the frequency recursion share one
+kernel, `_column_weights`; the language keeps only its windows.  Every
+letter the kernel processes spends its current states from a `_StateBudget`,
+which raises GuardExceeded past its limit.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -45,69 +54,79 @@ def collar(u: Sequence, ell: int) -> tuple:
     return tuple(u[k : k + ell] for k in range(len(u) - ell + 1))
 
 
-def _inflation_pieces(
-    supports: Sequence[Sequence[Word]], word: Word, ell: int
-) -> tuple[set[Word], int]:
-    """All length-ell subwords of all realisations of the one-step inflation
-    of `word`, together with any full realisations shorter than ell, and the
-    number of automaton states expanded to find them.
-
-    Runs a window automaton over the letters of `word`: a state is the last
-    ell-1 letters emitted so far, so realisations sharing a suffix are
-    processed once.  For short realisations the state is the whole prefix.
-    """
-    out: set[Word] = set()
-    tail = ell - 1
-    expanded = 0
-    # state: (last min(tail, emitted) letters, min(emitted, ell))
-    frontier: set[tuple[Word, int]] = {((), 0)}
-    for letter in word:
-        expanded += len(frontier)
-        nxt: set[tuple[Word, int]] = set()
-        for buf, emitted in frontier:
-            for img in supports[letter]:
-                b, e = buf, emitted
-                for c in img:
-                    if len(b) == tail:
-                        out.add(b + (c,))
-                    b = (b + (c,))[-tail:] if tail else ()
-                    e = min(e + 1, ell)
-                nxt.add((b, e))
-        frontier = nxt
-    # realisations that never reached length ell survive whole in the buffer
-    for buf, emitted in frontier:
-        if emitted < ell:
-            out.add(buf)
-    return out, expanded
-
-
 class _StateBudget:
-    """Running count of expanded automaton states against the guard."""
+    """Running count of spent enumeration states against a guard; `guarded`
+    and `unit` name the computation and its states in the GuardExceeded
+    message."""
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, guarded: str, unit: str = ""):
         self.limit = limit
         self.used = 0
+        self.message = f"{guarded} exceeds guard {limit}{unit}"
 
     def spend(self, states: int) -> None:
         self.used += states
         if self.used > self.limit:
-            raise GuardExceeded(
-                f"language enumeration exceeds guard {self.limit} automaton states"
-            )
+            raise GuardExceeded(self.message)
+
+
+def _column_weights(
+    images: Sequence[Sequence[tuple[Word, Fraction | float | int]]],
+    u: Word,
+    ell: int,
+    budget: _StateBudget,
+    scale: Fraction | float | int = 1,
+) -> dict[Word, Fraction]:
+    """Expected window counts E[occurrences of w in the induced image of u],
+    times `scale`: the ell-windows (cut short at the end of a realisation)
+    that start in the image of u's first letter.  images[c] lists the
+    (image, probability) pairs of letter c.
+
+    Joint realisations of the letter images are enumerated with prefix
+    sharing: only the first first_len + ell - 1 output letters matter (the
+    windows start at positions 1..first_len), so realisations agreeing on
+    that prefix are merged and the remaining letters contribute probability
+    one.  With Fraction probabilities the result is bit-identical to plain
+    enumeration; with floats the same sums run in floating point.  Each
+    letter of u spends the number of current states from `budget`.
+    """
+    # state: (prefix capped at first_len + ell - 1 letters, first image len)
+    states: dict[tuple[Word, int], Fraction] = {((), 0): scale}
+    for letter in u:
+        budget.spend(len(states))
+        nxt: dict[tuple[Word, int], Fraction] = {}
+        for (prefix, first), weight in states.items():
+            if first and len(prefix) >= first + ell - 1:
+                # prefix already long enough; remaining letters integrate out
+                key = (prefix, first)
+                nxt[key] = nxt.get(key, 0) + weight
+                continue
+            for img, p in images[letter]:
+                f = first if first else len(img)
+                cap = f + ell - 1
+                key = ((prefix + img)[:cap], f)
+                nxt[key] = nxt.get(key, 0) + weight * p
+        states = nxt
+    counts: dict[Word, Fraction] = {}
+    for (prefix, first), weight in states.items():
+        for k in range(first):
+            w = prefix[k : k + ell]
+            counts[w] = counts.get(w, 0) + weight
+    return counts
 
 
 def _closure(
-    supports: Sequence[Sequence[Word]], ell: int, budget: _StateBudget
+    images: Sequence[Sequence[tuple[Word, int]]], ell: int, budget: _StateBudget
 ) -> set[Word]:
-    """Every word reachable from a single letter by repeatedly taking
-    inflation pieces.  A worklist inflates each word once."""
-    seen: set[Word] = {(c,) for c in range(len(supports))}
+    """Every word reachable from a single letter by repeatedly taking the
+    windows that start in the first image of an inflation.  A worklist
+    inflates each word once."""
+    seen: set[Word] = {(c,) for c in range(len(images))}
     todo = list(seen)
     while todo:
-        pieces, states = _inflation_pieces(supports, todo.pop(), ell)
-        budget.spend(states)
-        new = pieces - seen
-        seen |= new
+        windows = _column_weights(images, todo.pop(), ell, budget)
+        new = [w for w in windows if w not in seen]
+        seen.update(new)
         todo.extend(new)
     return seen
 
@@ -159,8 +178,8 @@ def legal_words(
 
     Shorter lengths needed by the recursion are taken from (and stored in)
     `table`, a fresh LanguageTable of the rule by default.  Raises
-    GuardExceeded when the automaton states expanded for this length exceed
-    the language guard.
+    GuardExceeded when the kernel states spent on this length exceed the
+    language guard.
     """
     if ell < 1:
         raise ValueError("word length must be >= 1")
@@ -169,17 +188,18 @@ def legal_words(
         raise ValueError("legal-word enumeration requires a primitive rule")
     if table is None:
         table = LanguageTable(rule)
-    budget = _StateBudget(guard_limit(LANGUAGE_STATE_LIMIT))
+    budget = _StateBudget(
+        guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration", " automaton states"
+    )
     m = table.prefix_length(ell)
+    source = rule if m is None else table.power[1]
+    images = [[(w, 1) for w in support] for support in source.supports()]
     if m is None:
-        words = _closure(rule.supports(), ell, budget)
+        words = _closure(images, ell, budget)
     else:
-        supports = table.power[1].supports()
         words = set()
         for u in table.words_of_length(m):
-            pieces, states = _inflation_pieces(supports, u, ell)
-            budget.spend(states)
-            words |= pieces
+            words.update(_column_weights(images, u, ell, budget))
     return tuple(sorted(w for w in words if len(w) == ell))
 
 

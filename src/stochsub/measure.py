@@ -35,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .guards import INDUCED_COLUMN_LIMIT, guard_limit
-from .induced import _column_weights, _window_row, induced_mean_matrix
+from .induced import _window_row, induced_mean_matrix
+from .language import _column_weights, _StateBudget
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
@@ -97,7 +98,8 @@ class FrequencyMeasure:
         images = [[(img, float(q)) for img, q in entries] for entries in power.images]
         vec = np.zeros(len(words))
         for p, r in zip(prefixes, prefix_vec):
-            for w, x in _column_weights(images, p, ell, limit, float(r)).items():
+            budget = _StateBudget(limit, "induced-matrix column enumeration")
+            for w, x in _column_weights(images, p, ell, budget, float(r)).items():
                 vec[_window_row(index, w)] += x
         total = vec.sum()
         expected = self._value**k

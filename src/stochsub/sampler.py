@@ -192,6 +192,10 @@ def length_tail(
     trials: int,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Empirical probability that the n-th iterate is shorter than k * n."""
-    hits = sum(len(word) < k * n for word in _trials(rule, letter, n, trials, seed))
+    """Empirical probability that the n-th iterate is shorter than k * n;
+    needs a finite k > 0 (ValueError otherwise)."""
+    realisations = _trials(rule, letter, n, trials, seed)
+    if not 0 < k < math.inf:
+        raise ValueError(f"tail threshold K must be finite and > 0, got {k}")
+    hits = sum(len(word) < k * n for word in realisations)
     return hits / trials

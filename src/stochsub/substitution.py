@@ -338,9 +338,3 @@ class SubstitutionRule:
             )
             parts.append(f"{self.alphabet.symbol(code)} -> {{{opts}}}")
         return f"SubstitutionRule({'; '.join(parts)})"
-
-
-# re-exported convenience wrapper matching the operation name
-
-def validate_rule(data: Mapping) -> SubstitutionRule:
-    return SubstitutionRule.from_data(data)

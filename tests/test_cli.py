@@ -112,12 +112,21 @@ class TestSample:
         ("--n", "-1"),
         ("--n", "3", "--trials", "0", "--tail-K", "2"),
         ("--n", "3", "--trials", "0", "--word", "a"),
+        ("--n", "3", "--trials", "0"),
     ])
     def test_bad_depth_or_trials_exit_one(self, capsys, extra):
         code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
                                 "--letter", "a", *extra)
         assert code == 1 and out == ""
         assert "nonnegative" in err or "trials >= 1" in err
+
+    @pytest.mark.parametrize("k", ["-1", "0", "nan"])
+    def test_bad_tail_threshold_exit_one(self, capsys, k):
+        code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
+                                "--letter", "a", "--n", "3", "--trials", "5",
+                                "--tail-K", k)
+        assert code == 1 and out == ""
+        assert "finite and > 0" in err
 
     def test_unknown_letter_exit_one(self, capsys):
         code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),

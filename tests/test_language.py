@@ -1,8 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 
-from stochsub import LanguageTable, SubstitutionRule, collar, legal_words
-from stochsub.language import _inflation_pieces
+from stochsub import GuardExceeded, LanguageTable, SubstitutionRule, collar, legal_words
 
 from conftest import (
     CONFIG_DIR,
@@ -45,6 +46,37 @@ def brute_force_language(rule, ell):
     return tuple(sorted(w for w in words if len(w) == ell))
 
 
+def _inflation_pieces(supports, word, ell):
+    """All length-ell subwords of all realisations of the one-step inflation
+    of `word`, together with any full realisations shorter than ell.
+
+    Runs a window automaton over the letters of `word`: a state is the last
+    ell-1 letters emitted so far, so realisations sharing a suffix are
+    processed once.  For short realisations the state is the whole prefix.
+    """
+    out = set()
+    tail = ell - 1
+    # state: (last min(tail, emitted) letters, min(emitted, ell))
+    frontier = {((), 0)}
+    for letter in word:
+        nxt = set()
+        for buf, emitted in frontier:
+            for img in supports[letter]:
+                b, e = buf, emitted
+                for c in img:
+                    if len(b) == tail:
+                        out.add(b + (c,))
+                    b = (b + (c,))[-tail:] if tail else ()
+                    e = min(e + 1, ell)
+                nxt.add((b, e))
+        frontier = nxt
+    # realisations that never reached length ell survive whole in the buffer
+    for buf, emitted in frontier:
+        if emitted < ell:
+            out.add(buf)
+    return out
+
+
 def fixed_point_language(rule, ell):
     """Oracle: the set fixed point of the multi-valued substitution.
 
@@ -60,7 +92,7 @@ def fixed_point_language(rule, ell):
     while True:
         pieces = set()
         for w in state:
-            pieces |= _inflation_pieces(supports, w, ell)[0]
+            pieces |= _inflation_pieces(supports, w, ell)
         state = frozenset(pieces)
         union |= pieces
         if state in seen:
@@ -181,6 +213,48 @@ class TestAgainstFixedPoint:
         table = LanguageTable(rule)
         for ell in range(1, 5):
             assert table.words_of_length(ell) == fixed_point_language(rule, ell)
+
+
+# (ell, sha256 of repr(words_of_length(ell))) per bundled config, recorded
+# with the whole-word automaton of `_inflation_pieces`; the fixed-point
+# oracle only reaches short lengths, so these pin the deep words
+LANGUAGE_DIGESTS = {
+    "deterministic_fibonacci":
+        (20, "65c502e43a16b347d0f4a964cf732ba04f85f29dae8034209418cc224ae5e28a"),
+    "dyck": (6, "9d49b672d0fb6ed29a8300c2a3ee05a09d7d85bd2019103369a25e391b2b2020"),
+    "fibonacci":
+        (14, "fe62daeb9b70147e865876ba29ee92778c590b3d7531c7efe0b5f7eb3cbea46a"),
+    "non_expanding":
+        (6, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    "period_doubling":
+        (16, "e93406e1dd7ebfb11248bc52f99f6b88872da1456da5701b6812d8831f908b94"),
+    "zeta": (16, "cc313a6b34e9cecba55fbf7cc7dcab939b1089b04a67d1c2efc974a5479b3482"),
+}
+
+
+@pytest.mark.parametrize("name", LANGUAGE_DIGESTS)
+def test_language_pinned_at_depth(name):
+    ell, digest = LANGUAGE_DIGESTS[name]
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    words = LanguageTable(rule).words_of_length(ell)
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
+
+
+# kernel states one length spends once the shorter lengths are cached: dyck
+# by the closure, fibonacci by recursion through theta^2
+@pytest.mark.parametrize("name,ell,states", [
+    ("dyck", 5, 32472), ("fibonacci", 12, 23263),
+])
+def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    table = LanguageTable(rule)
+    for j in range(1, ell):
+        table.words_of_length(j)
+    monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states))
+    assert legal_words(rule, ell, table)
+    monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states - 1))
+    with pytest.raises(GuardExceeded, match=f"exceeds guard {states - 1} automaton"):
+        legal_words(rule, ell, table)
 
 
 class TestLanguageTable:

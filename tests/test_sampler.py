@@ -180,6 +180,11 @@ class TestInputContract:
         with pytest.raises(ValueError, match="trials >= 1"):
             SAMPLERS[name](fibonacci, "a", 3, 0)
 
+    @pytest.mark.parametrize("k", [-1.0, 0.0, math.nan, math.inf])
+    def test_tail_threshold(self, k, fibonacci):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            length_tail(fibonacci, "a", 3, k, 5)
+
     def test_checked_before_first_trial(self, fibonacci):
         with pytest.raises(KeyError):
             _trials(fibonacci, -1, 3, 1, 0)

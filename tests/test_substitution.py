@@ -8,7 +8,6 @@ from stochsub import (
     Alphabet,
     RuleValidationError,
     SubstitutionRule,
-    validate_rule,
 )
 
 from conftest import make_fibonacci, make_non_expanding, make_period_doubling
@@ -27,7 +26,7 @@ def symbolic_kernel_rule(p1, q1):
 
 class TestValidation:
     def test_valid_config_roundtrip(self):
-        rule = validate_rule({
+        rule = SubstitutionRule.from_data({
             "alphabet": ["a", "b"],
             "rules": {"a": [{"word": "ab", "prob": "1/2"},
                             {"word": "ba", "prob": "1/2"}],
@@ -38,12 +37,13 @@ class TestValidation:
 
     def test_sum_mismatch(self):
         with pytest.raises(RuleValidationError, match="sum to"):
-            validate_rule({"alphabet": ["a"],
-                           "rules": {"a": [{"word": "aa", "prob": "1/3"}]}})
+            SubstitutionRule.from_data({
+                "alphabet": ["a"], "rules": {"a": [{"word": "aa", "prob": "1/3"}]},
+            })
 
     def test_all_problems_reported(self):
         with pytest.raises(RuleValidationError) as exc:
-            validate_rule({
+            SubstitutionRule.from_data({
                 "alphabet": ["a", "b"],
                 "rules": {"a": [{"word": "", "prob": "1/2"},
                                 {"word": "ab", "prob": "3/2"}],
@@ -59,7 +59,7 @@ class TestValidation:
         # 'b' occurs in the text of the probability problem of 'a'; the
         # missing images of 'b' must still be reported
         with pytest.raises(RuleValidationError) as exc:
-            validate_rule({
+            SubstitutionRule.from_data({
                 "alphabet": ["a", "b"],
                 "rules": {"a": [{"word": "b", "prob": "2"}], "b": []},
             })
@@ -70,14 +70,17 @@ class TestValidation:
 
     def test_duplicate_image_word(self):
         with pytest.raises(RuleValidationError, match="duplicate"):
-            validate_rule({"alphabet": ["a"],
-                           "rules": {"a": [{"word": "aa", "prob": "1/2"},
-                                           {"word": "aa", "prob": "1/2"}]}})
+            SubstitutionRule.from_data({
+                "alphabet": ["a"],
+                "rules": {"a": [{"word": "aa", "prob": "1/2"},
+                                {"word": "aa", "prob": "1/2"}]},
+            })
 
     def test_image_over_unknown_letter(self):
         with pytest.raises(RuleValidationError, match="image of 'a'"):
-            validate_rule({"alphabet": ["a"],
-                           "rules": {"a": [{"word": "ax", "prob": "1"}]}})
+            SubstitutionRule.from_data({
+                "alphabet": ["a"], "rules": {"a": [{"word": "ax", "prob": "1"}]},
+            })
 
 
 class TestKernel:
