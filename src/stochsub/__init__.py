@@ -9,7 +9,7 @@ from .entropy import (
 )
 from .guards import GuardExceeded
 from .induced import induced_mean_matrix
-from .language import LanguageTable, collar, legal_words
+from .language import LanguageTable, legal_words
 from .measure import (
     ErgodicityProbe,
     FrequencyMeasure,
@@ -55,7 +55,6 @@ __all__ = [
     "SampleStats",
     "SubstitutionRule",
     "abelianise",
-    "collar",
     "count_occurrences",
     "empirical_frequency",
     "gw_direction_estimate",

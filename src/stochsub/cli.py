@@ -26,12 +26,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; here 2 is reserved for guards
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    @staticmethod
-    def _fail(message):
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _fmt(x: float) -> str:
@@ -83,9 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--word", help="estimate the frequency of this word")
-    p.add_argument("--tail-K", type=float, dest="tail_k", metavar="K",
-                   help="estimate P[length < K*n]")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--word", help="estimate the frequency of this word")
+    mode.add_argument("--tail-K", type=float, dest="tail_k", metavar="K",
+                      help="estimate P[length < K*n]")
 
     p = sub.add_parser("check", help="run the invariant suite on a config")
     common(p)

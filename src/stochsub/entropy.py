@@ -7,7 +7,7 @@ words of length n; natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .measure import FrequencyMeasure
 from .substitution import SubstitutionRule
@@ -88,18 +88,12 @@ def max_entropy_class_check(rule: SubstitutionRule, max_n: int = 8) -> MaxEntrop
     )
     if not uniform:
         return report
-    predicted = math.log(count) / big_n
     # deepest multiple of the image length we can afford
     n = max(big_n, (max_n // big_n) * big_n)
-    fm = FrequencyMeasure(rule)
-    return MaxEntropyReport(
-        qualifies=True,
-        reason=report.reason,
-        image_length=big_n,
-        image_count=count,
-        uniform=True,
-        predicted_entropy=predicted,
+    return replace(
+        report,
+        predicted_entropy=math.log(count) / big_n,
         checked_n=n,
-        metric_partial=metric_entropy_partial(fm, n),
+        metric_partial=metric_entropy_partial(FrequencyMeasure(rule), n),
         topological_partial=topological_entropy_partial(rule, n),
     )

@@ -10,7 +10,7 @@ import os
 
 ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 
-ITERATE_SUPPORT_LIMIT = 10**6   # words in the support of an iterate law
+ITERATE_SUPPORT_LIMIT = 10**6   # trips exactly when an iterate law's support exceeds it
 INDUCED_COLUMN_LIMIT = 10**7    # kernel states spent on one induced-matrix column
 SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
 

@@ -8,8 +8,9 @@ expected image length of the first letter of the column word, and shares its
 PF eigenvalue with the letter-level mean matrix.
 
 The columns are the exact weights of `language._column_weights`, the
-realisation kernel that the language and the frequency recursion use too;
-each column spends its own state budget of INDUCED_COLUMN_LIMIT.
+realisation kernel that the language and the frequency recursion use too,
+run on the rule's integer image weights q = p * D and divided by D^ell once
+per entry; each column spends its own state budget of INDUCED_COLUMN_LIMIT.
 """
 
 from __future__ import annotations
@@ -51,10 +52,12 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     words = table.words_of_length(ell)
     index = table.index(ell)
     limit = guard_limit(INDUCED_COLUMN_LIMIT)
-    n = len(words)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    denominator, images = rule._integer_form
+    scale = denominator**ell
+    rows = [[Fraction(0)] * len(words) for _ in words]
     for j, u in enumerate(words):
         budget = _StateBudget(limit, "induced-matrix column enumeration")
-        for w, weight in _column_weights(rule.images, u, ell, budget).items():
-            rows[_window_row(index, w)][j] = weight
+        counts = _column_weights(images, u, ell, budget, mass=denominator)
+        for w, x in counts.items():
+            rows[_window_row(index, w)][j] = Fraction(x, scale)
     return RationalMatrix(labels=words, rows=tuple(tuple(r) for r in rows))

@@ -44,16 +44,6 @@ from .words import WordLike
 POWER_REALISATION_LIMIT = 2000
 
 
-def collar(u: Sequence, ell: int) -> tuple:
-    """The sequence of sliding windows of length ell of u."""
-    if ell < 1:
-        raise ValueError("window length must be >= 1")
-    if len(u) < ell:
-        raise ValueError(f"word of length {len(u)} has no windows of length {ell}")
-    u = tuple(u)
-    return tuple(u[k : k + ell] for k in range(len(u) - ell + 1))
-
-
 class _StateBudget:
     """Running count of spent enumeration states against a guard; `guarded`
     and `unit` name the computation and its states in the GuardExceeded
@@ -76,30 +66,31 @@ def _column_weights(
     ell: int,
     budget: _StateBudget,
     scale: Fraction | float | int = 1,
-) -> dict[Word, Fraction]:
+    mass: int = 1,  # D for the integer weights p * D, whose counts are over D^|u|
+) -> dict[Word, Fraction | float | int]:
     """Expected window counts E[occurrences of w in the induced image of u],
     times `scale`: the ell-windows (cut short at the end of a realisation)
     that start in the image of u's first letter.  images[c] lists the
-    (image, probability) pairs of letter c.
+    (image, weight) pairs of letter c, whose weights sum to `mass`.
 
     Joint realisations of the letter images are enumerated with prefix
     sharing: only the first first_len + ell - 1 output letters matter (the
     windows start at positions 1..first_len), so realisations agreeing on
-    that prefix are merged and the remaining letters contribute probability
-    one.  With Fraction probabilities the result is bit-identical to plain
+    that prefix are merged and the remaining letters contribute their whole
+    mass.  With exact weights the result is bit-identical to plain
     enumeration; with floats the same sums run in floating point.  Each
     letter of u spends the number of current states from `budget`.
     """
     # state: (prefix capped at first_len + ell - 1 letters, first image len)
-    states: dict[tuple[Word, int], Fraction] = {((), 0): scale}
+    states: dict[tuple[Word, int], Fraction | float | int] = {((), 0): scale}
     for letter in u:
         budget.spend(len(states))
-        nxt: dict[tuple[Word, int], Fraction] = {}
+        nxt: dict[tuple[Word, int], Fraction | float | int] = {}
         for (prefix, first), weight in states.items():
             if first and len(prefix) >= first + ell - 1:
                 # prefix already long enough; remaining letters integrate out
                 key = (prefix, first)
-                nxt[key] = nxt.get(key, 0) + weight
+                nxt[key] = nxt.get(key, 0) + weight * mass
                 continue
             for img, p in images[letter]:
                 f = first if first else len(img)
@@ -107,7 +98,7 @@ def _column_weights(
                 key = ((prefix + img)[:cap], f)
                 nxt[key] = nxt.get(key, 0) + weight * p
         states = nxt
-    counts: dict[Word, Fraction] = {}
+    counts: dict[Word, Fraction | float | int] = {}
     for (prefix, first), weight in states.items():
         for k in range(first):
             w = prefix[k : k + ell]

@@ -1,15 +1,18 @@
 """Random substitution rules with exact rational probabilities.
 
 A rule assigns to every letter a finite distribution over nonempty image
-words.  Everything in this module is exact: probabilities are
-`fractions.Fraction` end to end, so the transition kernel, iterate laws and
-the mean substitution matrix admit bit-exact tests.  Floating point enters
-only in the spectral module.
+words.  Everything in this module is exact, so the transition kernel,
+iterate laws and the mean substitution matrix admit bit-exact tests.  The
+API speaks `fractions.Fraction`; inside, with D the lcm of the probability
+denominators and integer image weights q = p * D, the kernel and the iterate
+laws run on integer numerators over powers of D.  Floating point enters only
+in the spectral module.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -103,13 +106,34 @@ class IterateDistribution:
 
 
 def _parse_probability(raw) -> Fraction:
-    if isinstance(raw, str):
+    if isinstance(raw, (str, int, Fraction)):
         return Fraction(raw)
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, Fraction):
-        return raw
     raise ValueError(f"probability must be a rational string or integer, got {raw!r}")
+
+
+def _substitute(words, e0: int, laws, denominator: int, limit: int) -> tuple[dict, int]:
+    """Law of a word drawn from `words` (numerators over D^e0) with each letter
+    c replaced by an independent draw from laws[c] = (numerators over D^e, e)."""
+    exps = {word: sum(laws[c][1] for c in word) for word in words}
+    top = max(exps.values())
+    out: dict[Word, int] = {}
+    for word, x in words.items():
+        acc = {(): x * denominator ** (top - exps[word])}
+        for c in word:
+            nxt: dict[Word, int] = {}
+            numerators = laws[c][0]
+            for prefix, y in acc.items():
+                for w, z in numerators.items():
+                    key = prefix + w
+                    nxt[key] = nxt.get(key, 0) + y * z
+                if len(nxt) > limit:
+                    raise GuardExceeded(f"iterate support exceeds guard limit {limit}")
+            acc = nxt
+        for w, y in acc.items():
+            out[w] = out.get(w, 0) + y
+        if len(out) > limit:
+            raise GuardExceeded(f"iterate support exceeds guard limit {limit}")
+    return out, e0 + top
 
 
 class SubstitutionRule:
@@ -122,6 +146,11 @@ class SubstitutionRule:
     def __init__(self, alphabet: Alphabet, images: Sequence[Sequence[tuple[Word, Fraction]]]):
         self.alphabet = alphabet
         self.images = tuple(tuple(entries) for entries in images)
+        # (D, the images with integer weights q = p * D)
+        d = math.lcm(*(p.denominator for entries in self.images for _, p in entries))
+        self._integer_form = d, tuple(
+            tuple((w, int(p * d)) for w, p in entries) for entries in self.images
+        )
         self._primitive: tuple[bool, int | None] | None = None
         self._language = None
         if len(self.images) != alphabet.size:
@@ -213,11 +242,6 @@ class SubstitutionRule:
 
     # -- basic accessors ---------------------------------------------------
 
-    def images_of(self, letter) -> tuple[tuple[Word, Fraction], ...]:
-        if isinstance(letter, str):
-            letter = self.alphabet.code(letter)
-        return self.images[letter]
-
     def supports(self) -> tuple[tuple[Word, ...], ...]:
         return tuple(tuple(w for w, _ in entries) for entries in self.images)
 
@@ -243,53 +267,47 @@ class SubstitutionRule:
         v = self.encode(v)
         if len(u) == 0:
             raise ValueError("source word must be nonempty")
+        denominator, images = self._integer_form
         lv = len(v)
-        # prev[j] = probability that the images of the letters seen so far
-        # concatenate exactly to v[:j]
-        prev = [Fraction(0)] * (lv + 1)
-        prev[0] = Fraction(1)
+        # prev[j] = probability (numerator over D^letters seen) that the
+        # images of the letters seen so far concatenate exactly to v[:j]
+        prev = [0] * (lv + 1)
+        prev[0] = 1
         for letter in u:
-            cur = [Fraction(0)] * (lv + 1)
-            for img, p in self.images[letter]:
+            cur = [0] * (lv + 1)
+            for img, q in images[letter]:
                 li = len(img)
                 for j in range(li, lv + 1):
                     if prev[j - li] and v[j - li : j] == img:
-                        cur[j] += prev[j - li] * p
+                        cur[j] += prev[j - li] * q
             prev = cur
-        return prev[lv]
+        return Fraction(prev[lv], denominator ** len(u))
 
     def iterate_distribution(
         self, u: WordLike, n: int, max_support: int | None = None
     ) -> IterateDistribution:
-        """Exact law of the n-th iterate started from the word u."""
+        """Exact law of theta^n(u), built from the laws of theta^m(c) once per
+        (letter, depth) pair reachable from u.  For n >= 1, GuardExceeded is
+        raised exactly when the support exceeds the guard: with the other
+        choices fixed, each partial law maps one-to-one into that support."""
         u = self.encode(u)
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
+        if n == 0:
+            return IterateDistribution(source=u, n=0, entries={u: Fraction(1)})
         limit = guard_limit(ITERATE_SUPPORT_LIMIT, max_support)
-        dist: dict[Word, Fraction] = {u: Fraction(1)}
+        denominator, images = self._integer_form
+        reach = [set(u)]  # reach[d]: the letters of the realisations of theta^d(u)
         for _ in range(n):
-            nxt: dict[Word, Fraction] = {}
-            for word, prob in dist.items():
-                # distribution of the one-step image of `word`, built by
-                # convolving the per-letter image distributions
-                partial: dict[Word, Fraction] = {(): prob}
-                for letter in word:
-                    grown: dict[Word, Fraction] = {}
-                    for prefix, wp in partial.items():
-                        for img, ip in self.images[letter]:
-                            key = prefix + img
-                            grown[key] = grown.get(key, Fraction(0)) + wp * ip
-                    partial = grown
-                    if len(partial) > limit:
-                        raise GuardExceeded(
-                            f"iterate support exceeds guard limit {limit}"
-                        )
-                for word2, p2 in partial.items():
-                    nxt[word2] = nxt.get(word2, Fraction(0)) + p2
-                if len(nxt) > limit:
-                    raise GuardExceeded(f"iterate support exceeds guard limit {limit}")
-            dist = nxt
-        return IterateDistribution(source=u, n=n, entries=dist)
+            reach.append({c for b in reach[-1] for img, _ in images[b] for c in img})
+        laws = {c: ({(c,): 1}, 0) for c in reach[n]}  # theta^m(c), m = 0..n
+        for depth in range(n - 1, -1, -1):
+            laws = {b: _substitute(dict(images[b]), 1, laws, denominator, limit)
+                    for b in reach[depth]}
+        numerators, e = _substitute({u: 1}, 0, laws, denominator, limit)
+        scale = denominator**e
+        entries = {w: Fraction(x, scale) for w, x in numerators.items()}
+        return IterateDistribution(source=u, n=n, entries=entries)
 
     # -- mean matrix and classification ------------------------------------
 
@@ -303,9 +321,7 @@ class SubstitutionRule:
                 for a, cnt in enumerate(abelianise(img, m)):
                     if cnt:
                         rows[a][b] += p * cnt
-        return RationalMatrix(
-            labels=tuple(range(m)), rows=tuple(tuple(r) for r in rows)
-        )
+        return RationalMatrix(labels=tuple(range(m)), rows=tuple(map(tuple, rows)))
 
     def is_primitive(self) -> tuple[bool, int | None]:
         if self._primitive is None:
@@ -328,7 +344,7 @@ class SubstitutionRule:
     # -- misc ---------------------------------------------------------------
 
     def expected_image_length(self, letter) -> Fraction:
-        return sum(p * len(w) for w, p in self.images_of(letter))
+        return sum(p * len(w) for w, p in self.images[self.encode([letter])[0]])
 
     def __repr__(self) -> str:
         parts = []

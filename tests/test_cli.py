@@ -128,6 +128,13 @@ class TestSample:
         assert code == 1 and out == ""
         assert "finite and > 0" in err
 
+    def test_word_and_tail_together_exit_one(self, capsys):
+        code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
+                                "--letter", "a", "--n", "5", "--trials", "3",
+                                "--word", "a", "--tail-K", "2")
+        assert code == 1 and out == ""
+        assert "usage:" in err and "not allowed with argument --word" in err
+
     def test_unknown_letter_exit_one(self, capsys):
         code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
                                 "--letter", "c", "--n", "3")

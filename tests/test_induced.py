@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stochsub import induced_mean_matrix, pf_eigenpair
+from stochsub.language import _column_weights, _StateBudget
 
 from conftest import (
     make_deterministic_fibonacci,
@@ -10,6 +13,7 @@ from conftest import (
     make_non_expanding,
     make_period_doubling,
     make_zeta,
+    small_rules,
 )
 
 F = Fraction
@@ -72,6 +76,29 @@ class TestAgainstPlainEnumeration:
                     assert mat.rows[index[w]][j] == weight
                 col_total = sum(mat.rows[i][j] for i in range(mat.size))
                 assert col_total == sum(oracle.values())
+
+
+def fraction_induced_rows(rule, ell):
+    """Oracle: the induced matrix with the realisation kernel run on the
+    Fraction probabilities themselves."""
+    words = rule.language().words_of_length(ell)
+    index = rule.language().index(ell)
+    rows = [[F(0)] * len(words) for _ in words]
+    for j, u in enumerate(words):
+        budget = _StateBudget(10**7, "oracle column")
+        for w, weight in _column_weights(rule.images, u, ell, budget).items():
+            rows[index[w]][j] = weight
+    return tuple(tuple(r) for r in rows)
+
+
+class TestAgainstFractionKernel:
+    @given(small_rules(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_in_value_and_type(self, rule, ell):
+        assume(rule.is_primitive()[0] and rule.is_expanding())
+        mat = induced_mean_matrix(rule, ell)
+        assert mat.rows == fraction_induced_rows(rule, ell)
+        assert all(type(x) is F for row in mat.rows for x in row)
 
 
 class TestStructure:

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import assume, given, settings
 
-from stochsub import GuardExceeded, LanguageTable, SubstitutionRule, collar, legal_words
+from stochsub import GuardExceeded, LanguageTable, SubstitutionRule, legal_words
 
 from conftest import (
     CONFIG_DIR,
@@ -99,17 +99,6 @@ def fixed_point_language(rule, ell):
             break
         seen.add(state)
     return tuple(sorted(w for w in union if len(w) == ell))
-
-
-class TestCollar:
-    def test_windows(self):
-        assert collar((0, 1, 1, 0), 2) == ((0, 1), (1, 1), (1, 0))
-        assert collar((0, 1, 0), 3) == ((0, 1, 0),)
-        assert collar((0, 1, 0), 1) == ((0,), (1,), (0,))
-
-    def test_short_word_rejected(self):
-        with pytest.raises(ValueError):
-            collar((0,), 2)
 
 
 class TestLegalWords:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,57 @@ from hypothesis import strategies as st
 
 from stochsub import (
     Alphabet,
+    GuardExceeded,
     RuleValidationError,
     SubstitutionRule,
 )
 
-from conftest import make_fibonacci, make_non_expanding, make_period_doubling
+from conftest import (
+    CONFIG_DIR,
+    make_fibonacci,
+    make_non_expanding,
+    make_period_doubling,
+    small_rules,
+)
 
 F = Fraction
+
+
+def fraction_iterate_law(rule, u, n):
+    """Oracle: the law of theta^n(u) one step at a time, convolving the
+    letter images of every word of the previous law in Fraction arithmetic."""
+    dist = {rule.encode(u): F(1)}
+    for _ in range(n):
+        nxt = {}
+        for word, prob in dist.items():
+            partial = {(): prob}
+            for letter in word:
+                grown = {}
+                for prefix, wp in partial.items():
+                    for img, ip in rule.images[letter]:
+                        key = prefix + img
+                        grown[key] = grown.get(key, F(0)) + wp * ip
+                partial = grown
+            for word2, p2 in partial.items():
+                nxt[word2] = nxt.get(word2, F(0)) + p2
+        dist = nxt
+    return dist
+
+
+def fraction_kernel(rule, u, v):
+    """Oracle: the kernel's dynamic programme over prefixes of v in Fraction
+    arithmetic."""
+    u, v = rule.encode(u), rule.encode(v)
+    prev = [F(1)] + [F(0)] * len(v)
+    for letter in u:
+        cur = [F(0)] * (len(v) + 1)
+        for img, p in rule.images[letter]:
+            li = len(img)
+            for j in range(li, len(v) + 1):
+                if prev[j - li] and v[j - li : j] == img:
+                    cur[j] += prev[j - li] * p
+        prev = cur
+    return prev[len(v)]
 
 
 def symbolic_kernel_rule(p1, q1):
@@ -143,6 +188,84 @@ class TestIterates:
         rule = make_fibonacci()
         dist = rule.iterate_distribution("ab", 0)
         assert dict(dist.entries) == {rule.encode("ab"): F(1)}
+
+    def test_guard_raises_exactly_past_the_support(self, fibonacci):
+        law = fibonacci.iterate_distribution("a", 6, max_support=10080)
+        assert len(law.entries) == 10080
+        with pytest.raises(GuardExceeded, match="limit 10079"):
+            fibonacci.iterate_distribution("a", 6, max_support=10079)
+
+    def test_guard_ignores_a_larger_intermediate_law(self):
+        # a -> b|c, b -> a, c -> a: the law at depth 1 has two words, the law
+        # at depth 2 one
+        abc = Alphabet(["a", "b", "c"])
+        half = F(1, 2)
+        rule = SubstitutionRule(abc, [
+            [(abc.encode("b"), half), (abc.encode("c"), half)],
+            [(abc.encode("a"), F(1))],
+            [(abc.encode("a"), F(1))],
+        ])
+        assert len(rule.iterate_distribution("a", 1).entries) == 2
+        law = rule.iterate_distribution("a", 2, max_support=1)
+        assert dict(law.entries) == {(0,): F(1)}
+
+
+# (n, sha256 of repr(sorted(law.entries.items()))) for theta^n of the first
+# letter of each bundled config, recorded with the one-step Fraction
+# convolution of `fraction_iterate_law`
+LAW_DIGESTS = {
+    "fibonacci":
+        (6, "ecbaa28270f79f9e6b8627fbf9a12aad4075554612c963b37e9c9be5451d2e82"),
+    "period_doubling":
+        (4, "7ffe89b3858d004333ebd3d0f8987db9c313a4ba8dc9098ad4089bb97988b095"),
+    "zeta": (3, "d827219d4c410aac825dc673aa120baa066095874b9163810259912dde965d51"),
+    "dyck": (3, "d0818dd9c500b1692ffcafefe6731aeea6c9f83ea1941fb7ff23a8f6f7bd5a44"),
+    "deterministic_fibonacci":
+        (8, "4f698181dcf7b221183216af2bbae82062d9f8e120feccf79e6874d4e4b31498"),
+    "non_expanding":
+        (3, "70a482935b2d6be4b411f1e6cc0a8f3ff5afc797efa264ce0e036c8677f31c57"),
+}
+
+
+@pytest.mark.parametrize("name", LAW_DIGESTS)
+def test_iterate_law_pinned(name):
+    n, digest = LAW_DIGESTS[name]
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    law = rule.iterate_distribution(rule.alphabet.symbols[0], n)
+    assert all(type(p) is F for p in law.entries.values())
+    assert hashlib.sha256(repr(sorted(law.entries.items())).encode()).hexdigest() \
+        == digest
+
+
+class TestAgainstFractionOracles:
+    @given(small_rules(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_iterate_law(self, rule, data):
+        size = rule.alphabet.size
+        u = tuple(data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                     max_size=2)))
+        n = data.draw(st.integers(0, 2))
+        oracle = fraction_iterate_law(rule, u, n)
+        law = rule.iterate_distribution(u, n, max_support=len(oracle))
+        assert law.entries == oracle
+        assert all(type(p) is F for p in law.entries.values())
+        if n > 0:
+            with pytest.raises(GuardExceeded):
+                rule.iterate_distribution(u, n, max_support=len(oracle) - 1)
+
+    @given(small_rules(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel(self, rule, data):
+        size = rule.alphabet.size
+        letters = st.lists(st.integers(0, size - 1), min_size=1, max_size=4)
+        u = tuple(data.draw(letters))
+        # a realisation of the images of u, and an arbitrary word
+        v = sum((data.draw(st.sampled_from(rule.supports()[c])) for c in u), ())
+        for target in (v, tuple(data.draw(letters))):
+            value = rule.kernel(u, target)
+            assert type(value) is F
+            assert value == fraction_kernel(rule, u, target)
+        assert rule.kernel(u, v) > 0
 
 
 class TestMeanMatrix:
