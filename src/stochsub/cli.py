@@ -118,6 +118,8 @@ def _cmd_freqs(rule, args):
         raise ValueError("--ell must be >= 1")
     fm = FrequencyMeasure(rule)
     if args.word is not None:
+        if len(rule.encode(args.word)) != args.ell:
+            raise ValueError(f"--word {args.word!r} is not of length --ell {args.ell}")
         value = fm.cylinder_measure(args.word)
         return {"word": args.word, "measure": value}, [[args.word, value]]
     words, vec = fm.frequency_vector(args.ell)
@@ -214,7 +216,7 @@ def _cmd_check(rule, args):
                      for c in first_sums)
             checks.append(("induced-column-sums", ok, "match E|image(u1)|"))
     ok_all = all(ok for _, ok, _ in checks)
-    report = {"checks": [{"name": n, "ok": ok, "detail": d}
+    report = {"checks": [{"name": n, "ok": bool(ok), "detail": d}  # not np.bool_
                          for n, ok, d in checks],
               "ok": ok_all}
     rows = [[n, "pass" if ok else "FAIL", d] for n, ok, d in checks]

@@ -11,12 +11,13 @@ import os
 ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 
 ITERATE_SUPPORT_LIMIT = 10**6   # trips exactly when an iterate law's support exceeds it
-INDUCED_COLUMN_LIMIT = 10**7    # kernel states spent on one induced-matrix column
+INDUCED_COLUMN_LIMIT = 10**7    # kernel states per column of induced_mean_matrix
 SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
 
 # LANGUAGE_STATE_LIMIT counts the states of the realisation kernel
 # (`language._column_weights`), summed over the letters of every word it
-# inflates for one word length.  Measured counts on the bundled configs:
+# inflates for one word length; the frequency recursion spends it in the one
+# pass that yields both words and vector.  Measured counts on the bundled configs:
 #
 #   period_doubling  ell 23:   507 607   ell 24: 1 369 124
 #   zeta             ell 23:   778 050   ell 24: 2 080 514 (refused)

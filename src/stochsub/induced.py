@@ -22,17 +22,6 @@ from .language import _column_weights, _StateBudget
 from .substitution import RationalMatrix, SubstitutionRule, Word
 
 
-def _window_row(index: dict[Word, int], w: Word) -> int:
-    """Position of a window produced by a legal word among the legal words."""
-    try:
-        return index[w]
-    except KeyError:
-        raise RuntimeError(
-            f"window {w} produced by a legal word is not in the language; "
-            "language enumeration is inconsistent"
-        ) from None
-
-
 def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     """Exact mean matrix of the ell-induced substitution, indexed by the
     legal ell-words of `rule.language()` in lexicographic order.
@@ -59,5 +48,7 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
         budget = _StateBudget(limit, "induced-matrix column enumeration")
         counts = _column_weights(images, u, ell, budget, mass=denominator)
         for w, x in counts.items():
-            rows[_window_row(index, w)][j] = Fraction(x, scale)
+            if w not in index:
+                raise RuntimeError(f"window {w} of a legal word is not legal")
+            rows[index[w]][j] = Fraction(x, scale)
     return RationalMatrix(labels=words, rows=tuple(tuple(r) for r in rows))

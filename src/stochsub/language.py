@@ -23,9 +23,11 @@ end) of the realisation of theta^j(a) at that letter, so by induction on j
 the worklist collects them all.
 
 Both branches, the induced matrix and the frequency recursion share one
-kernel, `_column_weights`; the language keeps only its windows.  Every
-letter the kernel processes spends its current states from a `_StateBudget`,
-which raises GuardExceeded past its limit.
+kernel, `_column_weights`; every letter it processes spends its current
+states from a `_StateBudget`, which raises GuardExceeded past its limit.
+`legal_words` keeps only the windows, with unit weights.  On the recursion
+route the float pass of the frequency recursion over L_m yields the words
+too, and the rule's LanguageTable keeps both, one entry per length.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .guards import LANGUAGE_STATE_LIMIT, GuardExceeded, guard_limit
 from .substitution import SubstitutionRule, Word
@@ -58,6 +62,13 @@ class _StateBudget:
         self.used += states
         if self.used > self.limit:
             raise GuardExceeded(self.message)
+
+
+def _language_budget() -> _StateBudget:
+    """The state budget of one word length: its words and frequency vector."""
+    return _StateBudget(
+        guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration", " automaton states"
+    )
 
 
 def _column_weights(
@@ -179,9 +190,7 @@ def legal_words(
         raise ValueError("legal-word enumeration requires a primitive rule")
     if table is None:
         table = LanguageTable(rule)
-    budget = _StateBudget(
-        guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration", " automaton states"
-    )
+    budget = _language_budget()
     m = table.prefix_length(ell)
     source = rule if m is None else table.power[1]
     images = [[(w, 1) for w in support] for support in source.supports()]
@@ -195,15 +204,18 @@ def legal_words(
 
 
 class LanguageTable:
-    """Per-length cache of legal words and their positions, together with
-    the inflating power the recursion uses.  `SubstitutionRule.language()`
-    holds the table that all computations on one rule share."""
+    """Per-length cache of legal words, their positions and frequency vectors,
+    with the inflating power and the PF eigenvalue the recursions use.  The
+    table of `SubstitutionRule.language()` is shared by all computations on
+    the rule; `measure.FrequencyMeasure` fills the frequency entries."""
 
     def __init__(self, rule: SubstitutionRule):
         self.rule = rule
         # one entry per length, stored in one assignment so that concurrent
         # readers never see the words without their index
         self._table: dict[int, tuple[tuple[Word, ...], dict[Word, int]]] = {}
+        self._vectors: dict[int, np.ndarray] = {}
+        self._eigenvalue: float | None = None  # from the latest PF solve
 
     @cached_property
     def power(self) -> tuple[int, SubstitutionRule] | None:
@@ -219,10 +231,15 @@ class LanguageTable:
         m = (ell - 2) // self.power[1].min_image_length() + 2
         return m if m < ell else None
 
+    def _store(self, ell: int, words: tuple[Word, ...]) -> tuple[Word, ...]:
+        """The cached legal ell-words, `words` unless some were cached."""
+        if ell not in self._table:
+            self._table[ell] = (words, {w: i for i, w in enumerate(words)})
+        return self._table[ell][0]
+
     def _entry(self, ell: int) -> tuple[tuple[Word, ...], dict[Word, int]]:
         if ell not in self._table:
-            ws = legal_words(self.rule, ell, table=self)
-            self._table[ell] = (ws, {w: i for i, w in enumerate(ws)})
+            self._store(ell, legal_words(self.rule, ell, table=self))
         return self._table[ell]
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:

@@ -18,25 +18,27 @@ consistency identity gives
     lambda^k R_ell(v) = sum over p in L_m of R_m(p) W_ell(p, v),
 
 where W_ell(p, v) is the expected number of v-windows starting in the image
-of p's first letter (`_column_weights`).  R_ell is built from R_m, which is
-built the same way, and normalised by its total, which must equal lambda^k.
-The PF solve on `induced_mean_matrix` remains where the recursion does not
-apply: at the base lengths with m >= ell, and for rules without an inflating
-power or whose power has a large law.
+of p's first letter (`_column_weights`).  R_ell is built from R_m in one
+kernel pass over L_m and normalised by its total, which must equal
+lambda^k; every probability is positive, so the windows of that pass are
+the legal ell-words, which the rule's `LanguageTable` stores with the
+vector.  The PF solve on `induced_mean_matrix` remains where the recursion
+does not apply: at the base lengths with m >= ell, and for rules without an
+inflating power or whose power has a large law.  Every FrequencyMeasure on
+one rule shares the table; nothing is locked, and concurrent requests for
+one length may both compute it.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .guards import INDUCED_COLUMN_LIMIT, guard_limit
-from .induced import _window_row, induced_mean_matrix
-from .language import _column_weights, _StateBudget
+from .induced import induced_mean_matrix
+from .language import _column_weights, _language_budget
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
@@ -47,11 +49,8 @@ class IllegalWordWarning(UserWarning):
 
 
 class FrequencyMeasure:
-    """Cylinder-set measure backed by cached per-length frequency vectors.
-
-    Cache population is serialised by a lock; reads of populated entries are
-    plain dict lookups, so results are identical to a single-threaded build.
-    """
+    """Cylinder-set measure backed by the frequency vectors of the rule's
+    language table, which every FrequencyMeasure on the rule shares."""
 
     def __init__(self, rule: SubstitutionRule):
         primitive, _ = rule.is_primitive()
@@ -59,56 +58,45 @@ class FrequencyMeasure:
             raise ValueError("frequency measures require a primitive rule")
         self.rule = rule
         self.table = rule.language()
-        self._cache: dict[int, tuple[tuple[Word, ...], np.ndarray]] = {}
-        self._lock = threading.Lock()
-        self._value: float | None = None  # PF eigenvalue of the rule
 
     def frequency_vector(self, ell: int) -> tuple[tuple[Word, ...], np.ndarray]:
         """Legal ell-words with their limiting frequencies (sums to 1)."""
-        if ell in self._cache:
-            return self._cache[ell]
-        m = self.table.prefix_length(ell)
-        # built before taking the lock, which is not re-entrant
-        prefixes = self.frequency_vector(m) if m is not None else None
-        with self._lock:
-            if ell not in self._cache:
-                if prefixes is None:
-                    self._cache[ell] = self._pf_vector(ell)
-                else:
-                    self._cache[ell] = self._renormalised_vector(ell, *prefixes)
-        return self._cache[ell]
+        vectors = self.table._vectors
+        if ell not in vectors:
+            m = self.table.prefix_length(ell)
+            if m is None:
+                vectors[ell] = self._pf_vector(ell)
+            else:
+                vectors[ell] = self._recursion_vector(ell, m)
+        return self.table.words_of_length(ell), vectors[ell]
 
-    def _pf_vector(self, ell: int) -> tuple[tuple[Word, ...], np.ndarray]:
-        matrix = induced_mean_matrix(self.rule, ell)
-        pair = pf_eigenpair(matrix)
-        vec = pair.right
-        total = vec.sum()
+    def _pf_vector(self, ell: int) -> np.ndarray:
+        pair = pf_eigenpair(induced_mean_matrix(self.rule, ell))
+        total = pair.right.sum()
         if abs(total - 1.0) > 1e-9:
             raise RuntimeError(f"frequency vector for length {ell} sums to {total}")
-        self._value = pair.value
-        return matrix.labels, vec
+        self.table._eigenvalue = pair.value
+        return pair.right
 
-    def _renormalised_vector(
-        self, ell: int, prefixes: tuple[Word, ...], prefix_vec: np.ndarray
-    ) -> tuple[tuple[Word, ...], np.ndarray]:
+    def _recursion_vector(self, ell: int, m: int) -> np.ndarray:
+        prefixes, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
-        limit = guard_limit(INDUCED_COLUMN_LIMIT)
-        words = self.table.words_of_length(ell)
-        index = self.table.index(ell)
         images = [[(img, float(q)) for img, q in entries] for entries in power.images]
-        vec = np.zeros(len(words))
+        budget = _language_budget()
+        counts: dict[Word, float] = {}
         for p, r in zip(prefixes, prefix_vec):
-            budget = _StateBudget(limit, "induced-matrix column enumeration")
             for w, x in _column_weights(images, p, ell, budget, float(r)).items():
-                vec[_window_row(index, w)] += x
+                counts[w] = counts.get(w, 0) + x
+        words = self.table._store(ell, tuple(sorted(counts)))
+        vec = np.array([counts[w] for w in words])
         total = vec.sum()
-        expected = self._value**k
+        expected = self.table._eigenvalue**k
         if abs(total - expected) > 1e-9 * expected:
             raise RuntimeError(
                 f"frequency vector for length {ell} sums to {total} before "
                 f"normalisation, not lambda^{k} = {expected}"
             )
-        return words, vec / total
+        return vec / total
 
     def cylinder_measure(self, v: WordLike) -> float:
         """Measure of the cylinder set of v at any fixed position.
@@ -119,9 +107,8 @@ class FrequencyMeasure:
         w = self.rule.encode(v)
         if len(w) == 0:
             return 1.0
-        words, vec = self.frequency_vector(len(w))
-        idx = self.table.index(len(w))
-        pos = idx.get(w)
+        _, vec = self.frequency_vector(len(w))
+        pos = self.table.index(len(w)).get(w)
         if pos is None:
             warnings.warn(
                 f"word {self.rule.alphabet.decode(w)!r} is not legal; measure 0",

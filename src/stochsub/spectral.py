@@ -54,14 +54,15 @@ def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, floa
     since_best = 0
     lam = 0.0
     residual = np.inf
+    y = mat @ x
     for it in range(1, MAX_ITERATIONS + 1):
-        y = mat @ x
         norm = y.sum()  # L1 norm: the iterates stay nonnegative
         if norm <= 0:
             raise NonConvergence("iterate collapsed to zero", np.inf)
         lam = norm
         x = y / norm
-        residual = float(np.abs(mat @ x - lam * x).sum())
+        y = mat @ x  # the residual's product is the next iterate
+        residual = float(np.abs(y - lam * x).sum())
         if residual <= tol:
             return lam, x, residual, it
         # the first residual always counts as progress: inf - inf is nan

@@ -48,6 +48,14 @@ class TestFreqs:
         assert word == "bb"
         assert abs(float(value) - 1 / 21) <= 1e-10
 
+    @pytest.mark.parametrize("ell", ["1", "5"])
+    def test_word_of_another_length_exit_one(self, capsys, ell):
+        code, out, err = invoke(capsys, "freqs", "--config",
+                                cfg("period_doubling"), "--ell", ell,
+                                "--word", "bb")
+        assert code == 1 and out == ""
+        assert f"--word 'bb' is not of length --ell {ell}" in err
+
     def test_all_words_sum_to_one(self, capsys):
         code, out, _ = invoke(capsys, "freqs", "--config", cfg("zeta"),
                               "--ell", "3", "--format", "json")
@@ -148,6 +156,14 @@ class TestCheckAndErrors:
             code, out, _ = invoke(capsys, "check", "--config", cfg(name))
             assert code == 0, f"{name}: {out}"
             assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", ["dyck", "fibonacci"])
+    def test_check_json(self, capsys, name):
+        code, out, _ = invoke(capsys, "check", "--config", cfg(name),
+                              "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] is True
+        assert all(row["ok"] is True for row in doc["checks"])
 
     def test_malformed_probabilities_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -9,12 +9,16 @@ from hypothesis import assume, given, settings
 
 from stochsub import (
     FrequencyMeasure,
+    GuardExceeded,
     IllegalWordWarning,
     SubstitutionRule,
     induced_mean_matrix,
+    legal_words,
     pf_eigenpair,
+    topological_entropy_partial,
     unique_ergodicity_probe,
 )
+from stochsub.language import _StateBudget
 
 from conftest import (
     CONFIG_DIR,
@@ -81,7 +85,7 @@ def assert_matches_pf_route(rule, max_ell):
 
 def test_concurrent_recursion_does_not_deadlock():
     # more threads than cores, each asking for the lengths in its own order;
-    # the recursion fetches shorter lengths before taking the lock
+    # nothing is locked, so a length may be computed twice, always alike
     fm = FrequencyMeasure(make_fibonacci())
     expected = {ell: FrequencyMeasure(make_fibonacci()).frequency_vector(ell)[1]
                 for ell in range(1, 9)}
@@ -110,6 +114,78 @@ def test_concurrent_recursion_does_not_deadlock():
     assert not errors and len(results) == 8 * len(orders)
     for ell, vec in results:
         assert np.array_equal(vec, expected[ell])
+
+
+def load(name):
+    return SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+
+
+def count_states(monkeypatch):
+    """Record the states every `_StateBudget` spends from now on."""
+    spent = []
+    spend = _StateBudget.spend
+
+    def counting(budget, states):
+        spent.append(states)
+        spend(budget, states)
+
+    monkeypatch.setattr(_StateBudget, "spend", counting)
+    return spent
+
+
+class TestOneTablePerRule:
+    def test_fresh_length_spends_the_language_states(self, monkeypatch):
+        # the words and the vector of fibonacci ell 12 come from one kernel
+        # pass, which spends the language's 23 263 states once
+        fm = FrequencyMeasure(load("fibonacci"))
+        for ell in range(1, 12):
+            fm.frequency_vector(ell)
+        spent = count_states(monkeypatch)
+        fm.frequency_vector(12)
+        assert sum(spent) == 23263
+
+    def test_one_language_budget_per_length(self, monkeypatch):
+        fm = FrequencyMeasure(load("fibonacci"))
+        for ell in range(1, 12):
+            fm.frequency_vector(ell)
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "23262")
+        with pytest.raises(GuardExceeded,
+                           match="language enumeration exceeds guard 23262 automaton"):
+            fm.frequency_vector(12)
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "23263")
+        assert len(fm.frequency_vector(12)[0]) == len(fm.table.words_of_length(12))
+
+    def test_measures_on_one_rule_share_vectors(self):
+        rule = load("zeta")
+        first = FrequencyMeasure(rule)
+        words, vec = first.frequency_vector(6)
+        # the second measure asks a deep length first, then reads the first's
+        second = FrequencyMeasure(rule)
+        deep_words, deep_vec = second.frequency_vector(12)
+        assert second.frequency_vector(6)[0] is words
+        assert second.frequency_vector(6)[1] is vec
+        assert first.frequency_vector(12)[1] is deep_vec
+        fresh_words, fresh_vec = FrequencyMeasure(load("zeta")).frequency_vector(12)
+        assert deep_words == fresh_words and np.array_equal(deep_vec, fresh_vec)
+
+    @pytest.mark.parametrize("name,ell", [
+        ("fibonacci", 12), ("period_doubling", 14), ("zeta", 12),
+    ])
+    def test_frequency_pass_stores_the_language(self, name, ell):
+        rule = load(name)
+        words, _ = FrequencyMeasure(rule).frequency_vector(ell)
+        assert rule.language().words_of_length(ell) is words
+        assert words == legal_words(load(name), ell)
+
+    def test_language_callers_solve_no_eigenproblem(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("PF solve on a language-only path")
+
+        monkeypatch.setattr("stochsub.measure.pf_eigenpair", refuse)
+        rule = load("fibonacci")
+        assert topological_entropy_partial(rule, 12) > 0
+        assert len(rule.language().words_of_length(13)) > 0
+        assert rule.language()._vectors == {}
 
 
 class TestAgainstPFRoute:

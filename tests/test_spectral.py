@@ -1,12 +1,24 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stochsub import Alphabet, NonConvergence, SubstitutionRule, pf_eigenpair
+from stochsub import (
+    Alphabet,
+    NonConvergence,
+    SubstitutionRule,
+    induced_mean_matrix,
+    pf_eigenpair,
+)
 
-from conftest import make_fibonacci, make_non_expanding, make_period_doubling
+from conftest import (
+    CONFIG_DIR,
+    make_fibonacci,
+    make_non_expanding,
+    make_period_doubling,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -68,3 +80,20 @@ class TestEigenpair:
         pair = pf_eigenpair(mat)
         lam = max(np.linalg.eigvals(mat).real)
         assert abs(pair.value - lam) <= 1e-9
+
+
+# sha256 of right.tobytes() + left.tobytes() and the summed iteration count,
+# recorded when the power iteration still computed the residual's product
+# separately from the next iterate's; reusing it must change no bit
+@pytest.mark.parametrize("name,ell,digest,iterations", [
+    ("period_doubling", 9,
+     "39bd4d80807699669609ac68c65fa608d91666df488c652b0bdd9c31485b69cf", 43),
+    ("dyck", 5,
+     "45ecbd70f0963a28e6e3a7c15362b687730612109fa9fa5b7d8dea9b5a403eaf", 34),
+])
+def test_induced_eigenpair_pinned(name, ell, digest, iterations):
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    pair = pf_eigenpair(induced_mean_matrix(rule, ell))
+    assert hashlib.sha256(pair.right.tobytes() + pair.left.tobytes()).hexdigest() \
+        == digest
+    assert pair.iterations == iterations
