@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .entropy import metric_entropy_partial, topological_entropy_partial
 from .guards import GuardExceeded
@@ -120,7 +121,11 @@ def _cmd_freqs(rule, args):
     if args.word is not None:
         if len(rule.encode(args.word)) != args.ell:
             raise ValueError(f"--word {args.word!r} is not of length --ell {args.ell}")
-        value = fm.cylinder_measure(args.word)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = fm.cylinder_measure(args.word)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         return {"word": args.word, "measure": value}, [[args.word, value]]
     words, vec = fm.frequency_vector(args.ell)
     decoded = [rule.alphabet.decode(w) for w in words]

@@ -11,13 +11,15 @@ The columns are the exact weights of `language._column_weights`, the
 realisation kernel that the language and the frequency recursion use too,
 run on the rule's integer image weights q = p * D and divided by D^ell once
 per entry; each column spends its own state budget of INDUCED_COLUMN_LIMIT.
+Each column is kept as the kernel's sparse dict, keyed by row index; the
+dense `rows` table is built only where it is read (the `matrix` output).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .guards import INDUCED_COLUMN_LIMIT, guard_limit
+from .guards import INDUCED_CELL_LIMIT, INDUCED_COLUMN_LIMIT, guard_limit
 from .language import _column_weights, _StateBudget
 from .substitution import RationalMatrix, SubstitutionRule, Word
 
@@ -40,15 +42,17 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     table = rule.language()
     words = table.words_of_length(ell)
     index = table.index(ell)
+    cells = _StateBudget(guard_limit(INDUCED_CELL_LIMIT),
+                         f"induced matrix of {len(words)} words", " cells")
+    cells.spend(len(words) ** 2)  # the cells of the dense `rows` and of `to_float`
     limit = guard_limit(INDUCED_COLUMN_LIMIT)
     denominator, images = rule._integer_form
     scale = denominator**ell
-    rows = [[Fraction(0)] * len(words) for _ in words]
-    for j, u in enumerate(words):
+    columns = []
+    for u in words:
         budget = _StateBudget(limit, "induced-matrix column enumeration")
         counts = _column_weights(images, u, ell, budget, mass=denominator)
-        for w, x in counts.items():
-            if w not in index:
-                raise RuntimeError(f"window {w} of a legal word is not legal")
-            rows[index[w]][j] = Fraction(x, scale)
-    return RationalMatrix(labels=words, rows=tuple(tuple(r) for r in rows))
+        if not counts.keys() <= index.keys():
+            raise RuntimeError(f"window of the legal word {u} is not legal")
+        columns.append({index[w]: Fraction(x, scale) for w, x in counts.items()})
+    return RationalMatrix(labels=words, columns=tuple(columns))

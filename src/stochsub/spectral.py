@@ -81,25 +81,14 @@ def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, floa
 def pf_eigenpair(matrix, tol: float = DEFAULT_TOL) -> PFEigenpair:
     """PF eigenvalue and eigenvectors of a primitive nonnegative matrix.
 
-    Raises NonConvergence if the residual target cannot be met, and
-    ValueError if the computed eigenvector has a non-positive component
-    (which indicates a primitivity violation in the input).
+    Raises NonConvergence if the residual target cannot be met or an iterate
+    collapses to zero (as for [[0]]), and ValueError if the computed
+    eigenvector has a non-positive component (which indicates a primitivity
+    violation in the input).
     """
     mat = _as_array(matrix)
-    d = mat.shape[0]
     if (mat < 0).any():
         raise ValueError("matrix entries must be nonnegative")
-    if d == 1:
-        c = float(mat[0, 0])
-        if c <= 0:
-            raise ValueError("1x1 matrix must have a positive entry")
-        return PFEigenpair(
-            value=c,
-            right=np.array([1.0]),
-            left=np.array([1.0]),
-            residual=0.0,
-            iterations=0,
-        )
     lam, right, res_r, it_r = _power_iterate(mat, tol)
     _, left_raw, res_l, it_l = _power_iterate(mat.T, tol)
     if right.min() <= 0 or left_raw.min() <= 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,32 +37,43 @@ class RationalMatrix:
     """Square nonnegative matrix of exact rationals with row/column labels.
 
     Row and column i both refer to ``labels[i]``; for mean matrices the
-    labels are letter codes, for induced matrices they are legal words.
+    labels are letter codes, for induced matrices they are legal words.  It
+    is stored as the realisation kernel yields it, by sparse columns; the
+    dense ``rows``, zeros included, are built when first read.
     """
 
     labels: tuple
-    rows: tuple  # tuple of tuples of Fraction
+    columns: tuple  # tuple of {row index: nonzero Fraction}
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+        if len(self.columns) != n or any(
+                not 0 <= i < n for col in self.columns for i in col):
             raise ValueError("matrix shape does not match labels")
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def rows(self) -> tuple:  # tuple of tuples of Fraction
+        rows = [[Fraction(0)] * self.size for _ in self.labels]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return tuple(map(tuple, rows))
+
     def column_sums(self) -> tuple[Fraction, ...]:
-        n = self.size
-        return tuple(sum(self.rows[i][j] for i in range(n)) for j in range(n))
+        return tuple(sum(col.values(), Fraction(0)) for col in self.columns)
 
     def to_float(self):
         import numpy as np
 
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
-
-    def support(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple(x > 0 for x in row) for row in self.rows)
+        mat = np.zeros((self.size, self.size))
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                mat[i, j] = float(x)
+        return mat
 
     def is_primitive(self) -> tuple[bool, int | None]:
         """Primitivity of the support pattern, with witness exponent.
@@ -70,19 +82,12 @@ class RationalMatrix:
         (True, k) for the smallest k with an all-positive power.
         """
         n = self.size
-        cur = step = self.support()
-        bound = (n - 1) ** 2 + 1
-        for k in range(1, bound + 1):
-            if all(all(row) for row in cur):
+        cur = step = [{i for i, x in col.items() if x > 0} for col in self.columns]
+        for k in range(1, (n - 1) ** 2 + 2):  # up to the Wielandt bound
+            if all(len(col) == n for col in cur):
                 return True, k
-            # boolean product with the one-step support
-            cur = tuple(
-                tuple(
-                    any(cur[i][t] and step[t][j] for t in range(n))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
+            # boolean product with the one-step support, column by column
+            cur = [set().union(*(cur[t] for t in col)) for col in step]
         return False, None
 
 
@@ -315,13 +320,13 @@ class SubstitutionRule:
         """Mean substitution matrix: entry (a, b) is the expected number of
         occurrences of letter a in the image of letter b."""
         m = self.alphabet.size
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for b in range(m):
+        columns = tuple({} for _ in range(m))
+        for b, col in enumerate(columns):
             for img, p in self.images[b]:
                 for a, cnt in enumerate(abelianise(img, m)):
                     if cnt:
-                        rows[a][b] += p * cnt
-        return RationalMatrix(labels=tuple(range(m)), rows=tuple(map(tuple, rows)))
+                        col[a] = col.get(a, 0) + p * cnt
+        return RationalMatrix(labels=tuple(range(m)), columns=columns)
 
     def is_primitive(self) -> tuple[bool, int | None]:
         if self._primitive is None:

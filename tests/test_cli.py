@@ -37,6 +37,25 @@ class TestMatrix:
         assert doc["labels"] == ["aa", "ab", "ba", "bb"]
         assert doc["rows"][3] == ["1/4", "0", "0", "0"]
 
+    def test_cell_guard_exit_two(self, capsys):
+        # 28 216 words: the language guard admits them, the n^2 cells not
+        code, out, err = invoke(capsys, "matrix", "--config",
+                                cfg("period_doubling"), "--ell", "18")
+        assert code == 2 and out == ""
+        assert "induced matrix of 28216 words exceeds guard" in err
+
+    def test_cell_guard_boundary(self, capsys, monkeypatch):
+        # dyck ell 2: 14 words, 196 cells; its language spends 60 states
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "195")
+        code, out, err = invoke(capsys, "matrix", "--config", cfg("dyck"),
+                                "--ell", "2")
+        assert code == 2 and out == ""
+        assert "induced matrix of 14 words exceeds guard 195 cells" in err
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "196")
+        code, out, _ = invoke(capsys, "matrix", "--config", cfg("dyck"),
+                              "--ell", "2")
+        assert code == 0 and len(out.splitlines()) == 15
+
 
 class TestFreqs:
     def test_single_word(self, capsys):
@@ -55,6 +74,13 @@ class TestFreqs:
                                 "--word", "bb")
         assert code == 1 and out == ""
         assert f"--word 'bb' is not of length --ell {ell}" in err
+
+    def test_illegal_word_warns_on_one_line(self, capsys):
+        code, out, err = invoke(capsys, "freqs", "--config",
+                                cfg("period_doubling"), "--ell", "3",
+                                "--word", "bbb")
+        assert code == 0 and out == "bbb\t0\n"
+        assert err == "warning: word 'bbb' is not legal; measure 0\n"
 
     def test_all_words_sum_to_one(self, capsys):
         code, out, _ = invoke(capsys, "freqs", "--config", cfg("zeta"),

@@ -1,13 +1,22 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochsub import induced_mean_matrix, pf_eigenpair
+from stochsub import (
+    FrequencyMeasure,
+    RationalMatrix,
+    SubstitutionRule,
+    induced_mean_matrix,
+    pf_eigenpair,
+)
+from stochsub.cli import run
 from stochsub.language import _column_weights, _StateBudget
 
 from conftest import (
+    CONFIG_DIR,
     make_deterministic_fibonacci,
     make_fibonacci,
     make_non_expanding,
@@ -139,3 +148,54 @@ class TestStructure:
     def test_non_expanding_rejected(self):
         with pytest.raises(ValueError, match="expanding"):
             induced_mean_matrix(make_non_expanding(), 2)
+
+
+def dense_to_float(mat):
+    """Oracle: the float matrix converted cell by cell from the dense rows,
+    zeros included."""
+    return np.array([[float(x) for x in row] for row in mat.rows], dtype=float)
+
+
+class TestSparseColumns:
+    @pytest.mark.parametrize("name,max_ell", [
+        ("fibonacci", 4), ("period_doubling", 4), ("zeta", 4),
+        ("deterministic_fibonacci", 4), ("dyck", 3),
+    ])
+    def test_to_float_equals_dense_oracle(self, name, max_ell):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        for mat in [rule.mean_matrix()] + [induced_mean_matrix(rule, ell)
+                                           for ell in range(1, max_ell + 1)]:
+            assert np.array_equal(mat.to_float(), dense_to_float(mat))
+
+    @given(small_rules(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_to_float_equals_dense_oracle_on_random_rules(self, rule, ell):
+        assume(rule.is_primitive()[0] and rule.is_expanding())
+        mat = induced_mean_matrix(rule, ell)
+        assert np.array_equal(mat.to_float(), dense_to_float(mat))
+
+    def test_pf_route_never_builds_rows(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("dense rows built on the PF route")
+
+        monkeypatch.setattr(RationalMatrix, "rows", property(refuse))
+        rule = SubstitutionRule.from_file(CONFIG_DIR / "dyck.json")
+        words, vec = FrequencyMeasure(rule).frequency_vector(5)
+        assert len(words) == len(vec) and abs(vec.sum() - 1.0) <= 1e-12
+        assert run(["check", "--config", str(CONFIG_DIR / "dyck.json")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_rows_view_of_columns(self):
+        mat = RationalMatrix(labels=("x", "y"), columns=({1: F(1, 2)}, {}))
+        assert mat.rows == ((F(0), F(0)), (F(1, 2), F(0)))
+        assert mat.column_sums() == (F(1, 2), F(0))
+
+    @pytest.mark.parametrize("columns", [
+        ({0: F(1)},),
+        ({0: F(1)}, {1: F(1)}, {}),
+        ({0: F(1)}, {2: F(1)}),
+        ({-1: F(1)}, {1: F(1)}),
+    ])
+    def test_rejects_wrong_shape(self, columns):
+        with pytest.raises(ValueError, match="shape"):
+            RationalMatrix(labels=("x", "y"), columns=columns)

@@ -47,6 +47,13 @@ class TestEigenpair:
     def test_trivial_one_by_one(self):
         pair = pf_eigenpair(np.array([[3.0]]))
         assert pair.value == 3.0 and pair.right[0] == 1.0
+        # power iteration, no special case: each side converges in one step
+        assert pair.left.tolist() == [1.0] and pair.residual == 0.0
+        assert pair.iterations == 2
+
+    def test_zero_one_by_one_collapses(self):
+        with pytest.raises(NonConvergence, match="collapsed to zero"):
+            pf_eigenpair(np.array([[0.0]]))
 
     def test_left_eigen_identity(self):
         mat = make_period_doubling().mean_matrix().to_float()
