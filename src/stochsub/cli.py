@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import warnings
+from fractions import Fraction
 
 from .entropy import metric_entropy_partial, topological_entropy_partial
 from .guards import GuardExceeded
@@ -35,8 +36,8 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _emit(report: dict, rows: list[list], fmt: str) -> None:
-    """rows drive the TSV output; report is the JSON document."""
+def _emit(report: dict, rows, fmt: str) -> None:
+    """rows (any iterable) drive the TSV output; report is the JSON document."""
     if fmt == "json":
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -106,12 +107,13 @@ def _cmd_matrix(rule, args):
         labels = [rule.alphabet.symbol(c) for c in mat.labels]
     else:
         labels = [rule.alphabet.decode(w) for w in mat.labels]
-    str_rows = [[f"{x.numerator}/{x.denominator}" if x.denominator != 1 else
-                 str(x.numerator) for x in row] for row in mat.rows]
+    str_rows = [["0"] * mat.size for _ in labels]
+    for j, col in enumerate(mat.columns):
+        for i, x in col.items():
+            str_rows[i][j] = str(Fraction(x, mat.denominator))
     report = {"ell": args.ell, "labels": labels, "rows": str_rows}
-    rows = [["", *labels]]
-    rows += [[lab, *line] for lab, line in zip(labels, str_rows)]
-    return report, rows
+    lines = zip(["", *labels], [labels, *str_rows])  # header, then one per label
+    return report, ([lab, *line] for lab, line in lines)
 
 
 def _cmd_freqs(rule, args):

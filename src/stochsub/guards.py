@@ -13,7 +13,7 @@ ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 ITERATE_SUPPORT_LIMIT = 10**6   # trips exactly when an iterate law's support exceeds it
 INDUCED_COLUMN_LIMIT = 10**7    # kernel states per column of induced_mean_matrix
 # INDUCED_CELL_LIMIT counts the n * n cells of an induced matrix on n legal
-# words, the size of its dense `rows` view and of its float form for PF:
+# words, the size of the table `stochsub matrix` prints and of the PF float form:
 #   period_doubling ell 15: 5 686^2 = 32.3 M   ell 16: 9 816^2 = 96.4 M (refused)
 #   dyck            ell 7:  5 568^2 = 31.0 M   (ell 8 trips the language guard)
 INDUCED_CELL_LIMIT = 5 * 10**7

@@ -9,15 +9,13 @@ PF eigenvalue with the letter-level mean matrix.
 
 The columns are the exact weights of `language._column_weights`, the
 realisation kernel that the language and the frequency recursion use too,
-run on the rule's integer image weights q = p * D and divided by D^ell once
-per entry; each column spends its own state budget of INDUCED_COLUMN_LIMIT.
-Each column is kept as the kernel's sparse dict, keyed by row index; the
-dense `rows` table is built only where it is read (the `matrix` output).
+run on the rule's integer image weights q = p * D; each column spends its
+own state budget of INDUCED_COLUMN_LIMIT.  Each column is kept as the
+kernel's sparse dict of integer numerators, keyed by row index, over the one
+denominator D^ell; Fractions are built only where they are read.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .guards import INDUCED_CELL_LIMIT, INDUCED_COLUMN_LIMIT, guard_limit
 from .language import _column_weights, _StateBudget
@@ -44,15 +42,14 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     index = table.index(ell)
     cells = _StateBudget(guard_limit(INDUCED_CELL_LIMIT),
                          f"induced matrix of {len(words)} words", " cells")
-    cells.spend(len(words) ** 2)  # the cells of the dense `rows` and of `to_float`
+    cells.spend(len(words) ** 2)  # the cells of the printed table and of `to_float`
     limit = guard_limit(INDUCED_COLUMN_LIMIT)
     denominator, images = rule._integer_form
-    scale = denominator**ell
     columns = []
     for u in words:
         budget = _StateBudget(limit, "induced-matrix column enumeration")
         counts = _column_weights(images, u, ell, budget, mass=denominator)
         if not counts.keys() <= index.keys():
             raise RuntimeError(f"window of the legal word {u} is not legal")
-        columns.append({index[w]: Fraction(x, scale) for w, x in counts.items()})
-    return RationalMatrix(labels=words, columns=tuple(columns))
+        columns.append({index[w]: x for w, x in counts.items()})
+    return RationalMatrix(words, tuple(columns), denominator**ell)

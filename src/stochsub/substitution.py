@@ -38,18 +38,22 @@ class RationalMatrix:
 
     Row and column i both refer to ``labels[i]``; for mean matrices the
     labels are letter codes, for induced matrices they are legal words.  It
-    is stored as the realisation kernel yields it, by sparse columns; the
-    dense ``rows``, zeros included, are built when first read.
+    is stored as the realisation kernel yields it: sparse columns of nonzero
+    integer numerators over one ``denominator``, D for the mean matrix and
+    D^ell for induced ones.  ``rows`` and ``column_sums`` build Fractions.
     """
 
     labels: tuple
-    columns: tuple  # tuple of {row index: nonzero Fraction}
+    columns: tuple  # tuple of {row index: nonzero numerator}
+    denominator: int = 1
 
     def __post_init__(self):
         n = len(self.labels)
         if len(self.columns) != n or any(
                 not 0 <= i < n for col in self.columns for i in col):
             raise ValueError("matrix shape does not match labels")
+        if not (type(self.denominator) is int and self.denominator > 0):
+            raise ValueError("denominator must be a positive integer")
 
     @property
     def size(self) -> int:
@@ -60,11 +64,12 @@ class RationalMatrix:
         rows = [[Fraction(0)] * self.size for _ in self.labels]
         for j, col in enumerate(self.columns):
             for i, x in col.items():
-                rows[i][j] = x
+                rows[i][j] = Fraction(x, self.denominator)
         return tuple(map(tuple, rows))
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col.values(), Fraction(0)) for col in self.columns)
+        return tuple(Fraction(sum(col.values()), self.denominator)
+                     for col in self.columns)
 
     def to_float(self):
         import numpy as np
@@ -72,7 +77,7 @@ class RationalMatrix:
         mat = np.zeros((self.size, self.size))
         for j, col in enumerate(self.columns):
             for i, x in col.items():
-                mat[i, j] = float(x)
+                mat[i, j] = x / self.denominator  # int division rounds correctly
         return mat
 
     def is_primitive(self) -> tuple[bool, int | None]:
@@ -111,8 +116,11 @@ class IterateDistribution:
 
 
 def _parse_probability(raw) -> Fraction:
-    if isinstance(raw, (str, int, Fraction)):
-        return Fraction(raw)
+    if type(raw) in (str, int, Fraction):  # not bool, although it is an int
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):  # "half", "1/0"
+            pass
     raise ValueError(f"probability must be a rational string or integer, got {raw!r}")
 
 
@@ -320,13 +328,14 @@ class SubstitutionRule:
         """Mean substitution matrix: entry (a, b) is the expected number of
         occurrences of letter a in the image of letter b."""
         m = self.alphabet.size
+        denominator, images = self._integer_form
         columns = tuple({} for _ in range(m))
-        for b, col in enumerate(columns):
-            for img, p in self.images[b]:
+        for col, entries in zip(columns, images):
+            for img, q in entries:
                 for a, cnt in enumerate(abelianise(img, m)):
                     if cnt:
-                        col[a] = col.get(a, 0) + p * cnt
-        return RationalMatrix(labels=tuple(range(m)), columns=columns)
+                        col[a] = col.get(a, 0) + q * cnt
+        return RationalMatrix(tuple(range(m)), columns, denominator)
 
     def is_primitive(self) -> tuple[bool, int | None]:
         if self._primitive is None:

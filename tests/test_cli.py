@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import stochsub
+from stochsub import RationalMatrix, SubstitutionRule, induced_mean_matrix
 from stochsub.cli import run
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
@@ -55,6 +60,63 @@ class TestMatrix:
         code, out, _ = invoke(capsys, "matrix", "--config", cfg("dyck"),
                               "--ell", "2")
         assert code == 0 and len(out.splitlines()) == 15
+
+
+def dense_matrix_output(rule, ell, fmt):
+    """Oracle: the `matrix` report formatted cell by cell from the dense
+    `rows` of Fractions, zeros included."""
+    mat = rule.mean_matrix() if ell == 1 else induced_mean_matrix(rule, ell)
+    if ell == 1:
+        labels = [rule.alphabet.symbol(c) for c in mat.labels]
+    else:
+        labels = [rule.alphabet.decode(w) for w in mat.labels]
+    str_rows = [[f"{x.numerator}/{x.denominator}" if x.denominator != 1 else
+                 str(x.numerator) for x in row] for row in mat.rows]
+    if fmt == "json":
+        doc = {"ell": ell, "labels": labels, "rows": str_rows}
+        return json.dumps(doc, indent=2) + "\n"
+    rows = [["", *labels]] + [[lab, *line] for lab, line in zip(labels, str_rows)]
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+class TestMatrixFromColumns:
+    @pytest.mark.parametrize("name,ell,fmt", [
+        ("dyck", 4, "tsv"), ("dyck", 4, "json"), ("period_doubling", 9, "tsv"),
+        ("fibonacci", 1, "tsv"),
+    ])
+    def test_matches_dense_oracle_without_rows(self, capsys, monkeypatch,
+                                                name, ell, fmt):
+        expected = dense_matrix_output(
+            SubstitutionRule.from_file(cfg(name)), ell, fmt)
+
+        def refuse(self):
+            raise AssertionError("dense rows built by the matrix command")
+
+        monkeypatch.setattr(RationalMatrix, "rows", property(refuse))
+        code, out, err = invoke(capsys, "matrix", "--config", cfg(name),
+                                "--ell", str(ell), "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == expected
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_peak_memory_at_ell_13(self):
+        # period_doubling ell 13 has 3 510 words, 12.3 M cells: printed through
+        # the dense table of Fractions it peaked at 368 MB (Python 3.11, Linux)
+        script = (
+            "import contextlib, os, resource, sys\n"
+            "from stochsub.cli import run\n"
+            "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+            "    code = run(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(stochsub.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, "matrix", "--config",
+             cfg("period_doubling"), "--ell", "13"],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+        code, maxrss_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert maxrss_kb < 200 * 1024
 
 
 class TestFreqs:
@@ -200,6 +262,30 @@ class TestCheckAndErrors:
         code, _, err = invoke(capsys, "matrix", "--config", str(bad))
         assert code == 1
         assert "sum to 1/3" in err
+
+    @pytest.mark.parametrize("prob", ["1/0", True])
+    def test_unparsable_probability_exit_one(self, capsys, tmp_path, prob):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "alphabet": ["a"],
+            "rules": {"a": [{"word": "aa", "prob": prob}]},
+        }))
+        code, out, err = invoke(capsys, "matrix", "--config", str(bad))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: image probability of 'a': probability must be a rational"
+            f" string or integer, got {prob!r}"]
+
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--ell", "0"),
+        ("freqs", "--ell", "0"),
+        ("entropy", "--max-n", "0"),
+    ])
+    def test_nonpositive_size_exit_one(self, capsys, argv):
+        command, *rest = argv
+        code, out, err = invoke(capsys, command, "--config", cfg("fibonacci"), *rest)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and ">= 1" in err
 
     def test_missing_config_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "language", "--config",

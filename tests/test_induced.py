@@ -199,3 +199,22 @@ class TestSparseColumns:
     def test_rejects_wrong_shape(self, columns):
         with pytest.raises(ValueError, match="shape"):
             RationalMatrix(labels=("x", "y"), columns=columns)
+
+    @pytest.mark.parametrize("denominator", [0, -1, 2.0, True])
+    def test_rejects_bad_denominator(self, denominator):
+        with pytest.raises(ValueError, match="positive integer"):
+            RationalMatrix(labels=("x",), columns=({0: 1},),
+                           denominator=denominator)
+
+    @pytest.mark.parametrize("name,max_ell", [
+        ("fibonacci", 4), ("period_doubling", 4), ("dyck", 3),
+    ])
+    def test_integer_numerators_over_a_power_of_d(self, name, max_ell):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        d, _ = rule._integer_form
+        mats = [(rule.mean_matrix(), d)] + [(induced_mean_matrix(rule, ell), d**ell)
+                                            for ell in range(1, max_ell + 1)]
+        for mat, denominator in mats:
+            assert mat.denominator == denominator
+            assert all(type(x) is int and x > 0
+                       for col in mat.columns for x in col.values())

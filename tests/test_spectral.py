@@ -69,6 +69,21 @@ class TestEigenpair:
         with pytest.raises((NonConvergence, ValueError)):
             pf_eigenpair(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_periodic_matrix_stalls(self):
+        # imprimitive: the iterates alternate and the residual stays at 0.5
+        with pytest.raises(NonConvergence, match="stalled") as exc:
+            pf_eigenpair(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert exc.value.residual == 0.5
+
+    def test_reducible_matrix_non_positive_component(self):
+        # converges at once, to an eigenvector with a zero component
+        with pytest.raises(ValueError, match="non-positive component"):
+            pf_eigenpair(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            pf_eigenpair(np.ones((1, 3)))
+
     def test_slow_spectral_gap_converges(self):
         # a -> bbb, b -> a | aa | ba: |lambda_2 / lambda| is about 0.85, so
         # each side needs well over 100 iterations without stalling

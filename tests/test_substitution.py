@@ -100,6 +100,24 @@ class TestValidation:
         assert "unknown letter 'c'" in text
         assert "'b' has no image" in text
 
+    def test_malformed_probabilities_collected(self):
+        # "1/0" divides by zero inside Fraction, and JSON true and false are
+        # bools, which Python counts as ints; none of them is a probability
+        with pytest.raises(RuleValidationError) as exc:
+            SubstitutionRule.from_data({
+                "alphabet": ["a", "b"],
+                "rules": {"a": [{"word": "ab", "prob": "1/0"},
+                                {"word": "ba", "prob": True}],
+                          "b": [{"word": "a", "prob": False},
+                                {"word": "b", "prob": "half"}]},
+            })
+        assert exc.value.problems == [
+            f"image probability of {letter!r}: probability must be a rational"
+            f" string or integer, got {prob!r}"
+            for letter, prob in [("a", "1/0"), ("a", True), ("b", False),
+                                 ("b", "half")]
+        ]
+
     def test_missing_images_listed_beside_other_problems(self):
         # 'b' occurs in the text of the probability problem of 'a'; the
         # missing images of 'b' must still be reported
