@@ -4,19 +4,21 @@ Reproducibility contract: trial i of a run with base seed s draws from
 numpy's PCG64 generator seeded with SeedSequence([s, i]).  Within a trial,
 words are rewritten round by round; each round consumes one uniform per
 letter, left to right (also for letters with a single image, so streams stay
-aligned across rules).  Results are therefore independent of scheduling.
+aligned across rules).  Results are therefore independent of scheduling:
+trials run in batches, each round of a batch a few array operations over the
+words of all its trials, and the batch size changes no output.  A
+realisation is held at one byte per letter, as `bytes` of letter codes.
 
 Input contract, shared by every sampler and checked before the first trial:
 the start letter is a symbol or an in-range letter code (KeyError
 otherwise), the depth satisfies n >= 0 and the trial count trials >= 1
 (ValueError otherwise).  Each sampler states its own further conditions.
-All samplers draw from one trial loop, `_trials`.
+All samplers draw from one trial engine, `_trials`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -26,9 +28,16 @@ import numpy as np
 from .guards import SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
-from .words import WordLike, abelianise, count_occurrences
+from .words import MAX_SYMBOLS, WordLike, abelianise, count_occurrences
 
 DEFAULT_SEED = 1729
+
+# Trials run in batches whose rounds are whole-array operations.  A batch
+# holds at most BATCH_LETTERS letters by the bound L**n of one trial (L the
+# longest image), counting at least 1024 per trial: each live generator holds
+# about 1.3 KB, so shallow iterates still stop at 1024 trials per batch.
+BATCH_LETTERS = 2**20
+PAD = MAX_SYMBOLS  # pads the image table; every letter code is below it
 
 
 @dataclass(frozen=True)
@@ -53,29 +62,42 @@ class DirectionStats:
 
 
 def _image_tables(rule: SubstitutionRule):
-    """Per letter: list of image words and cumulative probability thresholds."""
-    words, thresholds = [], []
-    for entries in rule.images:
-        ws = [w for w, _ in entries]
-        acc, cum = 0.0, []
-        for _, p in entries:
+    """The rule's images as flat arrays, indexed letter by letter.
+
+    For a uniform u, letter c takes image `base[c] + sum_j (thr[j, c] <= u)`:
+    the thresholds are its cumulative probabilities below the top one (u < 1
+    needs none there, which spares the top any roundoff), inf past its last
+    image.  `lens` holds the image lengths, `table` the images padded with PAD.
+    """
+    width = max(len(entries) for entries in rule.images) - 1
+    thr = np.full((width, rule.alphabet.size), np.inf)
+    base, flat = [], []
+    for c, entries in enumerate(rule.images):
+        base.append(len(flat))
+        flat.extend(w for w, _ in entries)
+        acc = 0.0
+        for j, (_, p) in enumerate(entries[:-1]):
             acc += float(p)
-            cum.append(acc)
-        cum[-1] = 1.0 + 1e-15  # guard against roundoff at the top end
-        words.append(ws)
-        thresholds.append(cum)
-    return words, thresholds
+            thr[j, c] = acc
+    longest = max(map(len, flat))
+    table = np.full((len(flat), longest), PAD, dtype=np.uint8)
+    for k, w in enumerate(flat):
+        table[k, : len(w)] = w
+    lens = np.array([len(w) for w in flat], dtype=np.min_scalar_type(longest))
+    return np.array(base, dtype=np.min_scalar_type(len(flat))), thr, lens, table
 
 
 def _trials(
     rule: SubstitutionRule, letter, n: int, trials: int, seed: int
-) -> Iterator[list[int]]:
+) -> Iterator[bytes]:
     """Realisations of the n-th iterate of `letter` for trials 0..trials-1,
-    as lists of letter codes.
+    each as the bytes of its letter codes.
 
     The arguments are checked here, before the first trial is drawn: the
     start is a symbol or an in-range letter code (KeyError otherwise), and
-    n >= 0 and trials >= 1 (ValueError otherwise).
+    n >= 0 and trials >= 1 (ValueError otherwise).  A realisation over the
+    letter guard raises GuardExceeded in the round that builds it, before
+    the other trials of its batch are yielded.
     """
     (start,) = rule.encode((letter,))
     if n < 0:
@@ -83,26 +105,47 @@ def _trials(
     if trials < 1:
         raise ValueError("need trials >= 1")
     limit = guard_limit(SAMPLE_LETTER_LIMIT)
-    words, thresholds = _image_tables(rule)
+    base, thr, lens, table = _image_tables(rule)
+    # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20, deeper
+    # iterates than n = 20 run one trial per batch
+    bound = max(rule.max_image_length() ** min(n, 20), 1024)
+    batch = max(1, BATCH_LETTERS // bound)
 
-    # a generator, so that the checks above run at the call; its inputs are
-    # passed as arguments because the round loop reads locals faster than
-    # closure cells
-    def realisations(start, n, trials, seed, limit, words, thresholds):
-        for i in range(trials):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-            word = [start]
-            for _ in range(n):
-                draws = rng.random(len(word))
-                out: list[int] = []
-                for c, u in zip(word, draws):
-                    out.extend(words[c][bisect_right(thresholds[c], u)])
-                if len(out) > limit:
-                    raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
-                word = out
-            yield word
+    def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
+        """Trials lo..hi-1 together: their concatenated words and the end
+        offset of each."""
+        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+                for i in range(lo, hi)]
+        word = np.full(hi - lo, start, dtype=np.uint8)
+        ends = list(range(1, hi - lo + 1))
+        for _ in range(n):
+            u = np.empty(len(word))
+            a = 0
+            for rng, b in zip(rngs, ends):
+                rng.random(out=u[a:b])
+                a = b
+            img = base.take(word)
+            for row in thr:
+                img += row[word] <= u
+            starts = np.array([0, *ends[:-1]])
+            sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
+            if sizes.max() > limit:
+                raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
+            word = table.take(img, axis=0).ravel()
+            word = word[word != PAD]
+            ends = np.cumsum(sizes).tolist()
+        return word, ends
 
-    return realisations(start, n, trials, seed, limit, words, thresholds)
+    # a generator, so that the checks above run at the call
+    def realisations():
+        for lo in range(0, trials, batch):
+            word, ends = run(lo, min(lo + batch, trials))
+            data, a = word.tobytes(), 0
+            for b in ends:
+                yield data[a:b]
+                a = b
+
+    return realisations()
 
 
 def sample_iterate(

@@ -2,7 +2,9 @@
 
 Words are represented as tuples of integer letter codes.  The code of a
 letter is its position in the declared alphabet order, which also fixes the
-lexicographic order used everywhere else in the package.
+lexicographic order used everywhere else in the package.  An alphabet has at
+most 255 symbols, so every code fits in a byte and a word can also be held
+as `bytes` (the sampler's realisations are).
 """
 
 from __future__ import annotations
@@ -12,13 +14,21 @@ from typing import Iterable, Sequence, Union
 WordLike = Union[str, Sequence[int]]
 
 
+MAX_SYMBOLS = 255  # codes 0..254; the sampler pads its image table with 255
+
+
 class Alphabet:
-    """Ordered finite alphabet mapping symbols to small integer codes."""
+    """Ordered finite alphabet mapping symbols to small integer codes.
+
+    Needs 1 to 255 distinct nonempty string symbols (ValueError otherwise).
+    """
 
     def __init__(self, symbols: Iterable[str]):
         symbols = tuple(symbols)
         if not symbols:
             raise ValueError("alphabet must contain at least one symbol")
+        if len(symbols) > MAX_SYMBOLS:
+            raise ValueError(f"alphabet has more than {MAX_SYMBOLS} symbols")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
         for s in symbols:
@@ -27,6 +37,8 @@ class Alphabet:
         self._symbols = symbols
         self._codes = {s: i for i, s in enumerate(symbols)}
         self._single_char = all(len(s) == 1 for s in symbols)
+        self._valid = bytes(range(len(symbols)))
+        self._decode_tables: dict[str, dict[int, str]] = {}
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -68,9 +80,25 @@ class Alphabet:
         return tuple(out)
 
     def decode(self, codes: Sequence[int], sep: str | None = None) -> str:
+        """Symbols of the codes joined by sep (default: "" for
+        single-character alphabets, else " "); a code outside [0, size)
+        raises KeyError."""
         if sep is None:
             sep = "" if self._single_char else " "
-        return sep.join(self._symbols[c] for c in codes)
+        try:
+            # other sequences go by item, as a buffer (numpy int64, say)
+            # holds more than one byte per code
+            raw = (bytes(codes) if isinstance(codes, (bytes, tuple, list))
+                   else bytes(iter(codes)))
+            bad = raw.translate(None, self._valid)
+        except ValueError:  # a code outside range(256)
+            raw, bad = b"", [c for c in codes if not 0 <= c < self.size]
+        if bad:
+            raise KeyError(f"letter code {bad[0]} out of range")
+        if sep not in self._decode_tables:
+            self._decode_tables[sep] = {i: s + sep for i, s in enumerate(self._symbols)}
+        text = raw.decode("latin-1").translate(self._decode_tables[sep])
+        return text[: len(text) - len(sep)] if raw else text
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self._symbols == other._symbols
@@ -87,11 +115,11 @@ def count_occurrences(u: Sequence, v: Sequence) -> int:
 
     Returns 0 when v is longer than u.
     """
-    lu, lv = len(u), len(v)
+    lv = len(v)
     if lv == 0:
         raise ValueError("pattern word must be nonempty")
-    v = tuple(v)
-    return sum(1 for i in range(lu - lv + 1) if tuple(u[i : i + lv]) == v)
+    # the windows of u are the tuples zip draws from its lv shifted copies
+    return sum(map(tuple(v).__eq__, zip(*(u[k:] for k in range(lv)))))
 
 
 def abelianise(u: Sequence[int], size: int) -> tuple[int, ...]:

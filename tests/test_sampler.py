@@ -1,12 +1,17 @@
 import hashlib
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from stochsub import (
     FrequencyMeasure,
+    GuardExceeded,
     SubstitutionRule,
     empirical_frequency,
     gw_direction_estimate,
@@ -15,6 +20,8 @@ from stochsub import (
     sample_iterate_law,
 )
 
+from stochsub import sampler
+from stochsub.guards import SAMPLE_LETTER_LIMIT, guard_limit
 from stochsub.sampler import _trials
 
 from conftest import (
@@ -23,6 +30,7 @@ from conftest import (
     make_fibonacci,
     make_non_expanding,
     make_period_doubling,
+    small_rules,
 )
 
 F = Fraction
@@ -235,3 +243,83 @@ def test_seed_contract_pinned(name):
     rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
     digest = hashlib.sha256(sampler_outputs(rule).encode()).hexdigest()
     assert digest == SAMPLER_DIGESTS[name]
+
+
+def reference_trials(rule, letter, n, trials, seed):
+    """The per-letter trial loop the batched engine replaced: one trial at a
+    time, each letter's image chosen by bisecting its cumulative
+    probabilities with its own uniform."""
+    (start,) = rule.encode((letter,))
+    limit = guard_limit(SAMPLE_LETTER_LIMIT)
+    words, thresholds = [], []
+    for entries in rule.images:
+        acc, cum = 0.0, []
+        for _, p in entries:
+            acc += float(p)
+            cum.append(acc)
+        cum[-1] = 1.0 + 1e-15  # guard against roundoff at the top end
+        words.append([w for w, _ in entries])
+        thresholds.append(cum)
+    for i in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+        word = [start]
+        for _ in range(n):
+            out = []
+            for c, u in zip(word, rng.random(len(word))):
+                out.extend(words[c][bisect_right(thresholds[c], u)])
+            if len(out) > limit:
+                raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
+            word = out
+        yield word
+
+
+def assert_engine_matches(rule, letter, n, trials, seed):
+    engine = list(map(tuple, _trials(rule, letter, n, trials, seed)))
+    assert engine == list(map(tuple, reference_trials(rule, letter, n, trials, seed)))
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("name", SAMPLER_DIGESTS)
+    def test_matches_reference_on_bundled_configs(self, name):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        for letter in range(rule.alphabet.size):
+            for n in range(9):
+                for seed in (0, 7, 1729):
+                    assert_engine_matches(rule, letter, n, 3, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rules(), st.integers(0, 6), st.integers(1, 12), st.integers(0, 2**32))
+    def test_matches_reference_on_random_rules(self, rule, n, trials, seed):
+        assert_engine_matches(rule, 0, n, trials, seed)
+
+    @pytest.mark.parametrize("name, letter, n, trials", [
+        ("period_doubling", "a", 16, 50),   # batches of 2**20 // 2**16 = 16
+        ("fibonacci", "a", 6, 1025),        # 2**6 letters count as 1024:
+        ("fibonacci", "a", 6, 2049),        # batches of 1024 trials
+    ])
+    def test_matches_reference_across_batches(self, name, letter, n, trials):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        bound = max(rule.max_image_length() ** n, 1024)
+        assert trials % (sampler.BATCH_LETTERS // bound) != 0
+        assert_engine_matches(rule, letter, n, trials, 1729)
+
+    def test_realisations_are_bytes(self, dyck):
+        words = list(_trials(dyck, "(", 4, 5, 3))
+        assert all(type(w) is bytes for w in words)
+        assert len({len(w) for w in words}) > 1
+
+    def test_guard_trips_in_the_middle_of_a_batch(self, dyck, monkeypatch):
+        # the smallest limit that the first dyck trial passes and a later
+        # trial of the same batch of 40 exceeds
+        trials, seed = 40, 5
+        for limit in range(1, 3**5):
+            monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(limit))
+            passed = []
+            with pytest.raises(GuardExceeded) as oracle:
+                passed.extend(reference_trials(dyck, "(", 5, trials, seed))
+            if passed:
+                break
+        assert 0 < len(passed) < trials
+        with pytest.raises(GuardExceeded) as engine:
+            list(_trials(dyck, "(", 5, trials, seed))
+        assert str(engine.value) == str(oracle.value)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +36,33 @@ class TestAlphabet:
         with pytest.raises(KeyError):
             ab.encode([5])
 
+    @pytest.mark.parametrize("codes", [(-1, 0), (0, 2), (1, 300), b"\x00\x07"])
+    def test_decode_rejects_codes_out_of_range(self, codes):
+        ab = Alphabet(["a", "b"])
+        bad = next(c for c in codes if not 0 <= c < 2)
+        with pytest.raises(KeyError, match=f"letter code {bad} out of range"):
+            ab.decode(codes)
+
+    def test_decode_accepts_any_code_sequence(self):
+        ab = Alphabet(["a", "b"])
+        for codes in ((0, 1, 1), [0, 1, 1], b"\x00\x01\x01",
+                      np.array([0, 1, 1]), np.array([0, 1, 1], dtype=np.uint8)):
+            assert ab.decode(codes) == "abb"
+        assert ab.decode(()) == ""
+        assert ab.decode((1, 0), sep="-") == "b-a"
+        assert Alphabet(["x1", "x2"]).decode(b"\x01") == "x2"
+
+    @given(st.lists(st.integers(0, 3), max_size=30), st.sampled_from(["", " ", ", "]))
+    def test_decode_matches_join(self, codes, sep):
+        al = Alphabet(["a", "bc", "d", "e"])
+        assert al.decode(codes, sep) == sep.join(al.symbol(c) for c in codes)
+
+    def test_at_most_255_symbols(self):
+        symbols = [chr(0x100 + i) for i in range(256)]
+        assert Alphabet(symbols[:255]).decode((254, 0)) == symbols[254] + symbols[0]
+        with pytest.raises(ValueError, match="more than 255 symbols"):
+            Alphabet(symbols)
+
 
 class TestCountOccurrences:
     def test_overlapping(self):
@@ -54,6 +82,10 @@ class TestCountOccurrences:
     def test_matches_naive_scan(self, u, v):
         naive = sum(1 for i in range(len(u)) if u[i:i + len(v)] == v)
         assert count_occurrences(u, v) == naive
+        assert count_occurrences(bytes(u), bytes(v)) == naive
+        assert count_occurrences(bytes(u), tuple(v)) == naive
+        ab = "".join("ab"[c] for c in u), "".join("ab"[c] for c in v)
+        assert count_occurrences(*ab) == naive
 
 
 class TestAbelianise:
