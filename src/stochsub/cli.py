@@ -259,7 +259,9 @@ def run(argv=None) -> int:
         return 2
     except (RuleValidationError, NonConvergence, OSError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -35,13 +35,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .guards import LANGUAGE_STATE_LIMIT, GuardExceeded, guard_limit
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # realisations of the images of theta^k (summed over letters) beyond which
 # the exact law of the power is not built and the closure is used instead

@@ -33,15 +33,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .induced import induced_mean_matrix
 from .language import _column_weights, _language_budget
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IllegalWordWarning(UserWarning):
@@ -79,6 +80,8 @@ class FrequencyMeasure:
         return pair.right
 
     def _recursion_vector(self, ell: int, m: int) -> np.ndarray:
+        import numpy as np
+
         prefixes, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
         images = [[(img, float(q)) for img, q in entries] for entries in power.images]
@@ -164,6 +167,8 @@ def unique_ergodicity_probe(
     'sensitive' if any frequency component for any window length j <= ell
     moves by more than the tolerance.
     """
+    import numpy as np
+
     base_supports = rule.supports()
     for variant in variants:
         if variant.alphabet != rule.alphabet or variant.supports() != base_supports:

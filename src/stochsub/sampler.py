@@ -21,14 +21,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .guards import SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import MAX_SYMBOLS, WordLike, abelianise, count_occurrences
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 1729
 
@@ -69,6 +70,8 @@ def _image_tables(rule: SubstitutionRule):
     needs none there, which spares the top any roundoff), inf past its last
     image.  `lens` holds the image lengths, `table` the images padded with PAD.
     """
+    import numpy as np
+
     width = max(len(entries) for entries in rule.images) - 1
     thr = np.full((width, rule.alphabet.size), np.inf)
     base, flat = [], []
@@ -104,6 +107,8 @@ def _trials(
         raise ValueError("iteration depth must be nonnegative")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    import numpy as np
+
     limit = guard_limit(SAMPLE_LETTER_LIMIT)
     base, thr, lens, table = _image_tables(rule)
     # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20, deeper
@@ -166,6 +171,8 @@ def empirical_frequency(
     """Mean and standard error of the relative frequency of v across
     independent realisations of the n-th iterate; needs n >= 1 and a legal v
     (ValueError otherwise)."""
+    import numpy as np
+
     realisations = _trials(rule, letter, n, trials, seed)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -204,6 +211,8 @@ def gw_direction_estimate(
     limiting growth factor, whose law is not modelled here.  Needs a
     primitive expanding rule (ValueError otherwise).
     """
+    import numpy as np
+
     primitive, _ = rule.is_primitive()
     if not (primitive and rule.is_expanding()):
         raise ValueError("direction estimates need a primitive expanding rule")

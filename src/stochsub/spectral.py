@@ -10,10 +10,12 @@ that left . right = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .substitution import RationalMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 100_000
@@ -39,6 +41,8 @@ class PFEigenpair:
 
 
 def _as_array(matrix) -> np.ndarray:
+    import numpy as np
+
     if isinstance(matrix, RationalMatrix):
         return matrix.to_float()
     arr = np.asarray(matrix, dtype=float)
@@ -48,6 +52,8 @@ def _as_array(matrix) -> np.ndarray:
 
 
 def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, float, int]:
+    import numpy as np
+
     d = mat.shape[0]
     x = np.full(d, 1.0 / d)
     best = np.inf

@@ -104,16 +104,6 @@ class IterateDistribution:
     n: int
     entries: Mapping[Word, Fraction]
 
-    def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
-
-    def expected_abelianisation(self, size: int) -> tuple[Fraction, ...]:
-        acc = [Fraction(0)] * size
-        for w, p in self.entries.items():
-            for i, c in enumerate(abelianise(w, size)):
-                acc[i] += p * c
-        return tuple(acc)
-
 
 def _parse_probability(raw) -> Fraction:
     if type(raw) in (str, int, Fraction):  # not bool, although it is an int

@@ -235,7 +235,7 @@ class TestSample:
         code, out, err = invoke(capsys, "sample", "--config", cfg("fibonacci"),
                                 "--letter", "c", "--n", "3")
         assert code == 1 and out == ""
-        assert "unknown letter" in err
+        assert err == "error: unknown letter 'c'\n"  # no KeyError repr quotes
 
 
 class TestCheckAndErrors:

@@ -1,0 +1,103 @@
+"""numpy is imported inside the functions that compute in floats, so the
+exact layer (language, matrices, iterate laws and kernel) and the package
+import itself start without it; and the package's public names keep the
+modules they are defined in."""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stochsub
+
+SRC = str(Path(stochsub.__file__).resolve().parents[1])
+CONFIGS = Path(stochsub.__file__).resolve().parent / "configs"
+
+# each child runs its case with stdout discarded, then prints its exit code
+# and whether numpy was loaded
+CHILD = """\
+import contextlib, os, sys
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = 0
+{body}
+print(code, "numpy" in sys.modules)
+"""
+
+
+def run_child(body: str) -> tuple[int, bool]:
+    script = CHILD.format(body="\n".join("    " + line for line in body.splitlines()))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env={"PYTHONPATH": SRC})
+    code, loaded = done.stdout.split()
+    return int(code), loaded == "True"
+
+
+def cli(*argv: str) -> str:
+    return f"from stochsub.cli import run\ncode = run({list(argv)!r})"
+
+
+def config(name: str) -> str:
+    return str(CONFIGS / f"{name}.json")
+
+
+EXACT_CASES = {
+    "import": ("import stochsub, stochsub.cli", 0),
+    "language": (cli("language", "--config", config("dyck"), "--ell", "5"), 0),
+    "matrix": (cli("matrix", "--config", config("period_doubling"), "--ell", "9"), 0),
+    "freqs-usage-error": (cli("freqs", "--config", config("non_expanding"),
+                              "--ell", "2"), 1),
+    "law-and-kernel": (
+        "from stochsub import SubstitutionRule\n"
+        f"rule = SubstitutionRule.from_file({config('fibonacci')!r})\n"
+        "law = rule.iterate_distribution('a', 5)\n"
+        "assert sum(law.entries.values()) == 1\n"
+        "assert rule.kernel('ab', 'aba') > 0", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_paths_leave_numpy_unloaded(case):
+    body, expected_code = EXACT_CASES[case]
+    assert run_child(body) == (expected_code, False)
+
+
+def test_float_path_loads_numpy():
+    # positive control: the probe does see numpy where floats are computed
+    body = cli("freqs", "--config", config("fibonacci"), "--ell", "3")
+    assert run_child(body) == (0, True)
+
+
+# where each public name is defined; tools that patch the library by module
+# (such as the benchmark's tracer) rely on these
+PUBLIC_MODULES = {
+    "stochsub.entropy": ("MaxEntropyReport", "max_entropy_class_check",
+                         "metric_entropy_partial", "topological_entropy_partial"),
+    "stochsub.guards": ("GuardExceeded",),
+    "stochsub.induced": ("induced_mean_matrix",),
+    "stochsub.language": ("LanguageTable", "legal_words"),
+    "stochsub.measure": ("ErgodicityProbe", "FrequencyMeasure", "IllegalWordWarning",
+                         "unique_ergodicity_probe"),
+    "stochsub.sampler": ("DEFAULT_SEED", "DirectionStats", "SampleStats",
+                         "empirical_frequency", "gw_direction_estimate",
+                         "length_tail", "sample_iterate", "sample_iterate_law"),
+    "stochsub.spectral": ("NonConvergence", "PFEigenpair", "pf_eigenpair"),
+    "stochsub.substitution": ("IterateDistribution", "RationalMatrix",
+                              "RuleValidationError", "SubstitutionRule"),
+    "stochsub.words": ("Alphabet", "abelianise", "count_occurrences"),
+}
+HOME = {name: module for module, names in PUBLIC_MODULES.items() for name in names}
+
+
+def test_all_is_the_pinned_public_names():
+    assert sorted(stochsub.__all__) == sorted(HOME)
+
+
+@pytest.mark.parametrize("name", sorted(HOME))
+def test_public_name_resolves_to_its_module(name):
+    value = getattr(stochsub, name)
+    module = importlib.import_module(HOME[name])
+    assert value is getattr(module, name)
+    if hasattr(value, "__module__"):
+        assert value.__module__ == HOME[name]
