@@ -11,8 +11,9 @@ import os
 ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 
 # ITERATE_SUPPORT_LIMIT counts the words of an iterate law's support, not their
-# letters, and trips exactly when the support exceeds it; on fibonacci
-# theta^7(a) it trips after about 2 s at a peak RSS of 404 MB (Python 3.11)
+# letters, and trips exactly when the support exceeds it; the words are held as
+# bytes, so on fibonacci theta^7(a) it trips after about 1 s at a peak RSS of
+# about 175 MB (Python 3.11)
 ITERATE_SUPPORT_LIMIT = 10**6
 INDUCED_COLUMN_LIMIT = 10**7    # kernel states per column of induced_mean_matrix
 # INDUCED_CELL_LIMIT counts the n * n cells of an induced matrix on n legal

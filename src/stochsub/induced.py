@@ -12,14 +12,15 @@ realisation kernel that the language and the frequency recursion use too,
 run on the rule's integer image weights q = p * D; each column spends its
 own state budget of INDUCED_COLUMN_LIMIT.  Each column is kept as the
 kernel's sparse dict of integer numerators, keyed by row index, over the one
-denominator D^ell; Fractions are built only where they are read.
+denominator D^ell; Fractions are built only where they are read.  The kernel
+yields its windows as `bytes`, looked up in a `bytes` index of the words.
 """
 
 from __future__ import annotations
 
 from .guards import INDUCED_CELL_LIMIT, INDUCED_COLUMN_LIMIT, guard_limit
 from .language import _column_weights, _StateBudget
-from .substitution import RationalMatrix, SubstitutionRule, Word
+from .substitution import RationalMatrix, SubstitutionRule
 
 
 def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
@@ -39,7 +40,7 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
         raise ValueError("induced matrices require a primitive rule")
     table = rule.language()
     words = table.words_of_length(ell)
-    index = table.index(ell)
+    index = {bytes(w): i for i, w in enumerate(words)}
     cells = _StateBudget(guard_limit(INDUCED_CELL_LIMIT),
                          f"induced matrix of {len(words)} words", " cells")
     cells.spend(len(words) ** 2)  # the cells of the printed table and of `to_float`

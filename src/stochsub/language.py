@@ -28,6 +28,10 @@ states from a `_StateBudget`, which raises GuardExceeded past its limit.
 `legal_words` keeps only the windows, with unit weights.  On the recursion
 route the float pass of the frequency recursion over L_m yields the words
 too, and the rule's LanguageTable keeps both, one entry per length.
+
+The kernel keys its states and windows by `bytes` words (one byte per
+letter code, see `words`), which sort exactly as tuples of codes do; the
+words a LanguageTable stores are tuples, converted once per length.
 """
 
 from __future__ import annotations
@@ -73,17 +77,18 @@ def _language_budget() -> _StateBudget:
 
 
 def _column_weights(
-    images: Sequence[Sequence[tuple[Word, Fraction | float | int]]],
-    u: Word,
+    images: Sequence[Sequence[tuple[bytes, Fraction | float | int]]],
+    u: Sequence[int],
     ell: int,
     budget: _StateBudget,
     scale: Fraction | float | int = 1,
     mass: int = 1,  # D for the integer weights p * D, whose counts are over D^|u|
-) -> dict[Word, Fraction | float | int]:
+) -> dict[bytes, Fraction | float | int]:
     """Expected window counts E[occurrences of w in the induced image of u],
     times `scale`: the ell-windows (cut short at the end of a realisation)
-    that start in the image of u's first letter.  images[c] lists the
-    (image, weight) pairs of letter c, whose weights sum to `mass`.
+    that start in the image of u's first letter, keyed as `bytes`.  u is a
+    word of letter codes (bytes or a tuple); images[c] lists the (image as
+    bytes, weight) pairs of letter c, whose weights sum to `mass`.
 
     Joint realisations of the letter images are enumerated with prefix
     sharing: only the first first_len + ell - 1 output letters matter (the
@@ -94,10 +99,10 @@ def _column_weights(
     letter of u spends the number of current states from `budget`.
     """
     # state: (prefix capped at first_len + ell - 1 letters, first image len)
-    states: dict[tuple[Word, int], Fraction | float | int] = {((), 0): scale}
+    states: dict[tuple[bytes, int], Fraction | float | int] = {(b"", 0): scale}
     for letter in u:
         budget.spend(len(states))
-        nxt: dict[tuple[Word, int], Fraction | float | int] = {}
+        nxt: dict[tuple[bytes, int], Fraction | float | int] = {}
         for (prefix, first), weight in states.items():
             if first and len(prefix) >= first + ell - 1:
                 # prefix already long enough; remaining letters integrate out
@@ -110,7 +115,7 @@ def _column_weights(
                 key = ((prefix + img)[:cap], f)
                 nxt[key] = nxt.get(key, 0) + weight * p
         states = nxt
-    counts: dict[Word, Fraction | float | int] = {}
+    counts: dict[bytes, Fraction | float | int] = {}
     for (prefix, first), weight in states.items():
         for k in range(first):
             w = prefix[k : k + ell]
@@ -119,12 +124,12 @@ def _column_weights(
 
 
 def _closure(
-    images: Sequence[Sequence[tuple[Word, int]]], ell: int, budget: _StateBudget
-) -> set[Word]:
+    images: Sequence[Sequence[tuple[bytes, int]]], ell: int, budget: _StateBudget
+) -> set[bytes]:
     """Every word reachable from a single letter by repeatedly taking the
     windows that start in the first image of an inflation.  A worklist
     inflates each word once."""
-    seen: set[Word] = {(c,) for c in range(len(images))}
+    seen: set[bytes] = {bytes((c,)) for c in range(len(images))}
     todo = list(seen)
     while todo:
         windows = _column_weights(images, todo.pop(), ell, budget)
@@ -174,41 +179,39 @@ def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | No
     return k, SubstitutionRule(rule.alphabet, images)
 
 
-def legal_words(
-    rule: SubstitutionRule, ell: int, table: LanguageTable | None = None
-) -> tuple[Word, ...]:
+def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
     """The legal words of length ell, in lexicographic order of letter codes.
 
     Shorter lengths needed by the recursion are taken from (and stored in)
-    `table`, a fresh LanguageTable of the rule by default.  Raises
-    GuardExceeded when the kernel states spent on this length exceed the
-    language guard.
+    the rule's shared table, `rule.language()`.  Raises GuardExceeded when
+    the kernel states spent on this length exceed the language guard.
     """
     if ell < 1:
         raise ValueError("word length must be >= 1")
     primitive, _ = rule.is_primitive()
     if not primitive:
         raise ValueError("legal-word enumeration requires a primitive rule")
-    if table is None:
-        table = LanguageTable(rule)
+    table = rule.language()
     budget = _language_budget()
     m = table.prefix_length(ell)
     source = rule if m is None else table.power[1]
-    images = [[(w, 1) for w in support] for support in source.supports()]
+    images = [[(w, 1) for w, _ in entries] for entries in source._integer_form[1]]
     if m is None:
         words = _closure(images, ell, budget)
     else:
         words = set()
         for u in table.words_of_length(m):
             words.update(_column_weights(images, u, ell, budget))
-    return tuple(sorted(w for w in words if len(w) == ell))
+    return tuple(map(tuple, sorted(w for w in words if len(w) == ell)))
 
 
 class LanguageTable:
     """Per-length cache of legal words, their positions and frequency vectors,
     with the inflating power and the PF eigenvalue the recursions use.  The
     table of `SubstitutionRule.language()` is shared by all computations on
-    the rule; `measure.FrequencyMeasure` fills the frequency entries."""
+    the rule; `measure.FrequencyMeasure` fills the frequency entries.  A
+    length missing from any table of the rule is enumerated by `legal_words`,
+    so the shorter lengths it needs come from the shared table."""
 
     def __init__(self, rule: SubstitutionRule):
         self.rule = rule
@@ -240,7 +243,7 @@ class LanguageTable:
 
     def _entry(self, ell: int) -> tuple[tuple[Word, ...], dict[Word, int]]:
         if ell not in self._table:
-            self._store(ell, legal_words(self.rule, ell, table=self))
+            self._store(ell, legal_words(self.rule, ell))
         return self._table[ell]
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:

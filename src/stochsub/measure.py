@@ -84,14 +84,16 @@ class FrequencyMeasure:
 
         prefixes, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
-        images = [[(img, float(q)) for img, q in entries] for entries in power.images]
+        images = [[(bytes(img), float(q)) for img, q in entries]
+                  for entries in power.images]
         budget = _language_budget()
-        counts: dict[Word, float] = {}
+        counts: dict[bytes, float] = {}
         for p, r in zip(prefixes, prefix_vec):
             for w, x in _column_weights(images, p, ell, budget, float(r)).items():
                 counts[w] = counts.get(w, 0) + x
-        words = self.table._store(ell, tuple(sorted(counts)))
-        vec = np.array([counts[w] for w in words])
+        keys = sorted(counts)  # bytes sort as the tuples of the stored words
+        self.table._store(ell, tuple(map(tuple, keys)))
+        vec = np.array([counts[w] for w in keys])
         total = vec.sum()
         expected = self.table._eigenvalue**k
         if abs(total - expected) > 1e-9 * expected:

@@ -3,10 +3,10 @@
 A rule assigns to every letter a finite distribution over nonempty image
 words.  Everything in this module is exact, so the transition kernel,
 iterate laws and the mean substitution matrix admit bit-exact tests.  The
-API speaks `fractions.Fraction`; inside, with D the lcm of the probability
-denominators and integer image weights q = p * D, the kernel and the iterate
-laws run on integer numerators over powers of D.  Floating point enters only
-in the spectral module.
+API speaks `fractions.Fraction` and tuple words; inside, with D the lcm of
+the probability denominators and integer image weights q = p * D, the kernel
+and the iterate laws run on integer numerators over powers of D, on `bytes`
+words.  Floating point enters only in the spectral module.
 """
 
 from __future__ import annotations
@@ -116,14 +116,15 @@ def _parse_probability(raw) -> Fraction:
 
 def _substitute(words, e0: int, laws, denominator: int, limit: int) -> tuple[dict, int]:
     """Law of a word drawn from `words` (numerators over D^e0) with each letter
-    c replaced by an independent draw from laws[c] = (numerators over D^e, e)."""
+    c replaced by an independent draw from laws[c] = (numerators over D^e, e);
+    every law is keyed by `bytes` words."""
     exps = {word: sum(laws[c][1] for c in word) for word in words}
     top = max(exps.values())
-    out: dict[Word, int] = {}
+    out: dict[bytes, int] = {}
     for word, x in words.items():
-        acc = {(): x * denominator ** (top - exps[word])}
+        acc = {b"": x * denominator ** (top - exps[word])}
         for c in word:
-            nxt: dict[Word, int] = {}
+            nxt: dict[bytes, int] = {}
             numerators = laws[c][0]
             for prefix, y in acc.items():
                 for w, z in numerators.items():
@@ -149,10 +150,10 @@ class SubstitutionRule:
     def __init__(self, alphabet: Alphabet, images: Sequence[Sequence[tuple[Word, Fraction]]]):
         self.alphabet = alphabet
         self.images = tuple(tuple(entries) for entries in images)
-        # (D, the images with integer weights q = p * D)
+        # (D, the images as bytes with integer weights q = p * D)
         d = math.lcm(*(p.denominator for entries in self.images for _, p in entries))
         self._integer_form = d, tuple(
-            tuple((w, int(p * d)) for w, p in entries) for entries in self.images
+            tuple((bytes(w), int(p * d)) for w, p in entries) for entries in self.images
         )
         self._primitive: tuple[bool, int | None] | None = None
         self._language = None
@@ -263,28 +264,26 @@ class SubstitutionRule:
         """Probability that the concatenated independent letter images of u
         equal v.
 
-        Dynamic programming over prefixes of v: O(|u| * |v| * max image
-        length) instead of enumerating the exponentially many decompositions.
+        Dynamic programming over the prefixes of v that the images reach: at
+        most O(|u| * |v|) steps per image instead of enumerating the
+        exponentially many decompositions.
         """
         u = self.encode(u)
-        v = self.encode(v)
+        v = bytes(self.encode(v))
         if len(u) == 0:
             raise ValueError("source word must be nonempty")
         denominator, images = self._integer_form
-        lv = len(v)
-        # prev[j] = probability (numerator over D^letters seen) that the
-        # images of the letters seen so far concatenate exactly to v[:j]
-        prev = [0] * (lv + 1)
-        prev[0] = 1
+        # prev[j] = probability (numerator over D^letters seen), where nonzero,
+        # that the images of the letters seen so far concatenate exactly to v[:j]
+        prev = {0: 1}
         for letter in u:
-            cur = [0] * (lv + 1)
-            for img, q in images[letter]:
-                li = len(img)
-                for j in range(li, lv + 1):
-                    if prev[j - li] and v[j - li : j] == img:
-                        cur[j] += prev[j - li] * q
+            cur: dict[int, int] = {}
+            for j, x in prev.items():
+                for img, q in images[letter]:
+                    if v.startswith(img, j):
+                        cur[j + len(img)] = cur.get(j + len(img), 0) + x * q
             prev = cur
-        return Fraction(prev[lv], denominator ** len(u))
+        return Fraction(prev.get(len(v), 0), denominator ** len(u))
 
     def iterate_distribution(
         self, u: WordLike, n: int, max_support: int | None = None
@@ -303,13 +302,13 @@ class SubstitutionRule:
         reach = [set(u)]  # reach[d]: the letters of the realisations of theta^d(u)
         for _ in range(n):
             reach.append({c for b in reach[-1] for img, _ in images[b] for c in img})
-        laws = {c: ({(c,): 1}, 0) for c in reach[n]}  # theta^m(c), m = 0..n
+        laws = {c: ({bytes((c,)): 1}, 0) for c in reach[n]}  # theta^m(c), m = 0..n
         for depth in range(n - 1, -1, -1):
             laws = {b: _substitute(dict(images[b]), 1, laws, denominator, limit)
                     for b in reach[depth]}
-        numerators, e = _substitute({u: 1}, 0, laws, denominator, limit)
+        numerators, e = _substitute({bytes(u): 1}, 0, laws, denominator, limit)
         scale = denominator**e
-        entries = {w: Fraction(x, scale) for w, x in numerators.items()}
+        entries = {tuple(w): Fraction(x, scale) for w, x in numerators.items()}
         return IterateDistribution(source=u, n=n, entries=entries)
 
     # -- mean matrix and classification ------------------------------------

@@ -1,17 +1,18 @@
 """Finite-word combinatorics over a small interned alphabet.
 
-Words are represented as tuples of integer letter codes.  The code of a
-letter is its position in the declared alphabet order, which also fixes the
-lexicographic order used everywhere else in the package.  An alphabet has at
-most 255 symbols, so every code fits in a byte and a word can also be held
-as `bytes` (the sampler's realisations are).
+A letter's code is its position in the declared alphabet order, which also
+fixes the lexicographic order used everywhere else in the package.  An
+alphabet has at most 255 symbols, so every code fits in a byte.  The public
+API speaks words as tuples of letter codes; inside, the exact layer (kernel,
+language, induced columns, iterate laws) and the sampler hold them as
+`bytes`, one byte per letter, which sort exactly as the tuples do.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-WordLike = Union[str, Sequence[int]]
+WordLike = Union[str, bytes, Sequence[int]]
 
 
 MAX_SYMBOLS = 255  # codes 0..254; the sampler pads its image table with 255
@@ -68,6 +69,16 @@ class Alphabet:
             raise ValueError(
                 "string words are only supported for single-character alphabets"
             )
+        if isinstance(word, (bytes, tuple, list)):
+            try:
+                raw = bytes(word)  # codes only, each in range(256)
+            except (TypeError, ValueError):
+                pass  # symbols, or codes out of byte range: the loop below
+            else:
+                bad = raw.translate(None, self._valid)
+                if bad:
+                    raise KeyError(f"letter code {bad[0]} out of range")
+                return tuple(raw)
         out = []
         for x in word:
             if isinstance(x, str):

@@ -92,11 +92,12 @@ def fraction_induced_rows(rule, ell):
     Fraction probabilities themselves."""
     words = rule.language().words_of_length(ell)
     index = rule.language().index(ell)
+    images = [[(bytes(w), p) for w, p in entries] for entries in rule.images]
     rows = [[F(0)] * len(words) for _ in words]
     for j, u in enumerate(words):
         budget = _StateBudget(10**7, "oracle column")
-        for w, weight in _column_weights(rule.images, u, ell, budget).items():
-            rows[index[w]][j] = weight
+        for w, weight in _column_weights(images, u, ell, budget).items():
+            rows[index[tuple(w)]][j] = weight
     return tuple(tuple(r) for r in rows)
 
 

@@ -229,21 +229,21 @@ def test_language_pinned_at_depth(name):
     assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
-# kernel states one length spends once the shorter lengths are cached: dyck
-# by the closure, fibonacci by recursion through theta^2
+# kernel states one length spends once the shorter lengths are cached in the
+# rule's shared table: dyck by the closure, fibonacci by recursion through
+# theta^2; each fresh table enumerates the length itself
 @pytest.mark.parametrize("name,ell,states", [
     ("dyck", 5, 32472), ("fibonacci", 12, 23263),
 ])
 def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
     rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
-    table = LanguageTable(rule)
     for j in range(1, ell):
-        table.words_of_length(j)
+        rule.language().words_of_length(j)
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states))
-    assert legal_words(rule, ell, table)
+    assert LanguageTable(rule).words_of_length(ell)
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states - 1))
     with pytest.raises(GuardExceeded, match=f"exceeds guard {states - 1} automaton"):
-        legal_words(rule, ell, table)
+        LanguageTable(rule).words_of_length(ell)
 
 
 class TestLanguageTable:

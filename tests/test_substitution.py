@@ -174,6 +174,16 @@ class TestKernel:
         assert rule.kernel("a", "aa") == 0
         assert rule.kernel("ab", "ab") == 0  # image of ab has length 3
 
+    def test_word_types_agree(self):
+        rule = symbolic_kernel_rule(F(1, 3), F(1, 4))
+        for u, v in (("ab", "bab"), ("a", "ba"), ("ba", "abba"), ("ba", "bbab")):
+            expected = rule.kernel(u, v)
+            cu, cv = rule.encode(u), rule.encode(v)
+            for uu in (u, cu, list(cu), bytes(cu)):
+                for vv in (v, cv, list(cv), bytes(cv)):
+                    assert rule.kernel(uu, vv) == expected
+        assert rule.kernel(b"\x01\x00", b"\x00\x01\x01\x00") > 0
+
     def test_single_letter(self):
         rule = make_fibonacci(F(1, 3))
         assert rule.kernel("a", "ab") == F(1, 3)
@@ -298,6 +308,7 @@ class TestAgainstFractionOracles:
             value = rule.kernel(u, target)
             assert type(value) is F
             assert value == fraction_kernel(rule, u, target)
+            assert rule.kernel(bytes(u), bytes(target)) == value
         assert rule.kernel(u, v) > 0
 
 
