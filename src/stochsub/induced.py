@@ -40,10 +40,10 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
         raise ValueError("induced matrices require a primitive rule")
     table = rule.language()
     words = table.words_of_length(ell)
-    index = {bytes(w): i for i, w in enumerate(words)}
     cells = _StateBudget(guard_limit(INDUCED_CELL_LIMIT),
                          f"induced matrix of {len(words)} words", " cells")
     cells.spend(len(words) ** 2)  # the cells of the printed table and of `to_float`
+    index = {bytes(w): i for i, w in enumerate(words)}
     limit = guard_limit(INDUCED_COLUMN_LIMIT)
     denominator, images = rule._integer_form
     columns = []

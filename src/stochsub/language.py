@@ -179,19 +179,22 @@ def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | No
     return k, SubstitutionRule(rule.alphabet, images)
 
 
-def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
+def legal_words(
+    rule: SubstitutionRule, ell: int, *, _table: LanguageTable | None = None
+) -> tuple[Word, ...]:
     """The legal words of length ell, in lexicographic order of letter codes.
 
-    Shorter lengths needed by the recursion are taken from (and stored in)
-    the rule's shared table, `rule.language()`.  Raises GuardExceeded when
-    the kernel states spent on this length exceed the language guard.
+    Shorter lengths needed by the recursion are taken from (and stored in) a
+    fresh LanguageTable of the rule; a table enumerating one of its lengths
+    passes itself as `_table`.  Raises GuardExceeded when the kernel states
+    spent on this length exceed the language guard.
     """
     if ell < 1:
         raise ValueError("word length must be >= 1")
     primitive, _ = rule.is_primitive()
     if not primitive:
         raise ValueError("legal-word enumeration requires a primitive rule")
-    table = rule.language()
+    table = LanguageTable(rule) if _table is None else _table
     budget = _language_budget()
     m = table.prefix_length(ell)
     source = rule if m is None else table.power[1]
@@ -209,9 +212,7 @@ class LanguageTable:
     """Per-length cache of legal words, their positions and frequency vectors,
     with the inflating power and the PF eigenvalue the recursions use.  The
     table of `SubstitutionRule.language()` is shared by all computations on
-    the rule; `measure.FrequencyMeasure` fills the frequency entries.  A
-    length missing from any table of the rule is enumerated by `legal_words`,
-    so the shorter lengths it needs come from the shared table."""
+    the rule; `measure.FrequencyMeasure` fills the frequency entries."""
 
     def __init__(self, rule: SubstitutionRule):
         self.rule = rule
@@ -243,7 +244,7 @@ class LanguageTable:
 
     def _entry(self, ell: int) -> tuple[tuple[Word, ...], dict[Word, int]]:
         if ell not in self._table:
-            self._store(ell, legal_words(self.rule, ell))
+            self._store(ell, legal_words(self.rule, ell, _table=self))
         return self._table[ell]
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-WordLike = Union[str, bytes, Sequence[int]]
+WordLike = Union[str, Sequence[int]]
 
 
 MAX_SYMBOLS = 255  # codes 0..254; the sampler pads its image table with 255
@@ -69,16 +69,6 @@ class Alphabet:
             raise ValueError(
                 "string words are only supported for single-character alphabets"
             )
-        if isinstance(word, (bytes, tuple, list)):
-            try:
-                raw = bytes(word)  # codes only, each in range(256)
-            except (TypeError, ValueError):
-                pass  # symbols, or codes out of byte range: the loop below
-            else:
-                bad = raw.translate(None, self._valid)
-                if bad:
-                    raise KeyError(f"letter code {bad[0]} out of range")
-                return tuple(raw)
         out = []
         for x in word:
             if isinstance(x, str):

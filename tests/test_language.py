@@ -229,21 +229,22 @@ def test_language_pinned_at_depth(name):
     assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
-# kernel states one length spends once the shorter lengths are cached in the
-# rule's shared table: dyck by the closure, fibonacci by recursion through
-# theta^2; each fresh table enumerates the length itself
+# kernel states one length spends once the shorter lengths are cached: dyck
+# by the closure, fibonacci by recursion through theta^2
 @pytest.mark.parametrize("name,ell,states", [
     ("dyck", 5, 32472), ("fibonacci", 12, 23263),
 ])
 def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
     rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
-    for j in range(1, ell):
-        rule.language().words_of_length(j)
+    tables = [LanguageTable(rule), LanguageTable(rule)]
+    for table in tables:
+        for j in range(1, ell):
+            table.words_of_length(j)
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states))
-    assert LanguageTable(rule).words_of_length(ell)
+    assert tables[0].words_of_length(ell)
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states - 1))
     with pytest.raises(GuardExceeded, match=f"exceeds guard {states - 1} automaton"):
-        LanguageTable(rule).words_of_length(ell)
+        tables[1].words_of_length(ell)
 
 
 class TestLanguageTable:
@@ -251,6 +252,15 @@ class TestLanguageTable:
         table = LanguageTable(zeta)
         words = table.words_of_length(3)
         assert all(table.index(3)[w] == i for i, w in enumerate(words))
+
+    def test_table_keeps_its_own_lengths(self):
+        # the shorter lengths the recursion needs land in the table that
+        # enumerates, not in the rule's shared table
+        rule = SubstitutionRule.from_file(CONFIG_DIR / "zeta.json")
+        table = LanguageTable(rule)
+        table.words_of_length(8)
+        assert table.prefix_length(8) in table._table
+        assert rule.language()._table == {}
 
     def test_is_legal(self, period_doubling):
         table = LanguageTable(period_doubling)
