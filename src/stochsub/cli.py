@@ -96,7 +96,7 @@ def _cmd_language(rule, args):
     words = rule.language().words_of_length(args.ell)
     decoded = [rule.alphabet.decode(w) for w in words]
     report = {"ell": args.ell, "count": len(decoded), "words": decoded}
-    return report, [[w] for w in decoded]
+    return report, ([w] for w in decoded)
 
 
 def _cmd_matrix(rule, args):
@@ -131,10 +131,9 @@ def _cmd_freqs(rule, args):
         return {"word": args.word, "measure": value}, [[args.word, value]]
     words, vec = fm.frequency_vector(args.ell)
     decoded = [rule.alphabet.decode(w) for w in words]
-    values = [float(v) for v in vec]
-    report = {"ell": args.ell,
-              "measures": {w: v for w, v in zip(decoded, values)}}
-    return report, [[w, v] for w, v in zip(decoded, values)]
+    values = vec.tolist()  # Python floats
+    report = {"ell": args.ell, "measures": dict(zip(decoded, values))}
+    return report, ([w, v] for w, v in zip(decoded, values))
 
 
 def _cmd_entropy(rule, args):

@@ -27,7 +27,7 @@ kernel, `_column_weights`; every letter it processes spends its current
 states from a `_StateBudget`, which raises GuardExceeded past its limit.
 `legal_words` keeps only the windows, with unit weights.  On the recursion
 route the float pass of the frequency recursion over L_m yields the words
-too, and the rule's LanguageTable keeps both, one entry per length.
+too, and the rule's LanguageTable keeps both, one sorted tuple per length.
 
 The kernel keys its states and windows by `bytes` words (one byte per
 letter code, see `words`), which sort exactly as tuples of codes do; the
@@ -37,6 +37,7 @@ words a LanguageTable stores are tuples, converted once per length.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -209,16 +210,14 @@ def legal_words(
 
 
 class LanguageTable:
-    """Per-length cache of legal words, their positions and frequency vectors,
-    with the inflating power and the PF eigenvalue the recursions use.  The
-    table of `SubstitutionRule.language()` is shared by all computations on
-    the rule; `measure.FrequencyMeasure` fills the frequency entries."""
+    """Per-length cache of the legal words, sorted so that lookups bisect them,
+    and of their frequency vectors, with the inflating power and the PF
+    eigenvalue the recursions use.  `SubstitutionRule.language()` is shared by
+    all computations on the rule; `measure.FrequencyMeasure` fills the vectors."""
 
     def __init__(self, rule: SubstitutionRule):
         self.rule = rule
-        # one entry per length, stored in one assignment so that concurrent
-        # readers never see the words without their index
-        self._table: dict[int, tuple[tuple[Word, ...], dict[Word, int]]] = {}
+        self._table: dict[int, tuple[Word, ...]] = {}
         self._vectors: dict[int, np.ndarray] = {}
         self._eigenvalue: float | None = None  # from the latest PF solve
 
@@ -238,23 +237,22 @@ class LanguageTable:
 
     def _store(self, ell: int, words: tuple[Word, ...]) -> tuple[Word, ...]:
         """The cached legal ell-words, `words` unless some were cached."""
-        if ell not in self._table:
-            self._table[ell] = (words, {w: i for i, w in enumerate(words)})
-        return self._table[ell][0]
-
-    def _entry(self, ell: int) -> tuple[tuple[Word, ...], dict[Word, int]]:
-        if ell not in self._table:
-            self._store(ell, legal_words(self.rule, ell, _table=self))
-        return self._table[ell]
+        return self._table.setdefault(ell, words)
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:
-        return self._entry(ell)[0]
+        if ell in self._table:
+            return self._table[ell]
+        return self._store(ell, legal_words(self.rule, ell, _table=self))
 
-    def index(self, ell: int) -> dict[Word, int]:
-        return self._entry(ell)[1]
+    def position(self, word: WordLike) -> int | None:
+        """The position of a nonempty word among the legal words of its
+        length, or None when it is not legal."""
+        w = self.rule.encode(word)
+        words = self.words_of_length(len(w))
+        i = bisect_left(words, w)
+        return i if i < len(words) and words[i] == w else None
 
     def is_legal(self, word: WordLike) -> bool:
         w = self.rule.encode(word)
-        if len(w) == 0:
-            return True  # empty specification: the full shift space
-        return w in self.index(len(w))
+        # the empty specification is the full shift space
+        return len(w) == 0 or self.position(w) is not None

@@ -25,8 +25,9 @@ the legal ell-words, which the rule's `LanguageTable` stores with the
 vector.  The PF solve on `induced_mean_matrix` remains where the recursion
 does not apply: at the base lengths with m >= ell, and for rules without an
 inflating power or whose power has a large law.  Every FrequencyMeasure on
-one rule shares the table; nothing is locked, and concurrent requests for
-one length may both compute it.
+one rule shares the table, and finds a cylinder's component by bisecting
+its sorted words; nothing is locked, and concurrent requests for one length
+may both compute it (the first words stored are the ones every reader gets).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class FrequencyMeasure:
         if len(w) == 0:
             return 1.0
         _, vec = self.frequency_vector(len(w))
-        pos = self.table.index(len(w)).get(w)
+        pos = self.table.position(w)
         if pos is None:
             warnings.warn(
                 f"word {self.rule.alphabet.decode(w)!r} is not legal; measure 0",

@@ -51,7 +51,7 @@ def _as_array(matrix) -> np.ndarray:
     return arr
 
 
-def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, float, int]:
+def _power_iterate(mat: np.ndarray) -> tuple[float, np.ndarray, float, int]:
     import numpy as np
 
     d = mat.shape[0]
@@ -69,7 +69,7 @@ def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, floa
         x = y / norm
         y = mat @ x  # the residual's product is the next iterate
         residual = float(np.abs(y - lam * x).sum())
-        if residual <= tol:
+        if residual <= DEFAULT_TOL:
             return lam, x, residual, it
         # the first residual always counts as progress: inf - inf is nan
         if best == np.inf or residual < best - STALL_IMPROVEMENT * max(best, 1.0):
@@ -84,19 +84,19 @@ def _power_iterate(mat: np.ndarray, tol: float) -> tuple[float, np.ndarray, floa
     raise NonConvergence("power iteration did not converge", residual)
 
 
-def pf_eigenpair(matrix, tol: float = DEFAULT_TOL) -> PFEigenpair:
+def pf_eigenpair(matrix) -> PFEigenpair:
     """PF eigenvalue and eigenvectors of a primitive nonnegative matrix.
 
-    Raises NonConvergence if the residual target cannot be met or an iterate
-    collapses to zero (as for [[0]]), and ValueError if the computed
-    eigenvector has a non-positive component (which indicates a primitivity
-    violation in the input).
+    Raises NonConvergence if the residual target DEFAULT_TOL cannot be met or
+    an iterate collapses to zero (as for [[0]]), and ValueError if the
+    computed eigenvector has a non-positive component (which indicates a
+    primitivity violation in the input).
     """
     mat = _as_array(matrix)
     if (mat < 0).any():
         raise ValueError("matrix entries must be nonnegative")
-    lam, right, res_r, it_r = _power_iterate(mat, tol)
-    _, left_raw, res_l, it_l = _power_iterate(mat.T, tol)
+    lam, right, res_r, it_r = _power_iterate(mat)
+    _, left_raw, res_l, it_l = _power_iterate(mat.T)
     if right.min() <= 0 or left_raw.min() <= 0:
         raise ValueError(
             "PF eigenvector has a non-positive component; matrix is not primitive"

@@ -10,6 +10,7 @@ language, induced columns, iterate laws) and the sampler hold them as
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence, Union
 
 WordLike = Union[str, Sequence[int]]
@@ -39,7 +40,8 @@ class Alphabet:
         self._codes = {s: i for i, s in enumerate(symbols)}
         self._single_char = all(len(s) == 1 for s in symbols)
         self._valid = bytes(range(len(symbols)))
-        self._decode_tables: dict[str, dict[int, str]] = {}
+        self._sep = "" if self._single_char else " "
+        self._decode_table = {i: s + self._sep for i, s in enumerate(symbols)}
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -74,18 +76,16 @@ class Alphabet:
             if isinstance(x, str):
                 out.append(self.code(x))
             else:
-                x = int(x)
-                if not 0 <= x < self.size:
+                # ints, bools and numpy integers; a float is no code, 1.0 neither
+                code = operator.index(x) if hasattr(type(x), "__index__") else -1
+                if not 0 <= code < self.size:
                     raise KeyError(f"letter code {x} out of range")
-                out.append(x)
+                out.append(code)
         return tuple(out)
 
-    def decode(self, codes: Sequence[int], sep: str | None = None) -> str:
-        """Symbols of the codes joined by sep (default: "" for
-        single-character alphabets, else " "); a code outside [0, size)
-        raises KeyError."""
-        if sep is None:
-            sep = "" if self._single_char else " "
+    def decode(self, codes: Sequence[int]) -> str:
+        """Symbols of the codes joined by "" on single-character
+        alphabets, else by " "; a code outside [0, size) raises KeyError."""
         try:
             # other sequences go by item, as a buffer (numpy int64, say)
             # holds more than one byte per code
@@ -96,10 +96,8 @@ class Alphabet:
             raw, bad = b"", [c for c in codes if not 0 <= c < self.size]
         if bad:
             raise KeyError(f"letter code {bad[0]} out of range")
-        if sep not in self._decode_tables:
-            self._decode_tables[sep] = {i: s + sep for i, s in enumerate(self._symbols)}
-        text = raw.decode("latin-1").translate(self._decode_tables[sep])
-        return text[: len(text) - len(sep)] if raw else text
+        text = raw.decode("latin-1").translate(self._decode_table)
+        return text[: len(text) - len(self._sep)] if raw else text
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self._symbols == other._symbols

@@ -311,3 +311,11 @@ class TestCheckAndErrors:
                                 "--ell", "6")
         assert code == 2 and out == ""
         assert "language enumeration exceeds guard 50" in err
+
+    def test_column_guard_exit_two(self, capsys, monkeypatch):
+        # dyck ell 4: the widest of the 160 columns spends 28 kernel states
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 27)
+        code, out, err = invoke(capsys, "matrix", "--config", cfg("dyck"),
+                                "--ell", "4")
+        assert code == 2 and out == ""
+        assert err == "error: induced-matrix column enumeration exceeds guard 27\n"

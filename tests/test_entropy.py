@@ -5,12 +5,14 @@ import pytest
 
 from stochsub import (
     FrequencyMeasure,
+    SubstitutionRule,
     max_entropy_class_check,
     metric_entropy_partial,
     topological_entropy_partial,
 )
 
 from conftest import (
+    AB,
     make_deterministic_fibonacci,
     make_fibonacci,
     make_period_doubling,
@@ -124,3 +126,17 @@ class TestMaxEntropyClass:
         report = max_entropy_class_check(make_period_doubling())
         assert not report.qualifies
         assert "differ" in report.reason
+
+    @pytest.mark.parametrize("images,reason", [
+        (("ab", "b"), "image words have unequal lengths"),
+        (("a", "b"), "rule is not expanding"),
+        (("aa", "bb"), "image words have unequal letter counts"),
+        (("aa",), "rule is not primitive"),  # b is in no image
+    ])
+    def test_refusals(self, images, reason):
+        # every letter gets the same images, so the image sets never differ
+        shared = [(AB.encode(w), F(1, len(images))) for w in images]
+        report = max_entropy_class_check(SubstitutionRule(AB, [shared, shared]))
+        assert not report.qualifies
+        assert report.reason == reason
+        assert report.predicted_entropy is None

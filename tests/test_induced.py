@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stochsub import (
     FrequencyMeasure,
+    GuardExceeded,
     RationalMatrix,
     SubstitutionRule,
     induced_mean_matrix,
@@ -78,11 +79,11 @@ class TestAgainstPlainEnumeration:
         for rule in (make_fibonacci(F(1, 3)), make_period_doubling(F(2, 5)),
                      make_zeta(F(1, 7))):
             mat = induced_mean_matrix(rule, ell)
-            index = rule.language().index(ell)
+            table = rule.language()
             for j, u in enumerate(mat.labels):
                 oracle = plain_column_weights(rule, u, ell)
                 for w, weight in oracle.items():
-                    assert mat.rows[index[w]][j] == weight
+                    assert mat.rows[table.position(w)][j] == weight
                 col_total = sum(mat.rows[i][j] for i in range(mat.size))
                 assert col_total == sum(oracle.values())
 
@@ -90,14 +91,14 @@ class TestAgainstPlainEnumeration:
 def fraction_induced_rows(rule, ell):
     """Oracle: the induced matrix with the realisation kernel run on the
     Fraction probabilities themselves."""
-    words = rule.language().words_of_length(ell)
-    index = rule.language().index(ell)
+    table = rule.language()
+    words = table.words_of_length(ell)
     images = [[(bytes(w), p) for w, p in entries] for entries in rule.images]
     rows = [[F(0)] * len(words) for _ in words]
     for j, u in enumerate(words):
         budget = _StateBudget(10**7, "oracle column")
         for w, weight in _column_weights(images, u, ell, budget).items():
-            rows[index[tuple(w)]][j] = weight
+            rows[table.position(w)][j] = weight
     return tuple(tuple(r) for r in rows)
 
 
@@ -144,7 +145,7 @@ class TestStructure:
         for j, u in enumerate(mat.labels):
             oracle = plain_column_weights(rule, u, 2)
             for w, weight in oracle.items():
-                assert mat.rows[table.index(2)[w]][j] == weight
+                assert mat.rows[table.position(w)][j] == weight
 
     def test_non_expanding_rejected(self):
         with pytest.raises(ValueError, match="expanding"):
@@ -219,3 +220,17 @@ class TestSparseColumns:
             assert mat.denominator == denominator
             assert all(type(x) is int and x > 0
                        for col in mat.columns for x in col.values())
+
+
+class TestColumnGuard:
+    # dyck ell 4: 160 words; its widest column spends 28 kernel states.  The
+    # constant is patched, not STOCHSUB_GUARD_LIMIT, which would trip the
+    # language guard first.
+    def test_boundary(self, monkeypatch):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / "dyck.json")
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 28)
+        assert induced_mean_matrix(rule, 4).size == 160
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 27)
+        with pytest.raises(GuardExceeded, match="induced-matrix column "
+                           "enumeration exceeds guard 27$"):
+            induced_mean_matrix(rule, 4)

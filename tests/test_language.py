@@ -248,10 +248,11 @@ def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
 
 
 class TestLanguageTable:
-    def test_index_agrees_with_order(self, zeta):
+    def test_position_agrees_with_order(self, zeta):
         table = LanguageTable(zeta)
         words = table.words_of_length(3)
-        assert all(table.index(3)[w] == i for i, w in enumerate(words))
+        assert all(table.position(w) == i for i, w in enumerate(words))
+        assert table.position("aaa") is None
 
     def test_table_keeps_its_own_lengths(self):
         # the shorter lengths the recursion needs land in the table that

@@ -223,6 +223,18 @@ class TestCylinderMeasure:
         with pytest.warns(IllegalWordWarning):
             assert fm.cylinder_measure("bbb") == 0.0
 
+    def test_float_code_is_refused(self, fibonacci):
+        # a float code is refused, not truncated to the letter 1
+        fm = FrequencyMeasure(fibonacci)
+        with pytest.raises(KeyError, match="letter code 1.5 out of range"):
+            fm.cylinder_measure([0, 1.5])
+        assert fm.cylinder_measure([0, np.int64(1)]) == fm.cylinder_measure("ab")
+
+    def test_components_by_position(self, zeta):
+        fm = FrequencyMeasure(zeta)
+        words, vec = fm.frequency_vector(7)
+        assert [fm.cylinder_measure(w) for w in words] == vec.tolist()
+
     def test_additivity_both_sides(self, fibonacci, period_doubling):
         for rule in (fibonacci, period_doubling):
             fm = FrequencyMeasure(rule)

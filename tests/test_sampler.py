@@ -122,6 +122,31 @@ class TestEmpiricalFrequency:
         assert devs[-1] <= devs[0] + 0.01
 
 
+class TestAgainstMeasure:
+    """The sampled frequency of a word at depth n against its cylinder
+    measure, at seed 1729: z = (estimate - measure) / stderr."""
+
+    @pytest.mark.parametrize("name,letter,word,n,trials", [
+        ("fibonacci", "a", "ab", 16, 500),        # z = -0.35
+        ("period_doubling", "a", "bb", 14, 500),  # z = -0.12
+        ("dyck", "(", "()", 8, 200),              # z = -0.40
+        ("zeta", "a", "ab", 12, 300),             # z = +0.16
+    ])
+    def test_z_score(self, name, letter, word, n, trials):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        stats = empirical_frequency(rule, letter, word, n, trials, seed=1729)
+        measure = FrequencyMeasure(rule).cylinder_measure(word)
+        assert stats.stderr > 0
+        assert abs(stats.estimate - measure) <= 4 * stats.stderr
+
+    def test_per_trial_spread_falls_with_depth(self, fibonacci):
+        # stderr * sqrt(trials): 0.0139, 0.0033, 0.0013
+        spreads = [empirical_frequency(fibonacci, "a", "ab", n, trials,
+                                       seed=1729).stderr * math.sqrt(trials)
+                   for n, trials in ((10, 2000), (16, 500), (20, 200))]
+        assert spreads[0] > spreads[1] > spreads[2] > 0
+
+
 class TestDirections:
     def test_fibonacci_direction_is_exact(self, fibonacci):
         est = gw_direction_estimate(fibonacci, "a", 10, 50, seed=2)

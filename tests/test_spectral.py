@@ -41,7 +41,7 @@ class TestEigenpair:
         assert abs(pair.value - 1.0) <= 1e-12
 
     def test_residual_below_tolerance(self):
-        pair = pf_eigenpair(make_fibonacci().mean_matrix(), tol=1e-12)
+        pair = pf_eigenpair(make_fibonacci().mean_matrix())
         assert pair.residual <= 1e-12
 
     def test_trivial_one_by_one(self):

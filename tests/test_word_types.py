@@ -37,7 +37,7 @@ def test_entry_points_return_tuple_words(name, top):
         words = legal_words(rule, ell)
         assert type(words) is tuple and all(map(is_word, words))
         assert rule.language().words_of_length(ell) == words
-        assert all(map(is_word, rule.language().index(ell)))
+        assert all(map(is_word, rule.language().words_of_length(ell)))
         fresh = LanguageTable(rule).words_of_length(ell)
         assert type(fresh) is tuple and all(map(is_word, fresh))
         assert fresh == words

@@ -49,13 +49,25 @@ class TestAlphabet:
                       np.array([0, 1, 1]), np.array([0, 1, 1], dtype=np.uint8)):
             assert ab.decode(codes) == "abb"
         assert ab.decode(()) == ""
-        assert ab.decode((1, 0), sep="-") == "b-a"
         assert Alphabet(["x1", "x2"]).decode(b"\x01") == "x2"
 
-    @given(st.lists(st.integers(0, 3), max_size=30), st.sampled_from(["", " ", ", "]))
-    def test_decode_matches_join(self, codes, sep):
-        al = Alphabet(["a", "bc", "d", "e"])
-        assert al.decode(codes, sep) == sep.join(al.symbol(c) for c in codes)
+    @given(st.lists(st.integers(0, 3), max_size=30),
+           st.sampled_from([(["a", "b", "c", "d"], ""), (["a", "bc", "d", "e"], " ")]))
+    def test_decode_matches_join(self, codes, case):
+        symbols, sep = case
+        al = Alphabet(symbols)
+        assert al.decode(codes) == sep.join(al.symbol(c) for c in codes)
+
+    @pytest.mark.parametrize("code", [1.5, np.float64(1.0), Fraction(1)])
+    def test_encode_rejects_non_integer_codes(self, code):
+        # a float or Fraction is not truncated to a code, even when whole
+        with pytest.raises(KeyError, match=f"letter code {code} out of range"):
+            Alphabet(["a", "b"]).encode([0, code])
+
+    def test_encode_takes_integer_codes(self):
+        codes = Alphabet(["a", "b"]).encode([np.int64(1), True, np.uint8(0), 0])
+        assert codes == (1, 1, 0, 0)
+        assert all(type(c) is int for c in codes)
 
     def test_at_most_255_symbols(self):
         symbols = [chr(0x100 + i) for i in range(256)]
