@@ -14,6 +14,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
 
 from .entropy import metric_entropy_partial, topological_entropy_partial
 from .guards import GuardExceeded
@@ -36,10 +37,11 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _emit(report: dict, rows, fmt: str) -> None:
-    """rows (any iterable) drive the TSV output; report is the JSON document."""
+def _emit(report, rows, fmt: str) -> None:
+    """rows (any iterable) drive the TSV output; report() builds the JSON
+    document, so that TSV never holds it."""
     if fmt == "json":
-        json.dump(report, sys.stdout, indent=2)
+        json.dump(report(), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         for row in rows:
@@ -94,9 +96,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_language(rule, args):
     words = rule.language().words_of_length(args.ell)
-    decoded = [rule.alphabet.decode(w) for w in words]
-    report = {"ell": args.ell, "count": len(decoded), "words": decoded}
-    return report, ([w] for w in decoded)
+    decode = rule.alphabet.decode
+    return (lambda: {"ell": args.ell, "count": len(words),
+                     "words": list(map(decode, words))},
+            ([decode(w)] for w in words))
+
+
+def _matrix_entries(mat):
+    """The entries of `mat` as strings, one row at a time, from its columns."""
+    text = {}  # numerator -> its entry as a string
+    entries = [[] for _ in mat.labels]  # row i: (column, entry) pairs
+    for j, col in enumerate(mat.columns):
+        for i, x in col.items():
+            if x not in text:
+                text[x] = str(Fraction(x, mat.denominator))
+            entries[i].append((j, text[x]))
+    for row in entries:
+        cells = ["0"] * mat.size
+        for j, entry in row:
+            cells[j] = entry
+        yield cells
 
 
 def _cmd_matrix(rule, args):
@@ -107,13 +126,10 @@ def _cmd_matrix(rule, args):
         labels = [rule.alphabet.symbol(c) for c in mat.labels]
     else:
         labels = [rule.alphabet.decode(w) for w in mat.labels]
-    str_rows = [["0"] * mat.size for _ in labels]
-    for j, col in enumerate(mat.columns):
-        for i, x in col.items():
-            str_rows[i][j] = str(Fraction(x, mat.denominator))
-    report = {"ell": args.ell, "labels": labels, "rows": str_rows}
-    lines = zip(["", *labels], [labels, *str_rows])  # header, then one per label
-    return report, ([lab, *line] for lab, line in lines)
+    lines = zip(["", *labels], chain([labels], _matrix_entries(mat)))  # header first
+    return (lambda: {"ell": args.ell, "labels": labels,
+                     "rows": list(_matrix_entries(mat))},
+            ([lab, *line] for lab, line in lines))
 
 
 def _cmd_freqs(rule, args):
@@ -128,12 +144,12 @@ def _cmd_freqs(rule, args):
             value = fm.cylinder_measure(args.word)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        return {"word": args.word, "measure": value}, [[args.word, value]]
+        return lambda: {"word": args.word, "measure": value}, [[args.word, value]]
     words, vec = fm.frequency_vector(args.ell)
-    decoded = [rule.alphabet.decode(w) for w in words]
+    decode = rule.alphabet.decode
     values = vec.tolist()  # Python floats
-    report = {"ell": args.ell, "measures": dict(zip(decoded, values))}
-    return report, ([w, v] for w, v in zip(decoded, values))
+    return (lambda: {"ell": args.ell, "measures": dict(zip(map(decode, words), values))},
+            ([decode(w), v] for w, v in zip(words, values)))
 
 
 def _cmd_entropy(rule, args):
@@ -153,7 +169,7 @@ def _cmd_entropy(rule, args):
             row.append(entry["topological"])
         entries.append(entry)
         rows.append(row)
-    return {"flavor": args.flavor, "series": entries}, rows
+    return lambda: {"flavor": args.flavor, "series": entries}, rows
 
 
 def _cmd_sample(rule, args):
@@ -164,7 +180,7 @@ def _cmd_sample(rule, args):
         report = {"mode": "frequency", "word": args.word,
                   "estimate": stats.estimate, "stderr": stats.stderr,
                   "trials": stats.trials, "n": stats.depth, "seed": stats.seed}
-        return report, [["estimate", stats.estimate], ["stderr", stats.stderr],
+        return lambda: report, [["estimate", stats.estimate], ["stderr", stats.stderr],
                         ["trials", stats.trials], ["n", stats.depth],
                         ["seed", stats.seed]]
     if args.tail_k is not None:
@@ -172,7 +188,7 @@ def _cmd_sample(rule, args):
                            seed=args.seed)
         report = {"mode": "tail", "K": args.tail_k, "fraction": frac,
                   "trials": args.trials, "n": args.n, "seed": args.seed}
-        return report, [["fraction", frac]]
+        return lambda: report, [["fraction", frac]]
     # sample_iterate draws one trial, but --trials is checked as in the other modes
     if args.trials < 1:
         raise ValueError("need trials >= 1")
@@ -180,7 +196,7 @@ def _cmd_sample(rule, args):
     decoded = rule.alphabet.decode(word)
     report = {"mode": "iterate", "n": args.n, "seed": args.seed,
               "length": len(word), "word": decoded}
-    return report, [[decoded], ["length", len(word)]]
+    return lambda: report, [[decoded], ["length", len(word)]]
 
 
 def _cmd_check(rule, args):
@@ -226,7 +242,7 @@ def _cmd_check(rule, args):
                          for n, ok, d in checks],
               "ok": ok_all}
     rows = [[n, "pass" if ok else "FAIL", d] for n, ok, d in checks]
-    return report, rows, ok_all
+    return lambda: report, rows, ok_all
 
 
 _COMMANDS = {

@@ -7,7 +7,7 @@ words of length n; natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .measure import FrequencyMeasure
 from .substitution import SubstitutionRule
@@ -33,8 +33,7 @@ def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:
     return math.log(len(rule.language().words_of_length(n))) / n
 
 
-@dataclass(frozen=True)
-class MaxEntropyReport:
+class MaxEntropyReport(NamedTuple):
     """Outcome of the shared-image constant-length criterion.
 
     A rule qualifies when every letter has the same set of image words, all
@@ -90,8 +89,7 @@ def max_entropy_class_check(rule: SubstitutionRule, max_n: int = 8) -> MaxEntrop
         return report
     # deepest multiple of the image length we can afford
     n = max(big_n, (max_n // big_n) * big_n)
-    return replace(
-        report,
+    return report._replace(
         predicted_entropy=math.log(count) / big_n,
         checked_n=n,
         metric_partial=metric_entropy_partial(FrequencyMeasure(rule), n),

@@ -10,13 +10,19 @@ PF eigenvalue with the letter-level mean matrix.
 The columns are the exact weights of `language._column_weights`, the
 realisation kernel that the language and the frequency recursion use too,
 run on the rule's integer image weights q = p * D; each column spends its
-own state budget of INDUCED_COLUMN_LIMIT.  Each column is kept as the
-kernel's sparse dict of integer numerators, keyed by row index, over the one
-denominator D^ell; Fractions are built only where they are read.  The kernel
-yields its windows as `bytes`, looked up in a `bytes` index of the words.
+own state budget of INDUCED_COLUMN_LIMIT.  A column depends only on the
+first m = 1 + ceil((ell - 1) / minlen) letters of its word (each later
+letter multiplies every kernel state by D), so the words sharing them, which
+sort together, share one column, with the values and state spend of each.
+Each column is kept as the kernel's sparse dict of integer numerators, keyed
+by row index, over the one denominator D^ell; Fractions are built only where
+they are read.  The kernel yields its windows as `bytes`, looked up in a
+`bytes` index of the words.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .guards import INDUCED_CELL_LIMIT, INDUCED_COLUMN_LIMIT, guard_limit
 from .language import _column_weights, _StateBudget
@@ -46,11 +52,14 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     index = {bytes(w): i for i, w in enumerate(words)}
     limit = guard_limit(INDUCED_COLUMN_LIMIT)
     denominator, images = rule._integer_form
+    m = (ell - 2) // rule.min_image_length() + 2
     columns = []
-    for u in words:
+    for _, group in groupby(words, lambda u: u[:m]):
+        u, *rest = group  # words that share a column
         budget = _StateBudget(limit, "induced-matrix column enumeration")
         counts = _column_weights(images, u, ell, budget, mass=denominator)
         if not counts.keys() <= index.keys():
             raise RuntimeError(f"window of the legal word {u} is not legal")
-        columns.append({index[w]: x for w, x in counts.items()})
+        column = {index[w]: x for w, x in counts.items()}
+        columns += [column] * (1 + len(rest))
     return RationalMatrix(words, tuple(columns), denominator**ell)

@@ -33,8 +33,7 @@ may both compute it (the first words stored are the ones every reader gets).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .induced import induced_mean_matrix
 from .language import _column_weights, _language_budget
@@ -144,8 +143,7 @@ class FrequencyMeasure:
         return worst
 
 
-@dataclass(frozen=True)
-class ErgodicityProbe:
+class ErgodicityProbe(NamedTuple):
     """Finite-length sensitivity verdict; never a proof of unique ergodicity."""
 
     sensitive: bool

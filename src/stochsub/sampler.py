@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .guards import SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
 from .spectral import pf_eigenpair
@@ -41,8 +40,7 @@ BATCH_LETTERS = 2**20
 PAD = MAX_SYMBOLS  # pads the image table; every letter code is below it
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(NamedTuple):
     estimate: float
     stderr: float
     trials: int
@@ -50,8 +48,7 @@ class SampleStats:
     seed: int
 
 
-@dataclass(frozen=True)
-class DirectionStats:
+class DirectionStats(NamedTuple):
     """Per-trial normalised letter-count vectors versus the PF direction."""
 
     max_direction_distance: float

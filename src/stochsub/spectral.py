@@ -9,8 +9,7 @@ that left . right = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .substitution import RationalMatrix
 
@@ -29,8 +28,7 @@ class NonConvergence(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class PFEigenpair:
+class PFEigenpair(NamedTuple):
     """Dominant eigenvalue with L1-normalised right and dual left vector."""
 
     value: float

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .guards import ITERATE_SUPPORT_LIMIT, GuardExceeded, guard_limit
 from .words import Alphabet, WordLike, abelianise
@@ -32,28 +31,36 @@ class RuleValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
     """Square nonnegative matrix of exact rationals with row/column labels.
 
     Row and column i both refer to ``labels[i]``; for mean matrices the
     labels are letter codes, for induced matrices they are legal words.  It
-    is stored as the realisation kernel yields it: sparse columns of nonzero
-    integer numerators over one ``denominator``, D for the mean matrix and
-    D^ell for induced ones.  ``rows`` and ``column_sums`` build Fractions.
+    is stored as the realisation kernel yields it: sparse columns, each a
+    dict {row index: nonzero integer numerator} (equal columns may be one
+    dict), over one ``denominator``, D for the mean matrix and D^ell for
+    induced ones.  ``rows`` and ``column_sums`` build Fractions.  The fields
+    are read-only: assigning to one raises AttributeError.
     """
 
-    labels: tuple
-    columns: tuple  # tuple of {row index: nonzero numerator}
-    denominator: int = 1
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.columns) != n or any(
-                not 0 <= i < n for col in self.columns for i in col):
+    def __init__(self, labels: tuple, columns: tuple, denominator: int = 1):
+        n = len(labels)
+        if len(columns) != n or any(not 0 <= i < n for col in columns for i in col):
             raise ValueError("matrix shape does not match labels")
-        if not (type(self.denominator) is int and self.denominator > 0):
+        if not (type(denominator) is int and denominator > 0):
             raise ValueError("denominator must be a positive integer")
+        vars(self).update(labels=labels, columns=columns, denominator=denominator)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RationalMatrix field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not RationalMatrix:
+            return NotImplemented
+        return (self.labels, self.columns, self.denominator) == (
+            other.labels, other.columns, other.denominator)
 
     @property
     def size(self) -> int:
@@ -96,8 +103,7 @@ class RationalMatrix:
         return False, None
 
 
-@dataclass(frozen=True)
-class IterateDistribution:
+class IterateDistribution(NamedTuple):
     """Exact law of the n-th iterate of a random substitution on a word."""
 
     source: Word

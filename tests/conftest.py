@@ -76,13 +76,14 @@ def make_large_power() -> SubstitutionRule:
 
 
 @st.composite
-def small_rules(draw, max_letters=3, max_images=3, max_length=3):
+def small_rules(draw, max_letters=3, max_images=3, max_length=3, min_length=1):
     """Random rules with 2..max_letters letters, each with 1..max_images
-    distinct images of length 1..max_length and positive rational weights;
-    callers filter for primitivity."""
+    distinct images of length min_length..max_length and positive rational
+    weights; callers filter for primitivity."""
     size = draw(st.integers(2, max_letters))
     alphabet = Alphabet("abc"[:size])
-    word = st.lists(st.integers(0, size - 1), min_size=1, max_size=max_length)
+    word = st.lists(st.integers(0, size - 1), min_size=min_length,
+                    max_size=max_length)
     images = []
     for _ in range(size):
         words = draw(st.lists(word.map(tuple), min_size=1, max_size=max_images,

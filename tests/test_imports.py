@@ -1,8 +1,10 @@
 """numpy is imported inside the functions that compute in floats, so the
 exact layer (language, matrices, iterate laws and kernel) and the package
-import itself start without it; and the package's public names keep the
-modules they are defined in."""
+import itself start without it; the result records are NamedTuples and
+plain classes, so neither loads `dataclasses` or the `inspect` it pulls in;
+and the package's public names keep the modules they are defined in."""
 
+import functools
 import importlib
 import subprocess
 import sys
@@ -15,23 +17,28 @@ import stochsub
 SRC = str(Path(stochsub.__file__).resolve().parents[1])
 CONFIGS = Path(stochsub.__file__).resolve().parent / "configs"
 
+# modules whose import start-up cost the exact paths avoid
+PROBED = ("numpy", "dataclasses", "inspect")
+
 # each child runs its case with stdout discarded, then prints its exit code
-# and whether numpy was loaded
+# and which of the probed modules were loaded
 CHILD = """\
 import contextlib, os, sys
 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
     code = 0
 {body}
-print(code, "numpy" in sys.modules)
+print(code, *(name for name in {probed!r} if name in sys.modules))
 """
 
 
-def run_child(body: str) -> tuple[int, bool]:
-    script = CHILD.format(body="\n".join("    " + line for line in body.splitlines()))
+@functools.cache  # each case's child runs once for the tests that share it
+def run_child(body: str) -> tuple[int, frozenset[str]]:
+    script = CHILD.format(body="\n".join("    " + line for line in body.splitlines()),
+                          probed=PROBED)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True, env={"PYTHONPATH": SRC})
-    code, loaded = done.stdout.split()
-    return int(code), loaded == "True"
+    code, *loaded = done.stdout.split()
+    return int(code), frozenset(loaded)
 
 
 def cli(*argv: str) -> str:
@@ -60,13 +67,26 @@ EXACT_CASES = {
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
 def test_exact_paths_leave_numpy_unloaded(case):
     body, expected_code = EXACT_CASES[case]
-    assert run_child(body) == (expected_code, False)
+    code, loaded = run_child(body)
+    assert code == expected_code and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_paths_leave_dataclasses_and_inspect_unloaded(case):
+    body, expected_code = EXACT_CASES[case]
+    assert run_child(body) == (expected_code, set())
 
 
 def test_float_path_loads_numpy():
-    # positive control: the probe does see numpy where floats are computed
+    # positive control: the probe does see numpy (which imports inspect)
+    # where floats are computed, and still no dataclasses
     body = cli("freqs", "--config", config("fibonacci"), "--ell", "3")
-    assert run_child(body) == (0, True)
+    assert run_child(body) == (0, {"numpy", "inspect"})
+
+
+def test_probe_sees_dataclasses():
+    # positive control for the other two probed modules
+    assert run_child("import dataclasses") == (0, {"dataclasses", "inspect"})
 
 
 # where each public name is defined; tools that patch the library by module

@@ -112,6 +112,73 @@ class TestAgainstFractionKernel:
         assert all(type(x) is F for row in mat.rows for x in row)
 
 
+def per_word_columns(rule, ell):
+    """Oracle: the kernel run on every legal ell-word separately, as
+    (column, states spent) pairs."""
+    words = rule.language().words_of_length(ell)
+    index = {bytes(w): i for i, w in enumerate(words)}
+    denominator, images = rule._integer_form
+    out = []
+    for u in words:
+        budget = _StateBudget(10**7, "oracle column")
+        counts = _column_weights(images, u, ell, budget, mass=denominator)
+        out.append(({index[w]: x for w, x in counts.items()}, budget.used))
+    return out
+
+
+def assert_columns_per_word(rule, ell):
+    mat = induced_mean_matrix(rule, ell)
+    oracle = per_word_columns(rule, ell)
+    assert len(mat.columns) == len(oracle)
+    for col, (expected, _) in zip(mat.columns, oracle):
+        assert list(col.items()) == list(expected.items())  # same order too
+        assert all(type(x) is int for x in col.values())
+
+
+class TestColumnsPerPrefix:
+    """Each column is computed once per m-letter prefix of its word and
+    shared; it must equal the kernel run on the word itself."""
+
+    @pytest.mark.parametrize("name,max_ell", [
+        ("fibonacci", 7), ("period_doubling", 9), ("zeta", 9), ("dyck", 4),
+        ("deterministic_fibonacci", 8),
+    ])
+    def test_bundled_configs_bit_identical(self, name, max_ell):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        for ell in range(1, max_ell + 1):
+            assert_columns_per_word(rule, ell)
+
+    @given(small_rules(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_rules_bit_identical(self, rule, ell):
+        assume(rule.is_primitive()[0] and rule.is_expanding())
+        assert_columns_per_word(rule, ell)
+
+    @given(small_rules(min_length=2), st.integers(3, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_random_inflating_rules_bit_identical(self, rule, ell):
+        # every image has two letters or more, so words of length ell share
+        # columns through prefixes shorter than ell
+        assume(rule.is_primitive()[0])
+        assert_columns_per_word(rule, ell)
+
+    def test_period_doubling_shares_columns(self):
+        mat = induced_mean_matrix(make_period_doubling(), 9)
+        distinct = {id(col) for col in mat.columns}
+        prefixes = {u[:5] for u in mat.labels}  # m = 1 + ceil(8 / 2)
+        assert len(distinct) == len(prefixes) < mat.size
+
+    @pytest.mark.parametrize("name,ell", [("period_doubling", 9), ("zeta", 8)])
+    def test_guard_trips_at_the_widest_word_column(self, name, ell, monkeypatch):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        widest = max(used for _, used in per_word_columns(rule, ell))
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", widest)
+        induced_mean_matrix(rule, ell)
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", widest - 1)
+        with pytest.raises(GuardExceeded, match="induced-matrix column"):
+            induced_mean_matrix(rule, ell)
+
+
 class TestStructure:
     def test_ell_one_is_mean_matrix(self, fibonacci):
         assert induced_mean_matrix(fibonacci, 1).rows == \
@@ -199,12 +266,12 @@ class TestSparseColumns:
         ({-1: F(1)}, {1: F(1)}),
     ])
     def test_rejects_wrong_shape(self, columns):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="^matrix shape does not match labels$"):
             RationalMatrix(labels=("x", "y"), columns=columns)
 
     @pytest.mark.parametrize("denominator", [0, -1, 2.0, True])
     def test_rejects_bad_denominator(self, denominator):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="^denominator must be a positive integer$"):
             RationalMatrix(labels=("x",), columns=({0: 1},),
                            denominator=denominator)
 
