@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 
@@ -37,12 +38,29 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
+def _write_json(doc: dict) -> None:
+    """json.dump(doc, indent=2) and a newline, byte for byte; a last value
+    that is an iterator is written one item at a time, never held as a list."""
+    *head, (key, last) = doc.items()
+    if not isinstance(last, Iterator):
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return
+    text = json.dumps({**dict(head), key: []}, indent=2)
+    sys.stdout.write(text[: -len("]\n}")])  # up to the list's opening bracket
+    empty = True
+    for item in last:  # one level deeper: 4 more spaces after each newline
+        sys.stdout.write(("\n    " if empty else ",\n    ")
+                         + json.dumps(item, indent=2).replace("\n", "\n    "))
+        empty = False
+    sys.stdout.write("]\n}\n" if empty else "\n  ]\n}\n")
+
+
 def _emit(report, rows, fmt: str) -> None:
     """rows (any iterable) drive the TSV output; report() builds the JSON
     document, so that TSV never holds it."""
     if fmt == "json":
-        json.dump(report(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(report())
     else:
         for row in rows:
             cells = [_fmt(c) if isinstance(c, float) else str(c) for c in row]
@@ -128,7 +146,7 @@ def _cmd_matrix(rule, args):
         labels = [rule.alphabet.decode(w) for w in mat.labels]
     lines = zip(["", *labels], chain([labels], _matrix_entries(mat)))  # header first
     return (lambda: {"ell": args.ell, "labels": labels,
-                     "rows": list(_matrix_entries(mat))},
+                     "rows": _matrix_entries(mat)},
             ([lab, *line] for lab, line in lines))
 
 
@@ -157,18 +175,14 @@ def _cmd_entropy(rule, args):
         raise ValueError("--max-n must be >= 1")
     fm = FrequencyMeasure(rule) if args.flavor in ("metric", "both") else None
     entries = []
-    rows = []
     for n in range(1, args.max_n + 1):
         entry = {"n": n}
-        row = [n]
-        if args.flavor in ("metric", "both"):
+        if fm is not None:
             entry["metric"] = metric_entropy_partial(fm, n)
-            row.append(entry["metric"])
         if args.flavor in ("topological", "both"):
             entry["topological"] = topological_entropy_partial(rule, n)
-            row.append(entry["topological"])
         entries.append(entry)
-        rows.append(row)
+    rows = map(dict.values, entries)  # n, metric, topological
     return lambda: {"flavor": args.flavor, "series": entries}, rows
 
 
@@ -180,9 +194,7 @@ def _cmd_sample(rule, args):
         report = {"mode": "frequency", "word": args.word,
                   "estimate": stats.estimate, "stderr": stats.stderr,
                   "trials": stats.trials, "n": stats.depth, "seed": stats.seed}
-        return lambda: report, [["estimate", stats.estimate], ["stderr", stats.stderr],
-                        ["trials", stats.trials], ["n", stats.depth],
-                        ["seed", stats.seed]]
+        return lambda: report, list(report.items())[2:]  # from "estimate" on
     if args.tail_k is not None:
         frac = length_tail(rule, args.letter, args.n, args.tail_k, args.trials,
                            seed=args.seed)

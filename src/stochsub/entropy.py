@@ -27,9 +27,12 @@ def metric_entropy_partial(fm: FrequencyMeasure, n: int) -> float:
 
 
 def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:
-    """log(number of legal n-words) / n."""
+    """log(number of legal n-words) / n; ValueError for n > 1 on a
+    non-expanding rule, which has no legal words longer than one letter."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > 1 and not rule.is_expanding():
+        raise ValueError("topological entropy with n > 1 requires an expanding rule")
     return math.log(len(rule.language().words_of_length(n))) / n
 
 

@@ -211,15 +211,15 @@ def legal_words(
 
 class LanguageTable:
     """Per-length cache of the legal words, sorted so that lookups bisect them,
-    and of their frequency vectors, with the inflating power and the PF
-    eigenvalue the recursions use.  `SubstitutionRule.language()` is shared by
-    all computations on the rule; `measure.FrequencyMeasure` fills the vectors."""
+    and of their frequency vectors, with the inflating power the recursions
+    use.  `SubstitutionRule.language()` is shared by all computations on the
+    rule; `measure.FrequencyMeasure` fills the vectors.  A vector depends on
+    nothing else stored here, so any route may store one."""
 
     def __init__(self, rule: SubstitutionRule):
         self.rule = rule
         self._table: dict[int, tuple[Word, ...]] = {}
         self._vectors: dict[int, np.ndarray] = {}
-        self._eigenvalue: float | None = None  # from the latest PF solve
 
     @cached_property
     def power(self) -> tuple[int, SubstitutionRule] | None:

@@ -20,8 +20,10 @@ consistency identity gives
 where W_ell(p, v) is the expected number of v-windows starting in the image
 of p's first letter (`_column_weights`).  R_ell is built from R_m in one
 kernel pass over L_m and normalised by its total, which must equal
-lambda^k; every probability is positive, so the windows of that pass are
-the legal ell-words, which the rule's `LanguageTable` stores with the
+lambda^k = sum over letters a of R_1(a) E|theta^k(a)| = 1^T M^k R_1, read from
+the stored letter frequencies (no eigenvalue is kept, so any route may store
+a base vector); every probability is positive, so the windows of that pass
+are the legal ell-words, which the rule's `LanguageTable` stores with the
 vector.  The PF solve on `induced_mean_matrix` remains where the recursion
 does not apply: at the base lengths with m >= ell, and for rules without an
 inflating power or whose power has a large law.  Every FrequencyMeasure on
@@ -45,6 +47,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# largest frequency change that `unique_ergodicity_probe` calls insensitive
+PROBE_TOLERANCE = 1e-6
+
+
 class IllegalWordWarning(UserWarning):
     """A cylinder was requested for a word outside the language."""
 
@@ -66,26 +72,19 @@ class FrequencyMeasure:
         if ell not in vectors:
             m = self.table.prefix_length(ell)
             if m is None:
-                vectors[ell] = self._pf_vector(ell)
+                vectors[ell] = pf_eigenpair(induced_mean_matrix(self.rule, ell)).right
             else:
                 vectors[ell] = self._recursion_vector(ell, m)
         return self.table.words_of_length(ell), vectors[ell]
-
-    def _pf_vector(self, ell: int) -> np.ndarray:
-        pair = pf_eigenpair(induced_mean_matrix(self.rule, ell))
-        total = pair.right.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise RuntimeError(f"frequency vector for length {ell} sums to {total}")
-        self.table._eigenvalue = pair.value
-        return pair.right
 
     def _recursion_vector(self, ell: int, m: int) -> np.ndarray:
         import numpy as np
 
         prefixes, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
-        images = [[(bytes(img), float(q)) for img, q in entries]
-                  for entries in power.images]
+        denominator, integer_images = power._integer_form
+        images = [[(img, q / denominator) for img, q in entries]
+                  for entries in integer_images]  # q / D is the double float(p)
         budget = _language_budget()
         counts: dict[bytes, float] = {}
         for p, r in zip(prefixes, prefix_vec):
@@ -95,7 +94,10 @@ class FrequencyMeasure:
         self.table._store(ell, tuple(map(tuple, keys)))
         vec = np.array([counts[w] for w in keys])
         total = vec.sum()
-        expected = self.table._eigenvalue**k
+        # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
+        _, letter_vec = self.frequency_vector(1)
+        expected = sum(r * sum(q * len(img) for img, q in entries) / denominator
+                       for r, entries in zip(letter_vec.tolist(), integer_images))
         if abs(total - expected) > 1e-9 * expected:
             raise RuntimeError(
                 f"frequency vector for length {ell} sums to {total} before "
@@ -159,14 +161,13 @@ def unique_ergodicity_probe(
     rule: SubstitutionRule,
     ell: int,
     variants: Sequence[SubstitutionRule],
-    tolerance: float = 1e-6,
 ) -> ErgodicityProbe:
     """Compare frequency vectors of probability-perturbed rules.
 
     Every variant must share the image supports of the base rule (the
     subshift, hence the language, depends only on supports).  The verdict is
     'sensitive' if any frequency component for any window length j <= ell
-    moves by more than the tolerance.
+    moves by more than PROBE_TOLERANCE.
     """
     import numpy as np
 
@@ -184,4 +185,4 @@ def unique_ergodicity_probe(
             if words_a != words_b:
                 raise RuntimeError("variant language differs from base language")
             worst = max(worst, float(np.abs(vec_a - vec_b).max()))
-    return ErgodicityProbe(sensitive=worst > tolerance, max_difference=worst, ell=ell)
+    return ErgodicityProbe(worst > PROBE_TOLERANCE, worst, ell)

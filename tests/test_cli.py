@@ -79,10 +79,36 @@ def dense_matrix_output(rule, ell, fmt):
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
+def matrix_peak_rss_kb(*argv):
+    """Exit code and peak RSS (kB) of a child process that runs `matrix` on
+    period_doubling with argv, its stdout sent to the null device.
+
+    The peak is the child's VmHWM, not its ru_maxrss: on Linux ru_maxrss
+    keeps the spawning process's peak across exec, here that of pytest."""
+    script = (
+        "import contextlib, os, sys\n"
+        "from stochsub.cli import run\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = run(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(line.split()[1] for line in status\n"
+        "                if line.startswith('VmHWM:'))\n"
+        "print(code, peak)\n"
+    )
+    src = str(Path(stochsub.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, "matrix", "--config",
+         cfg("period_doubling"), *argv],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+    code, maxrss_kb = map(int, done.stdout.split())
+    return code, maxrss_kb
+
+
 class TestMatrixFromColumns:
     @pytest.mark.parametrize("name,ell,fmt", [
         ("dyck", 4, "tsv"), ("dyck", 4, "json"), ("period_doubling", 9, "tsv"),
-        ("fibonacci", 1, "tsv"),
+        ("period_doubling", 9, "json"), ("fibonacci", 1, "tsv"),
+        ("fibonacci", 1, "json"),
     ])
     def test_matches_dense_oracle_without_rows(self, capsys, monkeypatch,
                                                 name, ell, fmt):
@@ -98,25 +124,21 @@ class TestMatrixFromColumns:
         assert code == 0 and err == ""
         assert out == expected
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
     def test_peak_memory_at_ell_13(self):
-        # period_doubling ell 13 has 3 510 words, 12.3 M cells: printed through
+        # period_doubling ell 13 has 1 980 words, 3.9 M cells: printed through
         # the dense table of Fractions it peaked at 368 MB (Python 3.11, Linux)
-        script = (
-            "import contextlib, os, resource, sys\n"
-            "from stochsub.cli import run\n"
-            "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
-            "    code = run(sys.argv[1:])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-        )
-        src = str(Path(stochsub.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script, "matrix", "--config",
-             cfg("period_doubling"), "--ell", "13"],
-            capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
-        code, maxrss_kb = map(int, done.stdout.split())
+        code, maxrss_kb = matrix_peak_rss_kb("--ell", "13")
         assert code == 0
         assert maxrss_kb < 200 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
+    def test_json_rows_written_one_at_a_time(self):
+        # the same table as JSON peaked at 53 MB while the document held every
+        # row; written row by row it stays near the TSV run's 23 MB
+        code, maxrss_kb = matrix_peak_rss_kb("--ell", "13", "--format", "json")
+        assert code == 0
+        assert maxrss_kb < 40 * 1024
 
 
 class TestFreqs:
@@ -175,6 +197,16 @@ class TestEntropy:
         doc = json.loads(out)
         assert code == 0
         assert all("topological" not in e for e in doc["series"])
+
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_non_expanding_topological_exit_one(self, capsys, fmt):
+        code, out, err = invoke(capsys, "entropy", "--config", cfg("non_expanding"),
+                                "--max-n", "2", "--flavor", "topological",
+                                "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == ("error: topological entropy with n > 1 requires an "
+                       "expanding rule\n")
 
 
 class TestSample:

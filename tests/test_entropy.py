@@ -83,6 +83,13 @@ class TestTopological:
             assert topological_entropy_partial(zeta, n) == \
                 pytest.approx(math.log(cards) / n)
 
+    def test_non_expanding_rule_has_no_longer_words(self, non_expanding):
+        assert topological_entropy_partial(non_expanding, 1) == math.log(2)
+        for n in (2, 5):
+            with pytest.raises(ValueError,
+                               match="with n > 1 requires an expanding rule"):
+                topological_entropy_partial(non_expanding, n)
+
     def test_deterministic_fibonacci_small_and_decreasing(self):
         rule = make_deterministic_fibonacci()
         values = [topological_entropy_partial(rule, n) for n in range(2, 13)]

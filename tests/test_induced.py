@@ -218,6 +218,16 @@ class TestStructure:
         with pytest.raises(ValueError, match="expanding"):
             induced_mean_matrix(make_non_expanding(), 2)
 
+    def test_table_missing_a_legal_word_is_refused(self):
+        # a table whose stored words miss a legal one must not yield a matrix
+        # (nor a KeyError): the missing word is a window of a stored one
+        rule = make_period_doubling()
+        words = make_period_doubling().language().words_of_length(4)
+        rule.language()._store(4, words[1:])
+        with pytest.raises(RuntimeError,
+                           match=r"window of the legal word .* is not legal"):
+            induced_mean_matrix(rule, 4)
+
 
 def dense_to_float(mat):
     """Oracle: the float matrix converted cell by cell from the dense rows,

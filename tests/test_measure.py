@@ -177,6 +177,24 @@ class TestOneTablePerRule:
         assert rule.language().words_of_length(ell) is words
         assert words == legal_words(load(name), ell)
 
+    @pytest.mark.parametrize("name", ["period_doubling", "fibonacci", "zeta"])
+    def test_recursion_from_a_stored_base_vector(self, name):
+        # R_2 stored by another route: the recursion needs no state of its solve
+        _, base = FrequencyMeasure(load(name)).frequency_vector(2)
+        rule = load(name)
+        rule.language()._vectors[2] = base
+        words, vec = FrequencyMeasure(rule).frequency_vector(5)
+        expected_words, expected = FrequencyMeasure(load(name)).frequency_vector(5)
+        assert words == expected_words
+        assert np.array_equal(vec, expected)
+
+    def test_recursion_checks_its_total_against_lambda_power(self):
+        rule = load("period_doubling")
+        _, base = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
+        rule.language()._vectors[2] = 2 * base
+        with pytest.raises(RuntimeError, match=r"before normalisation, not lambda\^1"):
+            FrequencyMeasure(rule).frequency_vector(3)
+
     def test_language_callers_solve_no_eigenproblem(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("PF solve on a language-only path")
