@@ -24,17 +24,17 @@ INDUCED_CELL_LIMIT = 5 * 10**7
 SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
 
 # LANGUAGE_STATE_LIMIT counts the states of the realisation kernel
-# (`language._column_weights`), summed over the letters of every word it
-# inflates for one word length; the frequency recursion spends it in the one
-# pass that yields both words and vector.  Measured counts on the bundled configs:
+# (`language._column_weights`), summed over the letters after the first of
+# every word it inflates for one word length; the frequency recursion spends
+# it in the one pass that yields both words and vector.  Measured counts:
 #
-#   period_doubling  ell 23:   507 607   ell 24: 1 369 124
-#   zeta             ell 23:   778 050   ell 24: 2 080 514 (refused)
-#   fibonacci        ell 19: 1 568 443   ell 20: 4 681 187 (refused)
-#   dyck (closure)   ell 7:  1 281 752   ell 8:  7 816 592 (refused)
+#   period_doubling  ell 23:   332 190   ell 24:   889 767
+#   zeta             ell 23:   388 930   ell 24: 1 040 130 (refused)
+#   fibonacci        ell 19:   617 523   ell 20: 1 841 053 (refused)
+#   dyck (closure)   ell 7:    425 182   ell 8:  2 598 934 (refused)
 #
-# 2 * 10**6 is the smallest round limit that admits the first column.
-LANGUAGE_STATE_LIMIT = 2 * 10**6
+# 10**6 lies between every admitted and every refused count: zeta 24 by 4 %.
+LANGUAGE_STATE_LIMIT = 10**6
 
 
 class GuardExceeded(RuntimeError):

@@ -23,8 +23,9 @@ end) of the realisation of theta^j(a) at that letter, so by induction on j
 the worklist collects them all.
 
 Both branches, the induced matrix and the frequency recursion share one
-kernel, `_column_weights`; every letter it processes spends its current
-states from a `_StateBudget`, which raises GuardExceeded past its limit.
+kernel, `_column_weights`, which enumerates the images of a word's tail
+once and joins its first letter's image last; every tail letter spends the
+current states from a `_StateBudget`, which raises GuardExceeded past its limit.
 `legal_words` keeps only the windows, with unit weights.  On the recursion
 route the float pass of the frequency recursion over L_m yields the words
 too, and the rule's LanguageTable keeps both, one sorted tuple per length.
@@ -88,39 +89,37 @@ def _column_weights(
     """Expected window counts E[occurrences of w in the induced image of u],
     times `scale`: the ell-windows (cut short at the end of a realisation)
     that start in the image of u's first letter, keyed as `bytes`.  u is a
-    word of letter codes (bytes or a tuple); images[c] lists the (image as
-    bytes, weight) pairs of letter c, whose weights sum to `mass`.
+    nonempty word of letter codes (bytes or a tuple); images[c] lists the
+    (image as bytes, weight) pairs of letter c, whose weights sum to `mass`.
 
-    Joint realisations of the letter images are enumerated with prefix
-    sharing: only the first first_len + ell - 1 output letters matter (the
-    windows start at positions 1..first_len), so realisations agreeing on
-    that prefix are merged and the remaining letters contribute their whole
-    mass.  With exact weights the result is bit-identical to plain
-    enumeration; with floats the same sums run in floating point.  Each
-    letter of u spends the number of current states from `budget`.
+    A window reads at most ell - 1 letters past the image of u[0], so the
+    joint realisations of the tail u[1:] are merged by their first ell - 1
+    letters, and a saturated prefix integrates out the remaining letters with
+    their whole mass.  Each image of u[0] is joined to every tail prefix at
+    the end.  With exact weights the result is bit-identical to plain
+    enumeration; with floats the same products run in floating point, u[0]'s
+    weight last.  Each tail letter spends the current states from `budget`.
     """
-    # state: (prefix capped at first_len + ell - 1 letters, first image len)
-    states: dict[tuple[bytes, int], Fraction | float | int] = {(b"", 0): scale}
-    for letter in u:
+    states: dict[bytes, Fraction | float | int] = {b"": scale}
+    for letter in u[1:]:
         budget.spend(len(states))
-        nxt: dict[tuple[bytes, int], Fraction | float | int] = {}
-        for (prefix, first), weight in states.items():
-            if first and len(prefix) >= first + ell - 1:
+        nxt: dict[bytes, Fraction | float | int] = {}
+        for prefix, weight in states.items():
+            if len(prefix) >= ell - 1:
                 # prefix already long enough; remaining letters integrate out
-                key = (prefix, first)
-                nxt[key] = nxt.get(key, 0) + weight * mass
+                nxt[prefix] = nxt.get(prefix, 0) + weight * mass
                 continue
             for img, p in images[letter]:
-                f = first if first else len(img)
-                cap = f + ell - 1
-                key = ((prefix + img)[:cap], f)
+                key = (prefix + img)[: ell - 1]
                 nxt[key] = nxt.get(key, 0) + weight * p
         states = nxt
     counts: dict[bytes, Fraction | float | int] = {}
-    for (prefix, first), weight in states.items():
-        for k in range(first):
-            w = prefix[k : k + ell]
-            counts[w] = counts.get(w, 0) + weight
+    for img, p in images[u[0]]:
+        for tail, weight in states.items():
+            joined, x = img + tail, weight * p
+            for k in range(len(img)):
+                w = joined[k : k + ell]
+                counts[w] = counts.get(w, 0) + x
     return counts
 
 

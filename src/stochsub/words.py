@@ -61,16 +61,16 @@ class Alphabet:
         return self._symbols[code]
 
     def encode(self, word: WordLike) -> tuple[int, ...]:
-        """Intern a word given as a string of symbols (single-character
-        alphabets), a sequence of symbols, or a sequence of codes."""
+        """Intern a word given as a string (its symbols joined as `decode`
+        joins them), a sequence of symbols, or a sequence of codes."""
         if isinstance(word, str):
             if self._single_char:
                 return tuple(self.code(c) for c in word)
-            if word in self._codes:  # a lone multi-character symbol
+            if word in self._codes:  # a lone symbol, which may hold a space
                 return (self.code(word),)
-            raise ValueError(
-                "string words are only supported for single-character alphabets"
-            )
+            if not self._codes.keys() >= set(word.split(" ")):
+                raise ValueError(f"{word!r} is not a space-separated word of symbols")
+            word = word.split(" ")  # as `decode` joins them
         out = []
         for x in word:
             if isinstance(x, str):

@@ -166,6 +166,24 @@ class TestFreqs:
         assert code == 0 and out == "bbb\t0\n"
         assert err == "warning: word 'bbb' is not legal; measure 0\n"
 
+    def test_word_on_multi_character_alphabet(self, capsys, tmp_path):
+        # the period-doubling-like rule of the README on the symbols x1, x2:
+        # "x2 x2" is written as `language` and `freqs` print it
+        path = tmp_path / "multi.json"
+        path.write_text(json.dumps({"alphabet": ["x1", "x2"], "rules": {
+            "x1": [{"word": ["x1", "x2"], "prob": "1/2"},
+                   {"word": ["x2", "x1"], "prob": "1/2"}],
+            "x2": [{"word": ["x1", "x1"], "prob": "1"}],
+        }}))
+        code, out, err = invoke(capsys, "freqs", "--config", str(path),
+                                "--ell", "2", "--word", "x2 x2")
+        assert (code, out, err) == (0, "x2 x2\t0.047619047619\n", "")
+        code, out, err = invoke(capsys, "sample", "--config", str(path),
+                                "--letter", "x1", "--n", "4", "--trials", "5",
+                                "--word", "x1 x2", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["word"] == "x1 x2"
+
     def test_all_words_sum_to_one(self, capsys):
         code, out, _ = invoke(capsys, "freqs", "--config", cfg("zeta"),
                               "--ell", "3", "--format", "json")
@@ -344,10 +362,19 @@ class TestCheckAndErrors:
         assert code == 2 and out == ""
         assert "language enumeration exceeds guard 50" in err
 
+    def test_language_guard_exit_two_at_default_limit(self, capsys, monkeypatch):
+        # dyck ell 8 spends 2 598 934 kernel states, past the default 10**6
+        monkeypatch.delenv("STOCHSUB_GUARD_LIMIT", raising=False)
+        code, out, err = invoke(capsys, "language", "--config", cfg("dyck"),
+                                "--ell", "8")
+        assert code == 2 and out == ""
+        assert err == ("error: language enumeration exceeds guard 1000000 "
+                       "automaton states\n")
+
     def test_column_guard_exit_two(self, capsys, monkeypatch):
-        # dyck ell 4: the widest of the 160 columns spends 28 kernel states
-        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 27)
+        # dyck ell 4: the widest of the 160 columns spends 9 kernel states
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 8)
         code, out, err = invoke(capsys, "matrix", "--config", cfg("dyck"),
                                 "--ell", "4")
         assert code == 2 and out == ""
-        assert err == "error: induced-matrix column enumeration exceeds guard 27\n"
+        assert err == "error: induced-matrix column enumeration exceeds guard 8\n"

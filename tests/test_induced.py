@@ -300,14 +300,14 @@ class TestSparseColumns:
 
 
 class TestColumnGuard:
-    # dyck ell 4: 160 words; its widest column spends 28 kernel states.  The
+    # dyck ell 4: 160 words; its widest column spends 9 kernel states.  The
     # constant is patched, not STOCHSUB_GUARD_LIMIT, which would trip the
     # language guard first.
     def test_boundary(self, monkeypatch):
         rule = SubstitutionRule.from_file(CONFIG_DIR / "dyck.json")
-        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 28)
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 9)
         assert induced_mean_matrix(rule, 4).size == 160
-        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 27)
+        monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 8)
         with pytest.raises(GuardExceeded, match="induced-matrix column "
-                           "enumeration exceeds guard 27$"):
+                           "enumeration exceeds guard 8$"):
             induced_mean_matrix(rule, 4)

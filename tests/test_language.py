@@ -232,7 +232,7 @@ def test_language_pinned_at_depth(name):
 # kernel states one length spends once the shorter lengths are cached: dyck
 # by the closure, fibonacci by recursion through theta^2
 @pytest.mark.parametrize("name,ell,states", [
-    ("dyck", 5, 32472), ("fibonacci", 12, 23263),
+    ("dyck", 5, 10622), ("fibonacci", 12, 9139),
 ])
 def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
     rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")

@@ -136,23 +136,23 @@ def count_states(monkeypatch):
 class TestOneTablePerRule:
     def test_fresh_length_spends_the_language_states(self, monkeypatch):
         # the words and the vector of fibonacci ell 12 come from one kernel
-        # pass, which spends the language's 23 263 states once
+        # pass, which spends the language's 9 139 states once
         fm = FrequencyMeasure(load("fibonacci"))
         for ell in range(1, 12):
             fm.frequency_vector(ell)
         spent = count_states(monkeypatch)
         fm.frequency_vector(12)
-        assert sum(spent) == 23263
+        assert sum(spent) == 9139
 
     def test_one_language_budget_per_length(self, monkeypatch):
         fm = FrequencyMeasure(load("fibonacci"))
         for ell in range(1, 12):
             fm.frequency_vector(ell)
-        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "23262")
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "9138")
         with pytest.raises(GuardExceeded,
-                           match="language enumeration exceeds guard 23262 automaton"):
+                           match="language enumeration exceeds guard 9138 automaton"):
             fm.frequency_vector(12)
-        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "23263")
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "9139")
         assert len(fm.frequency_vector(12)[0]) == len(fm.table.words_of_length(12))
 
     def test_measures_on_one_rule_share_vectors(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochsub import Alphabet, abelianise, count_occurrences
+from stochsub import Alphabet, SubstitutionRule, abelianise, count_occurrences
 
 
 class TestAlphabet:
@@ -20,6 +20,31 @@ class TestAlphabet:
         assert al.decode((0, 1)) == "x1 x2"
         with pytest.raises(ValueError):
             al.encode("x1x2")
+
+    def test_multichar_string_words(self):
+        # symbols joined by single spaces, as `decode` writes them
+        al = Alphabet(["x1", "x2", "y z"])
+        assert al.encode("x2 x1 x2") == (1, 0, 1)
+        assert al.encode("x1") == (0,)
+        assert al.encode("y z") == (2,)  # a lone symbol may hold a space
+        for bad in ("x1 x3", "x1  x2", " x1", ""):
+            with pytest.raises(ValueError, match="not a space-separated word of symbols"):
+                al.encode(bad)
+
+    def test_multichar_legal_words_roundtrip(self):
+        rule = SubstitutionRule.from_data({
+            "alphabet": ["x1", "x2", "x3"],
+            "rules": {
+                "x1": [{"word": ["x1", "x2"], "prob": "1/2"},
+                       {"word": ["x3", "x1"], "prob": "1/2"}],
+                "x2": [{"word": ["x1", "x1"], "prob": "1"}],
+                "x3": [{"word": ["x2", "x3", "x1"], "prob": "1"}],
+            },
+        })
+        al = rule.alphabet
+        for ell in range(1, 7):
+            for w in rule.language().words_of_length(ell):
+                assert al.encode(al.decode(w)) == w
 
     def test_rejects_bad_alphabets(self):
         with pytest.raises(ValueError):
