@@ -227,27 +227,25 @@ def _cmd_check(rule, args):
         checks.append(("expanding-iff-lambda",
                        expanding == (pair.value > 1 + 1e-9),
                        "lambda > 1 matches expanding"))
-        # column sums of the mean matrix vs expected image lengths
-        sums = mat.column_sums()
-        ok = all(sums[c] == rule.expected_image_length(c)
-                 for c in range(rule.alphabet.size))
+        ok = all(s == rule.expected_image_length(c)
+                 for c, s in zip(mat.labels, mat.column_sums()))
         checks.append(("mean-column-sums", ok, "match expected image lengths"))
         if expanding:
             fm = FrequencyMeasure(rule)
+            ind = induced_mean_matrix(rule, 2)
+            pair2 = pf_eigenpair(ind)
+            # base vectors of lengths 1, 2 (the mean matrix is the ell-1 one)
+            fm.table._vectors.update({1: pair.right, 2: pair2.right})
             for ell in (1, 2, 3):
-                _, vec = fm.frequency_vector(ell)
-                checks.append((f"normalization-ell-{ell}",
-                               abs(float(vec.sum()) - 1.0) <= 1e-9,
-                               _fmt(float(vec.sum()))))
+                total = float(fm.frequency_vector(ell)[1].sum())
+                checks.append((f"normalization-ell-{ell}", abs(total - 1.0) <= 1e-9,
+                               _fmt(total)))
             res = fm.consistency_residual(1, 3)
             checks.append(("consistency-1-3", res <= 1e-9, _fmt(res)))
-            ind = induced_mean_matrix(rule, 2)
-            lam2 = pf_eigenpair(ind).value
             checks.append(("induced-eigenvalue-2",
-                           abs(lam2 - pair.value) <= 1e-9, _fmt(lam2)))
-            first_sums = {w[0]: s for w, s in zip(ind.labels, ind.column_sums())}
-            ok = all(first_sums[c] == rule.expected_image_length(c)
-                     for c in first_sums)
+                           abs(pair2.value - pair.value) <= 1e-9, _fmt(pair2.value)))
+            ok = all(s == rule.expected_image_length(w[0])
+                     for w, s in zip(ind.labels, ind.column_sums()))
             checks.append(("induced-column-sums", ok, "match E|image(u1)|"))
     ok_all = all(ok for _, ok, _ in checks)
     report = {"checks": [{"name": n, "ok": bool(ok), "detail": d}  # not np.bool_

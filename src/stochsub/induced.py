@@ -57,7 +57,7 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     for _, group in groupby(words, lambda u: u[:m]):
         u, *rest = group  # words that share a column
         budget = _StateBudget(limit, "induced-matrix column enumeration")
-        counts = _column_weights(images, u, ell, budget, mass=denominator)
+        counts = _column_weights(images, u, ell, budget, {}, mass=denominator)
         if not counts.keys() <= index.keys():
             raise RuntimeError(f"window of the legal word {u} is not legal")
         column = {index[w]: x for w, x in counts.items()}

@@ -23,12 +23,12 @@ end) of the realisation of theta^j(a) at that letter, so by induction on j
 the worklist collects them all.
 
 Both branches, the induced matrix and the frequency recursion share one
-kernel, `_column_weights`, which enumerates the images of a word's tail
-once and joins its first letter's image last; every tail letter spends the
-current states from a `_StateBudget`, which raises GuardExceeded past its limit.
-`legal_words` keeps only the windows, with unit weights.  On the recursion
-route the float pass of the frequency recursion over L_m yields the words
-too, and the rule's LanguageTable keeps both, one sorted tuple per length.
+kernel, `_column_weights`, which enumerates the images of a word's tail once,
+joins its first letter's image last and adds the windows into a given dict;
+each tail letter spends the current states from a `_StateBudget` (raising
+GuardExceeded past its limit).  The recursion is one pass per length,
+`_recursion_pass`, which sums the kernel of every word of L_m into one dict,
+weighted by 1 for `legal_words` and by R_m for the frequency recursion.
 
 The kernel keys its states and windows by `bytes` words (one byte per
 letter code, see `words`), which sort exactly as tuples of codes do; the
@@ -41,7 +41,8 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .guards import LANGUAGE_STATE_LIMIT, GuardExceeded, guard_limit
 from .substitution import SubstitutionRule, Word
@@ -73,9 +74,8 @@ class _StateBudget:
 
 def _language_budget() -> _StateBudget:
     """The state budget of one word length: its words and frequency vector."""
-    return _StateBudget(
-        guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration", " automaton states"
-    )
+    return _StateBudget(guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration",
+                        " kernel states")
 
 
 def _column_weights(
@@ -83,14 +83,15 @@ def _column_weights(
     u: Sequence[int],
     ell: int,
     budget: _StateBudget,
+    counts: dict[bytes, Fraction | float | int],
     scale: Fraction | float | int = 1,
     mass: int = 1,  # D for the integer weights p * D, whose counts are over D^|u|
 ) -> dict[bytes, Fraction | float | int]:
-    """Expected window counts E[occurrences of w in the induced image of u],
-    times `scale`: the ell-windows (cut short at the end of a realisation)
-    that start in the image of u's first letter, keyed as `bytes`.  u is a
-    nonempty word of letter codes (bytes or a tuple); images[c] lists the
-    (image as bytes, weight) pairs of letter c, whose weights sum to `mass`.
+    """Adds to `counts` (and returns it) E[occurrences of w in the induced
+    image of u] times `scale` for the ell-windows w (cut short at the end of
+    a realisation) that start in the image of u's first letter, as `bytes`.
+    u is a nonempty word of letter codes (bytes or a tuple); images[c] lists
+    the (image as bytes, weight) pairs of letter c, whose weights sum to `mass`.
 
     A window reads at most ell - 1 letters past the image of u[0], so the
     joint realisations of the tail u[1:] are merged by their first ell - 1
@@ -113,7 +114,6 @@ def _column_weights(
                 key = (prefix + img)[: ell - 1]
                 nxt[key] = nxt.get(key, 0) + weight * p
         states = nxt
-    counts: dict[bytes, Fraction | float | int] = {}
     for img, p in images[u[0]]:
         for tail, weight in states.items():
             joined, x = img + tail, weight * p
@@ -132,11 +132,27 @@ def _closure(
     seen: set[bytes] = {bytes((c,)) for c in range(len(images))}
     todo = list(seen)
     while todo:
-        windows = _column_weights(images, todo.pop(), ell, budget)
+        windows = _column_weights(images, todo.pop(), ell, budget, {})
         new = [w for w in windows if w not in seen]
         seen.update(new)
         todo.extend(new)
     return seen
+
+
+def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
+                    weights: Iterable) -> tuple[tuple[Word, ...], list]:
+    """The kernel on the inflating power's `images` over the legal m-words,
+    each scaled by its weight, summed into one dict under one language budget.
+    Its windows, the legal ell-words, are stored in `table` (the first words
+    stored for a length stay) and returned with their summed weights."""
+    budget = _language_budget()
+    counts: dict[bytes, float | int] = {}
+    for u, weight in zip(table.words_of_length(m), weights):
+        _column_weights(images, u, ell, budget, counts, weight)
+    keys = sorted(counts)  # bytes sort as the tuples of the stored words
+    summed = list(map(counts.__getitem__, keys))
+    del counts  # freed before the tuples are built, which lowers the peak
+    return table._table.setdefault(ell, tuple(map(tuple, keys))), summed
 
 
 def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | None:
@@ -195,16 +211,12 @@ def legal_words(
     if not primitive:
         raise ValueError("legal-word enumeration requires a primitive rule")
     table = LanguageTable(rule) if _table is None else _table
-    budget = _language_budget()
     m = table.prefix_length(ell)
     source = rule if m is None else table.power[1]
     images = [[(w, 1) for w, _ in entries] for entries in source._integer_form[1]]
-    if m is None:
-        words = _closure(images, ell, budget)
-    else:
-        words = set()
-        for u in table.words_of_length(m):
-            words.update(_column_weights(images, u, ell, budget))
+    if m is not None:
+        return _recursion_pass(table, ell, m, images, repeat(1))[0]
+    words = _closure(images, ell, _language_budget())
     return tuple(map(tuple, sorted(w for w in words if len(w) == ell)))
 
 
@@ -234,14 +246,10 @@ class LanguageTable:
         m = (ell - 2) // self.power[1].min_image_length() + 2
         return m if m < ell else None
 
-    def _store(self, ell: int, words: tuple[Word, ...]) -> tuple[Word, ...]:
-        """The cached legal ell-words, `words` unless some were cached."""
-        return self._table.setdefault(ell, words)
-
     def words_of_length(self, ell: int) -> tuple[Word, ...]:
         if ell in self._table:
             return self._table[ell]
-        return self._store(ell, legal_words(self.rule, ell, _table=self))
+        return self._table.setdefault(ell, legal_words(self.rule, ell, _table=self))
 
     def position(self, word: WordLike) -> int | None:
         """The position of a nonempty word among the legal words of its

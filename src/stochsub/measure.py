@@ -18,13 +18,14 @@ consistency identity gives
     lambda^k R_ell(v) = sum over p in L_m of R_m(p) W_ell(p, v),
 
 where W_ell(p, v) is the expected number of v-windows starting in the image
-of p's first letter (`_column_weights`).  R_ell is built from R_m in one
-kernel pass over L_m and normalised by its total, which must equal
-lambda^k = sum over letters a of R_1(a) E|theta^k(a)| = 1^T M^k R_1, read from
-the stored letter frequencies (no eigenvalue is kept, so any route may store
-a base vector); every probability is positive, so the windows of that pass
-are the legal ell-words, which the rule's `LanguageTable` stores with the
-vector.  The PF solve on `induced_mean_matrix` remains where the recursion
+of p's first letter.  R_ell comes from R_m in the language's one pass per
+length (`language._recursion_pass`), which sums the kernel of every p, scaled
+by R_m(p), into one dict; every probability is positive, so its windows are
+the legal ell-words, which the rule's `LanguageTable` stores with the
+vector.  The total must equal lambda^k = sum over letters a of
+R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the stored letter frequencies (no
+eigenvalue is kept, so any route may store a base vector), and normalises it.
+The PF solve on `induced_mean_matrix` remains where the recursion
 does not apply: at the base lengths with m >= ell, and for rules without an
 inflating power or whose power has a large law.  Every FrequencyMeasure on
 one rule shares the table, and finds a cylinder's component by bisecting
@@ -38,7 +39,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .induced import induced_mean_matrix
-from .language import _column_weights, _language_budget
+from .language import _recursion_pass
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
@@ -80,29 +81,21 @@ class FrequencyMeasure:
     def _recursion_vector(self, ell: int, m: int) -> np.ndarray:
         import numpy as np
 
-        prefixes, prefix_vec = self.frequency_vector(m)
+        _, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
         denominator, integer_images = power._integer_form
         images = [[(img, q / denominator) for img, q in entries]
                   for entries in integer_images]  # q / D is the double float(p)
-        budget = _language_budget()
-        counts: dict[bytes, float] = {}
-        for p, r in zip(prefixes, prefix_vec):
-            for w, x in _column_weights(images, p, ell, budget, float(r)).items():
-                counts[w] = counts.get(w, 0) + x
-        keys = sorted(counts)  # bytes sort as the tuples of the stored words
-        self.table._store(ell, tuple(map(tuple, keys)))
-        vec = np.array([counts[w] for w in keys])
+        _, weights = _recursion_pass(self.table, ell, m, images, prefix_vec.tolist())
+        vec = np.array(weights)
         total = vec.sum()
         # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
         _, letter_vec = self.frequency_vector(1)
         expected = sum(r * sum(q * len(img) for img, q in entries) / denominator
                        for r, entries in zip(letter_vec.tolist(), integer_images))
         if abs(total - expected) > 1e-9 * expected:
-            raise RuntimeError(
-                f"frequency vector for length {ell} sums to {total} before "
-                f"normalisation, not lambda^{k} = {expected}"
-            )
+            raise RuntimeError(f"frequency vector for length {ell} sums to {total} "
+                               f"before normalisation, not lambda^{k} = {expected}")
         return vec / total
 
     def cylinder_measure(self, v: WordLike) -> float:

@@ -22,7 +22,8 @@ MAX_SYMBOLS = 255  # codes 0..254; the sampler pads its image table with 255
 class Alphabet:
     """Ordered finite alphabet mapping symbols to small integer codes.
 
-    Needs 1 to 255 distinct nonempty string symbols (ValueError otherwise).
+    Needs 1 to 255 distinct nonempty string symbols, which hold no space
+    unless all are single characters (ValueError otherwise).
     """
 
     def __init__(self, symbols: Iterable[str]):
@@ -39,6 +40,8 @@ class Alphabet:
         self._symbols = symbols
         self._codes = {s: i for i, s in enumerate(symbols)}
         self._single_char = all(len(s) == 1 for s in symbols)
+        if not self._single_char and any(" " in s for s in symbols):
+            raise ValueError("multi-character symbols must not contain a space")
         self._valid = bytes(range(len(symbols)))
         self._sep = "" if self._single_char else " "
         self._decode_table = {i: s + self._sep for i, s in enumerate(symbols)}
@@ -66,8 +69,6 @@ class Alphabet:
         if isinstance(word, str):
             if self._single_char:
                 return tuple(self.code(c) for c in word)
-            if word in self._codes:  # a lone symbol, which may hold a space
-                return (self.code(word),)
             if not self._codes.keys() >= set(word.split(" ")):
                 raise ValueError(f"{word!r} is not a space-separated word of symbols")
             word = word.split(" ")  # as `decode` joins them

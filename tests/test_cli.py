@@ -303,6 +303,46 @@ class TestCheckAndErrors:
         assert code == 0 and doc["ok"] is True
         assert all(row["ok"] is True for row in doc["checks"])
 
+    @pytest.mark.parametrize("name,solves,builds", [
+        ("fibonacci", 2, 1), ("period_doubling", 2, 1), ("dyck", 3, 2),
+    ])
+    def test_check_builds_and_solves_each_matrix_once(self, capsys, monkeypatch,
+                                                      name, solves, builds):
+        # the mean matrix and the ell = 2 induced matrix, plus dyck's ell = 3
+        # one, which the recursion cannot reach without an inflating power
+        import stochsub.cli
+        import stochsub.measure
+
+        calls = []
+        for module in (stochsub.cli, stochsub.measure):
+            for fn in ("pf_eigenpair", "induced_mean_matrix"):
+                def counting(*args, _fn=getattr(module, fn), _name=fn):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, fn, counting)
+        code, out, _ = invoke(capsys, "check", "--config", cfg(name))
+        assert code == 0 and "FAIL" not in out
+        assert calls.count("pf_eigenpair") == solves
+        assert calls.count("induced_mean_matrix") == builds
+
+    def test_check_sums_every_induced_column(self, capsys, monkeypatch):
+        # fibonacci's aa column, not the last column of its first letter a,
+        # sums 1/(4 * 10^12) too much: only the exact column sums can see it
+        import stochsub.cli
+
+        def wrong_aa_column(rule, ell):
+            mat = induced_mean_matrix(rule, ell)
+            scale = 10**12
+            columns = [{i: x * scale for i, x in col.items()} for col in mat.columns]
+            aa = mat.labels.index(rule.encode("aa"))
+            columns[aa][next(iter(columns[aa]))] += 1
+            return RationalMatrix(mat.labels, tuple(columns), mat.denominator * scale)
+
+        monkeypatch.setattr(stochsub.cli, "induced_mean_matrix", wrong_aa_column)
+        code, out, _ = invoke(capsys, "check", "--config", cfg("fibonacci"))
+        failed = [row.split("\t")[0] for row in out.splitlines() if "\tFAIL\t" in row]
+        assert code == 1 and failed == ["induced-column-sums"]
+
     def test_malformed_probabilities_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -312,6 +352,17 @@ class TestCheckAndErrors:
         code, _, err = invoke(capsys, "matrix", "--config", str(bad))
         assert code == 1
         assert "sum to 1/3" in err
+
+    def test_space_in_a_multichar_symbol_exit_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "alphabet": ["x", "x y", "y"],
+            "rules": {s: [{"word": ["x", "y"], "prob": "1"}] for s in ("x", "x y", "y")},
+        }))
+        code, out, err = invoke(capsys, "language", "--config", str(bad), "--ell", "2")
+        assert code == 1 and out == ""
+        assert err == ("error: bad alphabet: multi-character symbols must not "
+                       "contain a space\n")
 
     @pytest.mark.parametrize("prob", ["1/0", True])
     def test_unparsable_probability_exit_one(self, capsys, tmp_path, prob):
@@ -369,7 +420,7 @@ class TestCheckAndErrors:
                                 "--ell", "8")
         assert code == 2 and out == ""
         assert err == ("error: language enumeration exceeds guard 1000000 "
-                       "automaton states\n")
+                       "kernel states\n")
 
     def test_column_guard_exit_two(self, capsys, monkeypatch):
         # dyck ell 4: the widest of the 160 columns spends 9 kernel states

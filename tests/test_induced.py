@@ -97,7 +97,7 @@ def fraction_induced_rows(rule, ell):
     rows = [[F(0)] * len(words) for _ in words]
     for j, u in enumerate(words):
         budget = _StateBudget(10**7, "oracle column")
-        for w, weight in _column_weights(images, u, ell, budget).items():
+        for w, weight in _column_weights(images, u, ell, budget, {}).items():
             rows[table.position(w)][j] = weight
     return tuple(tuple(r) for r in rows)
 
@@ -121,7 +121,7 @@ def per_word_columns(rule, ell):
     out = []
     for u in words:
         budget = _StateBudget(10**7, "oracle column")
-        counts = _column_weights(images, u, ell, budget, mass=denominator)
+        counts = _column_weights(images, u, ell, budget, {}, mass=denominator)
         out.append(({index[w]: x for w, x in counts.items()}, budget.used))
     return out
 
@@ -223,7 +223,7 @@ class TestStructure:
         # (nor a KeyError): the missing word is a window of a stored one
         rule = make_period_doubling()
         words = make_period_doubling().language().words_of_length(4)
-        rule.language()._store(4, words[1:])
+        rule.language()._table[4] = words[1:]
         with pytest.raises(RuntimeError,
                            match=r"window of the legal word .* is not legal"):
             induced_mean_matrix(rule, 4)

@@ -243,7 +243,7 @@ def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states))
     assert tables[0].words_of_length(ell)
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states - 1))
-    with pytest.raises(GuardExceeded, match=f"exceeds guard {states - 1} automaton"):
+    with pytest.raises(GuardExceeded, match=f"exceeds guard {states - 1} kernel"):
         tables[1].words_of_length(ell)
 
 

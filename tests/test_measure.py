@@ -150,7 +150,7 @@ class TestOneTablePerRule:
             fm.frequency_vector(ell)
         monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "9138")
         with pytest.raises(GuardExceeded,
-                           match="language enumeration exceeds guard 9138 automaton"):
+                           match="language enumeration exceeds guard 9138 kernel"):
             fm.frequency_vector(12)
         monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "9139")
         assert len(fm.frequency_vector(12)[0]) == len(fm.table.words_of_length(12))

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochsub import Alphabet, SubstitutionRule, abelianise, count_occurrences
+from stochsub import (
+    Alphabet,
+    RuleValidationError,
+    SubstitutionRule,
+    abelianise,
+    count_occurrences,
+)
 
 
 class TestAlphabet:
@@ -23,10 +29,10 @@ class TestAlphabet:
 
     def test_multichar_string_words(self):
         # symbols joined by single spaces, as `decode` writes them
-        al = Alphabet(["x1", "x2", "y z"])
+        al = Alphabet(["x1", "x2", "yz"])
         assert al.encode("x2 x1 x2") == (1, 0, 1)
         assert al.encode("x1") == (0,)
-        assert al.encode("y z") == (2,)  # a lone symbol may hold a space
+        assert al.encode("yz x1") == (2, 0)
         for bad in ("x1 x3", "x1  x2", " x1", ""):
             with pytest.raises(ValueError, match="not a space-separated word of symbols"):
                 al.encode(bad)
@@ -53,6 +59,26 @@ class TestAlphabet:
             Alphabet(["a", "a"])
         with pytest.raises(ValueError):
             Alphabet(["a", ""])
+
+    @pytest.mark.parametrize("symbols", [["x", "x y", "y"], ["ab", " "], ["ab", "c "]])
+    def test_rejects_a_space_in_multichar_symbols(self, symbols):
+        # decode would join ["x", "y"] and ["x y"] alike, as "x y"
+        with pytest.raises(ValueError, match="must not contain a space"):
+            Alphabet(symbols)
+
+    def test_space_is_a_symbol_of_single_char_alphabets(self):
+        al = Alphabet(["a", " "])
+        assert al.encode("a a ") == (0, 1, 0, 1)
+        assert al.decode((1, 0, 1)) == " a "
+
+    def test_from_data_lists_a_space_in_a_symbol(self):
+        with pytest.raises(RuleValidationError) as info:
+            SubstitutionRule.from_data({
+                "alphabet": ["x", "x y", "y"],
+                "rules": {"x": [{"word": ["x"], "prob": "1"}]},
+            })
+        assert info.value.problems == [
+            "bad alphabet: multi-character symbols must not contain a space"]
 
     def test_unknown_letters(self):
         ab = Alphabet(["a", "b"])
