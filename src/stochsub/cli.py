@@ -227,19 +227,23 @@ def _cmd_check(rule, args):
         checks.append(("expanding-iff-lambda",
                        expanding == (pair.value > 1 + 1e-9),
                        "lambda > 1 matches expanding"))
-        ok = all(s == rule.expected_image_length(c)
-                 for c, s in zip(mat.labels, mat.column_sums()))
+        # column sums of the mean matrix vs expected image lengths
+        sums = mat.column_sums()
+        ok = all(sums[c] == rule.expected_image_length(c)
+                 for c in range(rule.alphabet.size))
         checks.append(("mean-column-sums", ok, "match expected image lengths"))
         if expanding:
             fm = FrequencyMeasure(rule)
             ind = induced_mean_matrix(rule, 2)
             pair2 = pf_eigenpair(ind)
-            # base vectors of lengths 1, 2 (the mean matrix is the ell-1 one)
-            fm.table._vectors.update({1: pair.right, 2: pair2.right})
+            # the mean matrix is the induced matrix of length 1
+            fm.store_pf_vector(1, pair.right)
+            fm.store_pf_vector(2, pair2.right)
             for ell in (1, 2, 3):
-                total = float(fm.frequency_vector(ell)[1].sum())
-                checks.append((f"normalization-ell-{ell}", abs(total - 1.0) <= 1e-9,
-                               _fmt(total)))
+                _, vec = fm.frequency_vector(ell)
+                checks.append((f"normalization-ell-{ell}",
+                               abs(float(vec.sum()) - 1.0) <= 1e-9,
+                               _fmt(float(vec.sum()))))
             res = fm.consistency_residual(1, 3)
             checks.append(("consistency-1-3", res <= 1e-9, _fmt(res)))
             checks.append(("induced-eigenvalue-2",

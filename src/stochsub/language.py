@@ -23,12 +23,12 @@ end) of the realisation of theta^j(a) at that letter, so by induction on j
 the worklist collects them all.
 
 Both branches, the induced matrix and the frequency recursion share one
-kernel, `_column_weights`, which enumerates the images of a word's tail once,
-joins its first letter's image last and adds the windows into a given dict;
-each tail letter spends the current states from a `_StateBudget` (raising
-GuardExceeded past its limit).  The recursion is one pass per length,
-`_recursion_pass`, which sums the kernel of every word of L_m into one dict,
-weighted by 1 for `legal_words` and by R_m for the frequency recursion.
+kernel: `_tail_prefixes` enumerates the images of a word's tail once, each
+tail letter spending the current states from a `_StateBudget` (raising
+GuardExceeded past its limit), and `_windows` joins the first letter's
+images to them.  The recursion is one pass per length, `_recursion_pass`,
+which sums the tails of all of L_m per first letter, weighted by 1 for
+`legal_words` and by R_m for the frequency recursion, and joins each once.
 
 The kernel keys its states and windows by `bytes` words (one byte per
 letter code, see `words`), which sort exactly as tuples of codes do; the
@@ -42,7 +42,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .guards import LANGUAGE_STATE_LIMIT, GuardExceeded, guard_limit
 from .substitution import SubstitutionRule, Word
@@ -50,6 +50,9 @@ from .words import WordLike
 
 if TYPE_CHECKING:
     import numpy as np
+
+Weight = Fraction | float | int  # a kernel weight, exact or float
+Counts = dict[bytes, Weight]
 
 # realisations of the images of theta^k (summed over letters) beyond which
 # the exact law of the power is not built and the closure is used instead
@@ -74,37 +77,25 @@ class _StateBudget:
 
 def _language_budget() -> _StateBudget:
     """The state budget of one word length: its words and frequency vector."""
-    return _StateBudget(guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration",
-                        " kernel states")
+    return _StateBudget(
+        guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration", " kernel states"
+    )
 
 
-def _column_weights(
-    images: Sequence[Sequence[tuple[bytes, Fraction | float | int]]],
-    u: Sequence[int],
-    ell: int,
-    budget: _StateBudget,
-    counts: dict[bytes, Fraction | float | int],
-    scale: Fraction | float | int = 1,
-    mass: int = 1,  # D for the integer weights p * D, whose counts are over D^|u|
-) -> dict[bytes, Fraction | float | int]:
-    """Adds to `counts` (and returns it) E[occurrences of w in the induced
-    image of u] times `scale` for the ell-windows w (cut short at the end of
-    a realisation) that start in the image of u's first letter, as `bytes`.
-    u is a nonempty word of letter codes (bytes or a tuple); images[c] lists
-    the (image as bytes, weight) pairs of letter c, whose weights sum to `mass`.
-
-    A window reads at most ell - 1 letters past the image of u[0], so the
-    joint realisations of the tail u[1:] are merged by their first ell - 1
-    letters, and a saturated prefix integrates out the remaining letters with
-    their whole mass.  Each image of u[0] is joined to every tail prefix at
-    the end.  With exact weights the result is bit-identical to plain
-    enumeration; with floats the same products run in floating point, u[0]'s
-    weight last.  Each tail letter spends the current states from `budget`.
-    """
-    states: dict[bytes, Fraction | float | int] = {b"": scale}
+def _tail_prefixes(images: Sequence[Sequence[tuple[bytes, Weight]]], u: Sequence[int],
+                   ell: int, budget: _StateBudget, into: Counts | None = None,
+                   scale: Weight = 1, mass: int = 1) -> Counts:
+    """Adds to `into` (and returns it; a new dict without one) the joint
+    realisations of the tail u[1:] of a word u, times `scale`, merged by
+    their first ell - 1 letters: all that a window starting in the image of
+    u[0] reads past it.  images[c] lists the (image, weight) pairs of letter
+    c, whose weights sum to `mass` (D for the integer weights p * D), which
+    a saturated prefix integrates out.  Each tail letter spends the current
+    states from `budget`."""
+    states: Counts = {b"": scale}
     for letter in u[1:]:
         budget.spend(len(states))
-        nxt: dict[bytes, Fraction | float | int] = {}
+        nxt: Counts = {}
         for prefix, weight in states.items():
             if len(prefix) >= ell - 1:
                 # prefix already long enough; remaining letters integrate out
@@ -114,10 +105,28 @@ def _column_weights(
                 key = (prefix + img)[: ell - 1]
                 nxt[key] = nxt.get(key, 0) + weight * p
         states = nxt
-    for img, p in images[u[0]]:
-        for tail, weight in states.items():
+    if into is None:
+        return states
+    for tail, weight in states.items():
+        into[tail] = into.get(tail, 0) + weight
+    return into
+
+
+def _windows(first: Sequence[tuple[bytes, Weight]], tails: Counts, ell: int,
+             counts: Counts) -> Counts:
+    """Adds to `counts` (and returns it) the ell-windows (cut short at the end)
+    that start in an image of weight p in `first`, joined to each tail prefix:
+    p times the tail's weight, or times their sum inside the image.  With
+    exact weights the sums are those of plain enumeration."""
+    total = sum(tails.values())
+    for img, p in first:
+        inside, x = max(len(img) - ell + 1, 0), total * p
+        for k in range(inside):
+            w = img[k : k + ell]
+            counts[w] = counts.get(w, 0) + x
+        for tail, weight in tails.items():
             joined, x = img + tail, weight * p
-            for k in range(len(img)):
+            for k in range(inside, len(img)):
                 w = joined[k : k + ell]
                 counts[w] = counts.get(w, 0) + x
     return counts
@@ -132,7 +141,9 @@ def _closure(
     seen: set[bytes] = {bytes((c,)) for c in range(len(images))}
     todo = list(seen)
     while todo:
-        windows = _column_weights(images, todo.pop(), ell, budget, {})
+        u = todo.pop()
+        tails = _tail_prefixes(images, u, ell, budget)
+        windows = _windows(images[u[0]], tails, ell, {})
         new = [w for w in windows if w not in seen]
         seen.update(new)
         todo.extend(new)
@@ -140,19 +151,24 @@ def _closure(
 
 
 def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
-                    weights: Iterable) -> tuple[tuple[Word, ...], list]:
-    """The kernel on the inflating power's `images` over the legal m-words,
-    each scaled by its weight, summed into one dict under one language budget.
-    Its windows, the legal ell-words, are stored in `table` (the first words
-    stored for a length stay) and returned with their summed weights."""
+                    weights: list | None = None) -> tuple[tuple[Word, ...], list | None]:
+    """The kernel over the legal m-words, each word's tail prefixes scaled by
+    its weight (1 without `weights`) and summed per first letter, then joined
+    to that letter's `images`, into one dict under one language budget.  Its
+    windows, the legal ell-words, are stored in `table` (the first words
+    stored stay) and returned, with their summed weights if `weights`."""
     budget = _language_budget()
-    counts: dict[bytes, float | int] = {}
-    for u, weight in zip(table.words_of_length(m), weights):
-        _column_weights(images, u, ell, budget, counts, weight)
+    heads: list[Counts] = [{} for _ in images]  # tail prefixes by first letter
+    for u, weight in zip(table.words_of_length(m), weights or repeat(1)):
+        _tail_prefixes(images, u, ell, budget, heads[u[0]], weight)
+    counts: Counts = {}
+    for first, tails in zip(images, heads):
+        _windows(first, tails, ell, counts)
+    del heads
     keys = sorted(counts)  # bytes sort as the tuples of the stored words
-    summed = list(map(counts.__getitem__, keys))
+    sums = None if weights is None else list(map(counts.__getitem__, keys))
     del counts  # freed before the tuples are built, which lowers the peak
-    return table._table.setdefault(ell, tuple(map(tuple, keys))), summed
+    return table._table.setdefault(ell, tuple(map(tuple, keys))), sums
 
 
 def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | None:
@@ -215,7 +231,7 @@ def legal_words(
     source = rule if m is None else table.power[1]
     images = [[(w, 1) for w, _ in entries] for entries in source._integer_form[1]]
     if m is not None:
-        return _recursion_pass(table, ell, m, images, repeat(1))[0]
+        return _recursion_pass(table, ell, m, images)[0]
     words = _closure(images, ell, _language_budget())
     return tuple(map(tuple, sorted(w for w in words if len(w) == ell)))
 

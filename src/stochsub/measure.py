@@ -19,10 +19,10 @@ consistency identity gives
 
 where W_ell(p, v) is the expected number of v-windows starting in the image
 of p's first letter.  R_ell comes from R_m in the language's one pass per
-length (`language._recursion_pass`), which sums the kernel of every p, scaled
-by R_m(p), into one dict; every probability is positive, so its windows are
-the legal ell-words, which the rule's `LanguageTable` stores with the
-vector.  The total must equal lambda^k = sum over letters a of
+length (`language._recursion_pass`), which sums the tail prefixes of every
+p, scaled by R_m(p), per first letter and joins each sum once; every
+probability is positive, so its windows are the legal ell-words, which the
+rule's `LanguageTable` stores with the vector.  The total must equal lambda^k = sum over letters a of
 R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the stored letter frequencies (no
 eigenvalue is kept, so any route may store a base vector), and normalises it.
 The PF solve on `induced_mean_matrix` remains where the recursion
@@ -78,6 +78,11 @@ class FrequencyMeasure:
                 vectors[ell] = self._recursion_vector(ell, m)
         return self.table.words_of_length(ell), vectors[ell]
 
+    def store_pf_vector(self, ell: int, vector: np.ndarray) -> None:
+        """Keeps the PF right vector of `induced_mean_matrix(rule, ell)`, solved
+        elsewhere, as the frequency vector of ell unless one is stored."""
+        self.table._vectors.setdefault(ell, vector)
+
     def _recursion_vector(self, ell: int, m: int) -> np.ndarray:
         import numpy as np
 
@@ -86,16 +91,18 @@ class FrequencyMeasure:
         denominator, integer_images = power._integer_form
         images = [[(img, q / denominator) for img, q in entries]
                   for entries in integer_images]  # q / D is the double float(p)
-        _, weights = _recursion_pass(self.table, ell, m, images, prefix_vec.tolist())
-        vec = np.array(weights)
+        _, sums = _recursion_pass(self.table, ell, m, images, prefix_vec.tolist())
+        vec = np.array(sums)
         total = vec.sum()
         # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
         _, letter_vec = self.frequency_vector(1)
         expected = sum(r * sum(q * len(img) for img, q in entries) / denominator
                        for r, entries in zip(letter_vec.tolist(), integer_images))
         if abs(total - expected) > 1e-9 * expected:
-            raise RuntimeError(f"frequency vector for length {ell} sums to {total} "
-                               f"before normalisation, not lambda^{k} = {expected}")
+            raise RuntimeError(
+                f"frequency vector for length {ell} sums to {total} before "
+                f"normalisation, not lambda^{k} = {expected}"
+            )
         return vec / total
 
     def cylinder_measure(self, v: WordLike) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from stochsub import Alphabet, SubstitutionRule
+from stochsub.language import _tail_prefixes, _windows
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
@@ -123,3 +124,11 @@ def non_expanding():
 @pytest.fixture(scope="session")
 def det_fibonacci():
     return SubstitutionRule.from_file(CONFIG_DIR / "deterministic_fibonacci.json")
+
+
+def column_weights(images, u, ell, budget, counts, scale=1, mass=1):
+    """The realisation kernel of one word: adds to `counts` the weights of
+    the ell-windows that start in the image of u[0], as the induced matrix
+    and the closure run it."""
+    tails = _tail_prefixes(images, u, ell, budget, None, scale, mass)
+    return _windows(images[u[0]], tails, ell, counts)

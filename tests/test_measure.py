@@ -188,6 +188,18 @@ class TestOneTablePerRule:
         assert words == expected_words
         assert np.array_equal(vec, expected)
 
+    def test_store_pf_vector_keeps_the_first_vector(self):
+        # a PF vector solved elsewhere becomes the frequency vector, unless one
+        # is stored already, which stays
+        rule = load("period_doubling")
+        pair = pf_eigenpair(induced_mean_matrix(rule, 2))
+        fm = FrequencyMeasure(rule)
+        fm.store_pf_vector(2, pair.right)
+        fm.store_pf_vector(2, 2 * pair.right)
+        assert fm.frequency_vector(2)[1] is pair.right
+        _, expected = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
+        assert np.array_equal(pair.right, expected)
+
     def test_recursion_checks_its_total_against_lambda_power(self):
         rule = load("period_doubling")
         _, base = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
