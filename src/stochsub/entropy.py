@@ -15,9 +15,13 @@ from .words import abelianise
 
 
 def metric_entropy_partial(fm: FrequencyMeasure, n: int) -> float:
-    """-(1/n) * sum over legal n-words of mu([w]) log mu([w])."""
+    """-(1/n) * sum over legal n-words of mu([w]) log mu([w]); ValueError for
+    n > 1 on a non-expanding rule, which has no legal words longer than one
+    letter."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > 1 and not fm.rule.is_expanding():
+        raise ValueError("metric entropy with n > 1 requires an expanding rule")
     _, vec = fm.frequency_vector(n)
     total = 0.0
     for x in vec:

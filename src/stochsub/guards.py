@@ -24,7 +24,7 @@ INDUCED_CELL_LIMIT = 5 * 10**7
 SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
 
 # LANGUAGE_STATE_LIMIT counts the states of the realisation kernel
-# (`language._tail_prefixes`), summed over the letters after the first of
+# (`language._window_counts`), summed over the letters after the first of
 # every word it inflates for one word length; the frequency recursion spends
 # it in the one pass that yields both words and vector.  Measured counts:
 #

@@ -8,9 +8,10 @@ expected image length of the first letter of the column word, and shares its
 PF eigenvalue with the letter-level mean matrix.
 
 The columns are the exact weights of the realisation kernel that the
-language and the frequency recursion use too (`language._tail_prefixes`,
-then `_windows`), run on the rule's integer image weights q = p * D; each
-column spends its own state budget of INDUCED_COLUMN_LIMIT.  A column
+language and the frequency recursion use too (`language._window_counts`,
+called once per column on its word), run on the rule's integer image
+weights q = p * D; each column spends its own state budget of
+INDUCED_COLUMN_LIMIT.  A column
 depends only on the first m = 1 + ceil((ell - 1) / minlen) letters of its
 word (each later letter multiplies every kernel state by D), so the words
 sharing them, which sort together, share one column, with the values and
@@ -25,7 +26,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .guards import INDUCED_CELL_LIMIT, INDUCED_COLUMN_LIMIT, guard_limit
-from .language import _StateBudget, _tail_prefixes, _windows
+from .language import _StateBudget, _window_counts
 from .substitution import RationalMatrix, SubstitutionRule
 
 
@@ -57,8 +58,7 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     for _, group in groupby(words, lambda u: u[:m]):
         u, *rest = group  # words that share a column
         budget = _StateBudget(limit, "induced-matrix column enumeration")
-        tails = _tail_prefixes(images, u, ell, budget, mass=denominator)
-        counts = _windows(images[u[0]], tails, ell, {})
+        counts = _window_counts(images, [u], ell, budget, mass=denominator)
         if not counts.keys() <= index.keys():
             raise RuntimeError(f"window of the legal word {u} is not legal")
         column = {index[w]: x for w, x in counts.items()}

@@ -16,19 +16,19 @@ Where the recursion does not apply -- at the base lengths with m >= ell, for
 rules without such a power (a letter whose single-letter images lead back to
 itself, like Dyck's "(" -> "("), and for powers whose exact law would be
 large -- the legal ell-words are found in the closure of the single letters
-under the same step, computed with a worklist.  The closure misses nothing:
-every ell-window of a realisation of theta^(j+1)(a) starts in the image of
-the first letter of theta(x), where x is the ell-window (cut short at the
-end) of the realisation of theta^j(a) at that letter, so by induction on j
-the worklist collects them all.
+under the same step, computed in rounds, each inflating the words the last
+round found.  The closure misses nothing: every ell-window of a realisation
+of theta^(j+1)(a) starts in the image of the first letter of theta(x), where
+x is the ell-window (cut short at the end) of the realisation of theta^j(a)
+at that letter, so by induction on j the rounds collect them all.
 
-Both branches, the induced matrix and the frequency recursion share one
-kernel: `_tail_prefixes` enumerates the images of a word's tail once, each
-tail letter spending the current states from a `_StateBudget` (raising
-GuardExceeded past its limit), and `_windows` joins the first letter's
-images to them.  The recursion is one pass per length, `_recursion_pass`,
-which sums the tails of all of L_m per first letter, weighted by 1 for
-`legal_words` and by R_m for the frequency recursion, and joins each once.
+The closure (once per round), the recursion (once per length, on all of L_m,
+weighted by 1 for `legal_words` and by R_m for the frequency recursion) and
+each induced column (once, on its word) call one kernel, `_window_counts`.
+It enumerates the images of each word's tail once, each tail letter
+spending the current states from a `_StateBudget` (raising GuardExceeded
+past its limit), sums the tails per first letter, and joins each letter's
+images to that sum once.
 
 The kernel keys its states and windows by `bytes` words (one byte per
 letter code, see `words`), which sort exactly as tuples of codes do; the
@@ -82,53 +82,56 @@ def _language_budget() -> _StateBudget:
     )
 
 
-def _tail_prefixes(images: Sequence[Sequence[tuple[bytes, Weight]]], u: Sequence[int],
-                   ell: int, budget: _StateBudget, into: Counts | None = None,
-                   scale: Weight = 1, mass: int = 1) -> Counts:
-    """Adds to `into` (and returns it; a new dict without one) the joint
-    realisations of the tail u[1:] of a word u, times `scale`, merged by
-    their first ell - 1 letters: all that a window starting in the image of
-    u[0] reads past it.  images[c] lists the (image, weight) pairs of letter
-    c, whose weights sum to `mass` (D for the integer weights p * D), which
-    a saturated prefix integrates out.  Each tail letter spends the current
-    states from `budget`."""
-    states: Counts = {b"": scale}
-    for letter in u[1:]:
-        budget.spend(len(states))
-        nxt: Counts = {}
-        for prefix, weight in states.items():
-            if len(prefix) >= ell - 1:
-                # prefix already long enough; remaining letters integrate out
-                nxt[prefix] = nxt.get(prefix, 0) + weight * mass
-                continue
-            for img, p in images[letter]:
-                key = (prefix + img)[: ell - 1]
-                nxt[key] = nxt.get(key, 0) + weight * p
-        states = nxt
-    if into is None:
-        return states
-    for tail, weight in states.items():
-        into[tail] = into.get(tail, 0) + weight
-    return into
-
-
-def _windows(first: Sequence[tuple[bytes, Weight]], tails: Counts, ell: int,
-             counts: Counts) -> Counts:
-    """Adds to `counts` (and returns it) the ell-windows (cut short at the end)
-    that start in an image of weight p in `first`, joined to each tail prefix:
-    p times the tail's weight, or times their sum inside the image.  With
-    exact weights the sums are those of plain enumeration."""
-    total = sum(tails.values())
-    for img, p in first:
-        inside, x = max(len(img) - ell + 1, 0), total * p
-        for k in range(inside):
-            w = img[k : k + ell]
-            counts[w] = counts.get(w, 0) + x
-        for tail, weight in tails.items():
-            joined, x = img + tail, weight * p
-            for k in range(inside, len(img)):
-                w = joined[k : k + ell]
+def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
+                   words: Sequence[Sequence[int]], ell: int, budget: _StateBudget,
+                   weights: Sequence[Weight] | None = None, mass: int = 1) -> Counts:
+    """The ell-windows (cut short at the end) that start in the image of each
+    word's first letter, with their expected counts times the word's weight
+    (1 without `weights`), summed over the words; exact weights give the
+    sums of plain enumeration.  images[c] lists the (image, weight) pairs of
+    letter c, whose weights sum to `mass` (D for the integer weights p * D).
+    Each tail u[1:] is enumerated once, its joint realisations merged by
+    their first ell - 1 letters (all that a window reads past the first
+    image), each tail letter spending the current states from `budget`.
+    The tails are summed per first letter, and each image of the letter is
+    joined to the sum once: p times a tail's weight, or times their total
+    inside the image."""
+    heads: list[Counts | None] = [None] * len(images)  # tail prefixes by first letter
+    for u, scale in zip(words, weights or repeat(1)):
+        states: Counts = {b"": scale}
+        for letter in u[1:]:
+            budget.spend(len(states))
+            nxt: Counts = {}
+            for prefix, weight in states.items():
+                if len(prefix) >= ell - 1:
+                    # prefix already long enough; remaining letters integrate out
+                    nxt[prefix] = nxt.get(prefix, 0) + weight * mass
+                    continue
+                for img, p in images[letter]:
+                    key = (prefix + img)[: ell - 1]
+                    nxt[key] = nxt.get(key, 0) + weight * p
+            states = nxt
+        tails = heads[u[0]]
+        if tails is None:
+            heads[u[0]] = states
+            continue
+        for tail, weight in states.items():
+            tails[tail] = tails.get(tail, 0) + weight
+    counts: Counts = {}
+    for first, tails in zip(images, heads):
+        if tails is None:
+            continue
+        total = sum(tails.values())
+        for img, p in first:
+            inside, x = max(len(img) - ell + 1, 0), total * p
+            for k in range(inside):
+                w = img[k : k + ell]
                 counts[w] = counts.get(w, 0) + x
+            for tail, weight in tails.items():
+                joined, x = img + tail, weight * p
+                for k in range(inside, len(img)):
+                    w = joined[k : k + ell]
+                    counts[w] = counts.get(w, 0) + x
     return counts
 
 
@@ -136,35 +139,25 @@ def _closure(
     images: Sequence[Sequence[tuple[bytes, int]]], ell: int, budget: _StateBudget
 ) -> set[bytes]:
     """Every word reachable from a single letter by repeatedly taking the
-    windows that start in the first image of an inflation.  A worklist
-    inflates each word once."""
-    seen: set[bytes] = {bytes((c,)) for c in range(len(images))}
-    todo = list(seen)
-    while todo:
-        u = todo.pop()
-        tails = _tail_prefixes(images, u, ell, budget)
-        windows = _windows(images[u[0]], tails, ell, {})
-        new = [w for w in windows if w not in seen]
-        seen.update(new)
-        todo.extend(new)
+    windows that start in the first image of an inflation.  Each round
+    inflates the words the last round found, so each word is inflated once."""
+    found = [bytes((c,)) for c in range(len(images))]
+    seen = set(found)
+    while found:
+        found = [w for w in _window_counts(images, found, ell, budget)
+                 if w not in seen]
+        seen.update(found)
     return seen
 
 
 def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
                     weights: list | None = None) -> tuple[tuple[Word, ...], list | None]:
-    """The kernel over the legal m-words, each word's tail prefixes scaled by
-    its weight (1 without `weights`) and summed per first letter, then joined
-    to that letter's `images`, into one dict under one language budget.  Its
-    windows, the legal ell-words, are stored in `table` (the first words
-    stored stay) and returned, with their summed weights if `weights`."""
-    budget = _language_budget()
-    heads: list[Counts] = [{} for _ in images]  # tail prefixes by first letter
-    for u, weight in zip(table.words_of_length(m), weights or repeat(1)):
-        _tail_prefixes(images, u, ell, budget, heads[u[0]], weight)
-    counts: Counts = {}
-    for first, tails in zip(images, heads):
-        _windows(first, tails, ell, counts)
-    del heads
+    """The kernel over the legal m-words, each scaled by its weight (1
+    without `weights`), under one language budget.  Its windows, the legal
+    ell-words, are stored in `table` (the first words stored stay) and
+    returned, with their summed weights if `weights`."""
+    counts = _window_counts(images, table.words_of_length(m), ell,
+                            _language_budget(), weights)
     keys = sorted(counts)  # bytes sort as the tuples of the stored words
     sums = None if weights is None else list(map(counts.__getitem__, keys))
     del counts  # freed before the tuples are built, which lowers the peak

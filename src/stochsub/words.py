@@ -67,7 +67,7 @@ class Alphabet:
         """Intern a word given as a string (its symbols joined as `decode`
         joins them), a sequence of symbols, or a sequence of codes."""
         if isinstance(word, str):
-            if self._single_char:
+            if self._single_char or not word:  # "" is the empty word
                 return tuple(self.code(c) for c in word)
             if not self._codes.keys() >= set(word.split(" ")):
                 raise ValueError(f"{word!r} is not a space-separated word of symbols")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from stochsub import Alphabet, SubstitutionRule
-from stochsub.language import _tail_prefixes, _windows
+from stochsub.language import _window_counts
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
@@ -126,9 +126,7 @@ def det_fibonacci():
     return SubstitutionRule.from_file(CONFIG_DIR / "deterministic_fibonacci.json")
 
 
-def column_weights(images, u, ell, budget, counts, scale=1, mass=1):
-    """The realisation kernel of one word: adds to `counts` the weights of
-    the ell-windows that start in the image of u[0], as the induced matrix
-    and the closure run it."""
-    tails = _tail_prefixes(images, u, ell, budget, None, scale, mass)
-    return _windows(images[u[0]], tails, ell, counts)
+def column_weights(images, u, ell, budget, scale=1, mass=1):
+    """The realisation kernel of one word: the weights of the ell-windows that
+    start in the image of u[0], scaled by `scale`, as an induced column."""
+    return _window_counts(images, [u], ell, budget, [scale], mass)

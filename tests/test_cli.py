@@ -226,6 +226,15 @@ class TestEntropy:
         assert err == ("error: topological entropy with n > 1 requires an "
                        "expanding rule\n")
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("flavor", ["metric", "both"])
+    def test_non_expanding_metric_exit_one(self, capsys, flavor, fmt):
+        code, out, err = invoke(capsys, "entropy", "--config", cfg("non_expanding"),
+                                "--max-n", "2", "--flavor", flavor, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == ("error: metric entropy with n > 1 requires an "
+                       "expanding rule\n")
+
 
 class TestSample:
     def test_byte_identical_reruns(self, capsys):

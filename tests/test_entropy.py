@@ -111,6 +111,14 @@ class TestMetricMisc:
             assert metric_entropy_partial(fm, n) <= \
                 topological_entropy_partial(rule, n) + 1e-9
 
+    def test_non_expanding_rule_has_no_longer_words(self, non_expanding):
+        fm = FrequencyMeasure(non_expanding)
+        assert metric_entropy_partial(fm, 1) == pytest.approx(math.log(2))
+        for n in (2, 5):
+            with pytest.raises(ValueError, match="^metric entropy with n > 1 "
+                                                 "requires an expanding rule$"):
+                metric_entropy_partial(fm, n)
+
 
 class TestMaxEntropyClass:
     def test_zeta_qualifies(self):

@@ -98,7 +98,7 @@ def fraction_induced_rows(rule, ell):
     rows = [[F(0)] * len(words) for _ in words]
     for j, u in enumerate(words):
         budget = _StateBudget(10**7, "oracle column")
-        for w, weight in column_weights(images, u, ell, budget, {}).items():
+        for w, weight in column_weights(images, u, ell, budget).items():
             rows[table.position(w)][j] = weight
     return tuple(tuple(r) for r in rows)
 
@@ -122,7 +122,7 @@ def per_word_columns(rule, ell):
     out = []
     for u in words:
         budget = _StateBudget(10**7, "oracle column")
-        counts = column_weights(images, u, ell, budget, {}, mass=denominator)
+        counts = column_weights(images, u, ell, budget, mass=denominator)
         out.append(({index[w]: x for w, x in counts.items()}, budget.used))
     return out
 

@@ -3,31 +3,34 @@
 `tuple_column_weights` is the kernel as it ran on tuples of letter codes,
 with states keyed by (prefix capped at first_len + ell - 1, first_len), so
 that the tail u[1:] was enumerated once for every image of u[0].  The
-library's kernel, run on one word as `conftest.column_weights`, keys its
-states by the tail's prefix alone, capped at ell - 1 (`_tail_prefixes`),
-and joins u[0]'s images last (`_windows`).  It must yield the same windows
-(after `tuple`), in the same order, with values of the same type: equal for
-unit, integer and Fraction weights, and within 1e-14 relative for float
-weights, whose products now take u[0]'s weight last.  The oracle spends one
-state on u[0] and then one per (image of u[0], tail state), so its spend is
-exactly 1 + |supp theta(u[0])| times the library's.
+library's kernel, `language._window_counts`, run on one word as
+`conftest.column_weights`, keys its states by the tail's prefix alone,
+capped at ell - 1, and joins u[0]'s images last.  It must yield the same
+windows (after `tuple`), in the same order, with values of the same type:
+equal for unit, integer and Fraction weights, and within 1e-14 relative for
+float weights, whose products now take u[0]'s weight last.  The oracle
+spends one state on u[0] and then one per (image of u[0], tail state), so
+its spend is exactly 1 + |supp theta(u[0])| times the library's.
 
-Both halves add into the dict they are given, so the recursion sums the
-tails of all of L_m per first letter and joins each sum once.  A dict fed
-by several words must equal the sum of the words' separate dicts, key
-order included, with the same state spend: equal in value and type for
-exact weights (and for the tails, whose per-word sums are added whole),
-within 1e-15 relative for float windows.  `per_word_frequency_vector` is
-the frequency pass as it ran with one window dict per prefix, merged by a
-second loop; the library's pass must give the same words and a vector
-within 1e-14 of it, relative on the bundled configs and absolute on random
-small rules.  There a letter of theta^3 can have a thousand images, and the
-oracle itself is up to 1.4e-14 relative from the exact sum of its float
-inputs, so a relative bound would measure the oracle's rounding.
+The kernel takes a list of weighted words, sums their tails per first
+letter and joins each sum once.  A call on many words must equal the
+weighted sum of single-word calls, with the same state spend: equal in value
+and type for unit, integer and Fraction weights, within 1e-15 relative for
+floats.  Key order is not part of that contract: the callers that pass many
+words sort the keys or read only the keys.  The closure calls the kernel
+once per round on the words the last round found, and must inflate each
+word it finds exactly once.  `per_word_frequency_vector` is the frequency
+pass as it ran with one window dict per prefix, merged by a second loop;
+the library's pass must give the same words and a vector within 1e-14 of
+it, relative on the bundled configs and absolute on random small rules.
+There a letter of theta^3 can have a thousand images, and the oracle itself
+is up to 1.4e-14 relative from the exact sum of its float inputs, so a
+relative bound would measure the oracle's rounding.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,9 +38,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stochsub import FrequencyMeasure, SubstitutionRule
-from stochsub.language import _StateBudget, _tail_prefixes
+from stochsub import language
+from stochsub.language import _StateBudget, _closure, _window_counts
 
-from conftest import CONFIG_DIR, column_weights, small_rules
+from conftest import (
+    CONFIG_DIR,
+    column_weights,
+    make_large_power,
+    make_no_inflating_power,
+    small_rules,
+)
 
 F = Fraction
 CONFIGS = ("deterministic_fibonacci", "dyck", "fibonacci", "non_expanding",
@@ -91,7 +101,7 @@ def assert_same_as_oracle(rule, u, ell):
         expected = tuple_column_weights(images, u, ell, expected_budget, scale, mass)
         for word in (u, bytes(u)):
             budget = _StateBudget(10**7, "kernel")
-            got = column_weights(as_bytes, word, ell, budget, {}, scale, mass)
+            got = column_weights(as_bytes, word, ell, budget, scale, mass)
             assert all(type(w) is bytes for w in got), name
             assert [tuple(w) for w in got] == list(expected), name
             for w, x in got.items():
@@ -124,28 +134,29 @@ def test_small_rules(rule, data):
 
 
 def assert_shared_dict_is_the_sum(rule, words, ell):
-    """Word i scaled by (i + 1) * scale, into one dict and into one each,
-    for the windows and for the tail prefixes."""
+    """One call on all the words against one call per word: word i scaled by
+    (i + 1) * scale, or by 1 without weights (as the closure and the
+    language pass call it)."""
     for name, images, scale, mass in weightings(rule):
         as_bytes = [[(bytes(w), x) for w, x in entries] for entries in images]
-        for kernel, rel_tol in ((column_weights, 1e-15), (_tail_prefixes, 0.0)):
-            separate_budget, shared_budget = (_StateBudget(10**7, "kernel"),
-                                              _StateBudget(10**7, "kernel"))
-            expected, got = {}, {}
-            for i, u in enumerate(words):
-                one = kernel(as_bytes, u, ell, separate_budget, {},
-                             (i + 1) * scale, mass)
-                for w, x in one.items():
-                    expected[w] = expected.get(w, 0) + x
-                kernel(as_bytes, u, ell, shared_budget, got, (i + 1) * scale, mass)
-            assert list(got) == list(expected), name
-            for w, x in got.items():
-                assert type(x) is type(expected[w]), (name, w)
-                if name == "float":
-                    assert math.isclose(x, expected[w], rel_tol=rel_tol), (name, w)
-                else:
-                    assert x == expected[w], (name, w)
-            assert shared_budget.used == separate_budget.used, name
+        weights = (None if name == "unit"
+                   else [(i + 1) * scale for i in range(len(words))])
+        separate_budget, shared_budget = (_StateBudget(10**7, "kernel"),
+                                          _StateBudget(10**7, "kernel"))
+        expected = {}
+        for u, weight in zip(words, weights or [1] * len(words)):
+            one = column_weights(as_bytes, u, ell, separate_budget, weight, mass)
+            for w, x in one.items():
+                expected[w] = expected.get(w, 0) + x
+        got = _window_counts(as_bytes, words, ell, shared_budget, weights, mass)
+        assert got.keys() == expected.keys(), name
+        for w, x in got.items():
+            assert type(x) is type(expected[w]), (name, w)
+            if name == "float":
+                assert math.isclose(x, expected[w], rel_tol=1e-15), (name, w)
+            else:
+                assert x == expected[w], (name, w)
+        assert shared_budget.used == separate_budget.used, name
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -167,6 +178,44 @@ def test_one_dict_for_many_words_small_rules(rule, data):
     assert_shared_dict_is_the_sum(rule, words, data.draw(st.integers(1, 4)))
 
 
+def assert_closure_inflates_each_word_once(rule, ell):
+    """The closure passes every word it finds to the kernel exactly once, so
+    its spend is the sum of the single-word spends over the words."""
+    images = [[(w, 1) for w, _ in entries] for entries in rule._integer_form[1]]
+    inflated = []
+
+    def recording(images, words, *args):
+        inflated.extend(words)
+        return _window_counts(images, words, *args)
+
+    budget = _StateBudget(10**7, "closure")
+    with mock.patch.object(language, "_window_counts", recording):
+        found = _closure(images, ell, budget)
+    assert len(inflated) == len(set(inflated))
+    assert set(inflated) == found
+    single = _StateBudget(10**7, "single words")
+    for u in found:
+        column_weights(images, u, ell, single)
+    assert budget.used == single.used
+
+
+@pytest.mark.parametrize("make,top", [
+    (lambda: SubstitutionRule.from_file(CONFIG_DIR / "dyck.json"), 6),
+    (make_no_inflating_power, 8),
+    (make_large_power, 6),
+], ids=["dyck", "no_inflating_power", "large_power"])
+def test_closure_inflates_each_word_once(make, top):
+    rule = make()
+    for ell in range(1, top + 1):
+        assert_closure_inflates_each_word_once(rule, ell)
+
+
+@given(small_rules(), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_closure_inflates_each_word_once_small_rules(rule, ell):
+    assert_closure_inflates_each_word_once(rule, ell)
+
+
 def per_word_frequency_vector(rule, ell):
     """Oracle: R_ell from the library's R_m, with the kernel run into a
     fresh dict per prefix and merged into the total by a second loop."""
@@ -179,7 +228,7 @@ def per_word_frequency_vector(rule, ell):
     budget = _StateBudget(10**7, "oracle")
     counts = {}
     for p, r in zip(prefixes, prefix_vec):
-        for w, x in column_weights(images, p, ell, budget, {}, float(r)).items():
+        for w, x in column_weights(images, p, ell, budget, float(r)).items():
             counts[w] = counts.get(w, 0) + x
     keys = sorted(counts)
     vec = np.array([counts[w] for w in keys])

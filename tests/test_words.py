@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stochsub import (
     Alphabet,
+    FrequencyMeasure,
     RuleValidationError,
     SubstitutionRule,
     abelianise,
@@ -33,7 +34,7 @@ class TestAlphabet:
         assert al.encode("x2 x1 x2") == (1, 0, 1)
         assert al.encode("x1") == (0,)
         assert al.encode("yz x1") == (2, 0)
-        for bad in ("x1 x3", "x1  x2", " x1", ""):
+        for bad in ("x1 x3", "x1  x2", " x1"):
             with pytest.raises(ValueError, match="not a space-separated word of symbols"):
                 al.encode(bad)
 
@@ -51,6 +52,31 @@ class TestAlphabet:
         for ell in range(1, 7):
             for w in rule.language().words_of_length(ell):
                 assert al.encode(al.decode(w)) == w
+
+    @pytest.mark.parametrize("symbols", [["a", "b"], ["x1", "x2"]])
+    def test_empty_word_on_every_alphabet(self, symbols):
+        al = Alphabet(symbols)
+        assert al.encode("") == ()
+        assert al.decode(()) == ""
+        assert al.encode(al.decode(())) == ()
+
+    def test_empty_word_is_legal_on_multichar_alphabets(self):
+        rule = SubstitutionRule.from_data({
+            "alphabet": ["x1", "x2"],
+            "rules": {"x1": [{"word": ["x1", "x2"], "prob": "1"}],
+                      "x2": [{"word": ["x1"], "prob": "1"}]},
+        })
+        assert rule.language().is_legal("")
+        assert FrequencyMeasure(rule).cylinder_measure("") == 1.0
+
+    def test_from_data_reports_an_empty_image_string(self):
+        with pytest.raises(RuleValidationError) as info:
+            SubstitutionRule.from_data({
+                "alphabet": ["x1", "x2"],
+                "rules": {"x1": [{"word": "", "prob": "1"}],
+                          "x2": [{"word": ["x1"], "prob": "1"}]},
+            })
+        assert "image of 'x1' is empty" in info.value.problems
 
     def test_rejects_bad_alphabets(self):
         with pytest.raises(ValueError):
