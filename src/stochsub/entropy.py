@@ -1,7 +1,8 @@
 """Entropy partial sums and the constant-length maximal-entropy criterion.
 
 Both entropies are computed as finite-n partial quantities over the legal
-words of length n; natural logarithms throughout.
+words of length n; natural logarithms throughout.  The language refuses n < 1
+and a non-primitive rule.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ def metric_entropy_partial(fm: FrequencyMeasure, n: int) -> float:
     """-(1/n) * sum over legal n-words of mu([w]) log mu([w]); ValueError for
     n > 1 on a non-expanding rule, which has no legal words longer than one
     letter."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     if n > 1 and not fm.rule.is_expanding():
         raise ValueError("metric entropy with n > 1 requires an expanding rule")
     _, vec = fm.frequency_vector(n)
@@ -33,8 +32,6 @@ def metric_entropy_partial(fm: FrequencyMeasure, n: int) -> float:
 def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:
     """log(number of legal n-words) / n; ValueError for n > 1 on a
     non-expanding rule, which has no legal words longer than one letter."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     if n > 1 and not rule.is_expanding():
         raise ValueError("topological entropy with n > 1 requires an expanding rule")
     return math.log(len(rule.language().words_of_length(n))) / n

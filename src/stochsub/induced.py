@@ -34,17 +34,12 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     """Exact mean matrix of the ell-induced substitution, indexed by the
     legal ell-words of `rule.language()` in lexicographic order.
 
-    For ell = 1 this is the plain mean substitution matrix.  For ell > 1 the
-    rule must be expanding, matching the standing hypothesis under which the
-    induced construction is meaningful.
+    For ell = 1 this is the plain mean substitution matrix; ell > 1 needs an
+    expanding rule, the standing hypothesis of the induced construction.  The
+    language refuses ell < 1 and a non-primitive rule.
     """
-    if ell < 1:
-        raise ValueError("window length must be >= 1")
     if ell > 1 and not rule.is_expanding():
         raise ValueError("induced matrices with ell > 1 require an expanding rule")
-    primitive, _ = rule.is_primitive()
-    if not primitive:
-        raise ValueError("induced matrices require a primitive rule")
     table = rule.language()
     words = table.words_of_length(ell)
     cells = _StateBudget(guard_limit(INDUCED_CELL_LIMIT),

@@ -3,8 +3,8 @@
 The measure of a cylinder over a legal word v is the v-component R_ell(v)
 of the L1-normalised right PF eigenvector of the induced mean matrix for
 windows of length ell = |v|; it does not depend on the cylinder's position.
-Words outside the language carry measure zero (flagged with a warning, not
-an error).
+Words outside the language (on a non-expanding rule, all longer than one
+letter) carry measure zero, flagged with a warning, not an error.
 
 R_ell is computed without the |L_ell|-sized eigenproblem.  Let theta^k be
 the inflating power of the rule's language table (see `language`), whose
@@ -58,17 +58,18 @@ class IllegalWordWarning(UserWarning):
 
 class FrequencyMeasure:
     """Cylinder-set measure backed by the frequency vectors of the rule's
-    language table, which every FrequencyMeasure on the rule shares."""
+    language table, which every FrequencyMeasure on the rule shares, and
+    which refuses a non-primitive rule (ValueError)."""
 
     def __init__(self, rule: SubstitutionRule):
-        primitive, _ = rule.is_primitive()
-        if not primitive:
-            raise ValueError("frequency measures require a primitive rule")
         self.rule = rule
         self.table = rule.language()
 
     def frequency_vector(self, ell: int) -> tuple[tuple[Word, ...], np.ndarray]:
-        """Legal ell-words with their limiting frequencies (sums to 1)."""
+        """Legal ell-words with their limiting frequencies (sums to 1);
+        ValueError for ell > 1 on a non-expanding rule."""
+        if ell > 1 and not self.rule.is_expanding():
+            raise ValueError("frequency vectors with ell > 1 require an expanding rule")
         vectors = self.table._vectors
         if ell not in vectors:
             m = self.table.prefix_length(ell)
@@ -114,7 +115,8 @@ class FrequencyMeasure:
         w = self.rule.encode(v)
         if len(w) == 0:
             return 1.0
-        _, vec = self.frequency_vector(len(w))
+        if len(w) == 1 or self.rule.is_expanding():  # else no word this long is legal
+            _, vec = self.frequency_vector(len(w))
         pos = self.table.position(w)
         if pos is None:
             warnings.warn(

@@ -42,10 +42,13 @@ def _as_array(matrix) -> np.ndarray:
     import numpy as np
 
     if isinstance(matrix, RationalMatrix):
-        return matrix.to_float()
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
+        arr = matrix.to_float()
+    else:
+        arr = np.asarray(matrix, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("matrix must be square")
+    if arr.size == 0 or not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ValueError("matrix must be nonempty with finite nonnegative entries")
     return arr
 
 
@@ -85,14 +88,12 @@ def _power_iterate(mat: np.ndarray) -> tuple[float, np.ndarray, float, int]:
 def pf_eigenpair(matrix) -> PFEigenpair:
     """PF eigenvalue and eigenvectors of a primitive nonnegative matrix.
 
-    Raises NonConvergence if the residual target DEFAULT_TOL cannot be met or
-    an iterate collapses to zero (as for [[0]]), and ValueError if the
-    computed eigenvector has a non-positive component (which indicates a
-    primitivity violation in the input).
+    Raises ValueError for an empty matrix, a non-finite or negative entry, or
+    a non-positive eigenvector component (a primitivity violation in the
+    input), and NonConvergence if the residual target DEFAULT_TOL cannot be
+    met or an iterate collapses to zero (as for [[0]]).
     """
     mat = _as_array(matrix)
-    if (mat < 0).any():
-        raise ValueError("matrix entries must be nonnegative")
     lam, right, res_r, it_r = _power_iterate(mat)
     _, left_raw, res_l, it_l = _power_iterate(mat.T)
     if right.min() <= 0 or left_raw.min() <= 0:
@@ -101,7 +102,7 @@ def pf_eigenpair(matrix) -> PFEigenpair:
         )
     left = left_raw / float(left_raw @ right)
     return PFEigenpair(
-        value=lam,
+        value=float(lam),
         right=right,
         left=left,
         residual=max(res_r, res_l),

@@ -166,6 +166,23 @@ class TestFreqs:
         assert code == 0 and out == "bbb\t0\n"
         assert err == "warning: word 'bbb' is not legal; measure 0\n"
 
+    @pytest.mark.parametrize("fmt,expected", [
+        ("tsv", "aa\t0\n"),
+        ("json", '{\n  "word": "aa",\n  "measure": 0.0\n}\n'),
+    ])
+    def test_non_expanding_longer_word_measures_zero(self, capsys, fmt, expected):
+        code, out, err = invoke(capsys, "freqs", "--config", cfg("non_expanding"),
+                                "--ell", "2", "--word", "aa", "--format", fmt)
+        assert (code, out) == (0, expected)
+        assert err == "warning: word 'aa' is not legal; measure 0\n"
+
+    def test_non_expanding_longer_vector_exit_one(self, capsys):
+        code, out, err = invoke(capsys, "freqs", "--config", cfg("non_expanding"),
+                                "--ell", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: frequency vectors with ell > 1 require an "
+                       "expanding rule\n")
+
     def test_word_on_multi_character_alphabet(self, capsys, tmp_path):
         # the period-doubling-like rule of the README on the symbols x1, x2:
         # "x2 x2" is written as `language` and `freqs` print it

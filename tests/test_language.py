@@ -1,15 +1,28 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 
-from stochsub import GuardExceeded, LanguageTable, SubstitutionRule, legal_words
+from stochsub import (
+    FrequencyMeasure,
+    GuardExceeded,
+    LanguageTable,
+    SubstitutionRule,
+    empirical_frequency,
+    induced_mean_matrix,
+    legal_words,
+    metric_entropy_partial,
+    topological_entropy_partial,
+)
 
 from conftest import (
+    AB,
     CONFIG_DIR,
     make_large_power,
     make_no_inflating_power,
     make_non_expanding,
+    make_period_doubling,
     small_rules,
 )
 
@@ -155,14 +168,41 @@ class TestLegalWords:
                 for i in range(len(r) - ell + 1):
                     assert r[i:i + ell] in legal
 
-    def test_requires_primitive(self):
-        from fractions import Fraction
-        from stochsub import Alphabet, SubstitutionRule
-        ab = Alphabet(["a", "b"])
-        rule = SubstitutionRule(ab, [[(ab.encode("aa"), Fraction(1))],
-                                     [(ab.encode("bb"), Fraction(1))]])
-        with pytest.raises(ValueError, match="primitive"):
-            legal_words(rule, 2)
+
+# a -> aa, b -> bb: expanding, but neither letter reaches the other
+NOT_PRIMITIVE = SubstitutionRule(AB, [[(AB.encode("aa"), Fraction(1))],
+                                      [(AB.encode("bb"), Fraction(1))]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda rule: legal_words(rule, 2),
+    LanguageTable,
+    lambda rule: rule.language(),
+    lambda rule: induced_mean_matrix(rule, 1),
+    lambda rule: induced_mean_matrix(rule, 2),
+    FrequencyMeasure,
+    lambda rule: topological_entropy_partial(rule, 2),
+    lambda rule: empirical_frequency(rule, "a", "a", 2, 2),
+], ids=["legal_words", "LanguageTable", "language", "induced-1", "induced-2",
+        "FrequencyMeasure", "topological", "empirical_frequency"])
+def test_one_primitivity_gate(call):
+    with pytest.raises(ValueError, match="^languages and frequency measures "
+                                         "need a primitive rule$"):
+        call(NOT_PRIMITIVE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rule: legal_words(rule, 0),
+    lambda rule: rule.language().words_of_length(0),
+    lambda rule: induced_mean_matrix(rule, 0),
+    lambda rule: FrequencyMeasure(rule).frequency_vector(0),
+    lambda rule: metric_entropy_partial(FrequencyMeasure(rule), 0),
+    lambda rule: topological_entropy_partial(rule, 0),
+], ids=["legal_words", "words_of_length", "induced", "frequency_vector",
+        "metric", "topological"])
+def test_one_length_gate(call):
+    with pytest.raises(ValueError, match="^word length must be >= 1$"):
+        call(make_period_doubling())
 
 
 class TestAgainstFixedPoint:

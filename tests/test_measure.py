@@ -253,6 +253,22 @@ class TestCylinderMeasure:
         with pytest.warns(IllegalWordWarning):
             assert fm.cylinder_measure("bbb") == 0.0
 
+    def test_non_expanding_longer_word_measures_zero_with_warning(
+            self, non_expanding):
+        # every image is one letter, so no legal word has two letters
+        fm = FrequencyMeasure(non_expanding)
+        for word in ("aa", "ab", "bab"):
+            with pytest.warns(IllegalWordWarning, match="is not legal; measure 0"):
+                assert fm.cylinder_measure(word) == 0.0
+        assert fm.cylinder_measure("a") == pytest.approx(0.5)
+
+    def test_non_expanding_longer_vector_is_refused(self, non_expanding):
+        fm = FrequencyMeasure(non_expanding)
+        for ell in (2, 3):
+            with pytest.raises(ValueError, match="^frequency vectors with ell > 1 "
+                                                 "require an expanding rule$"):
+                fm.frequency_vector(ell)
+
     def test_float_code_is_refused(self, fibonacci):
         # a float code is refused, not truncated to the letter 1
         fm = FrequencyMeasure(fibonacci)

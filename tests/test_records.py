@@ -86,6 +86,14 @@ def test_probe_keeps_its_verdict():
     assert RECORDS[ErgodicityProbe].verdict == "sensitive"
 
 
+def test_float_fields_are_python_floats():
+    # not np.float64, whose repr shows in the records' reprs
+    pair, stats = RECORDS[PFEigenpair], RECORDS[DirectionStats]
+    assert type(pair.value) is float and type(pair.residual) is float
+    assert type(stats.mean_growth_factor) is float
+    assert {type(x) for x in stats.growth_factors} == {float}
+
+
 class TestMaxEntropyReport:
     def test_refusal_takes_the_defaults(self):
         report = max_entropy_class_check(make_period_doubling())

@@ -80,6 +80,15 @@ class TestEigenpair:
         with pytest.raises(ValueError, match="non-positive component"):
             pf_eigenpair(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((0, 0)), [[np.inf]], [[np.nan]], [[1.0, np.nan], [1.0, 1.0]],
+    ], ids=["empty", "inf", "nan", "nan-entry"])
+    def test_rejects_empty_and_non_finite(self, matrix):
+        with pytest.raises(ValueError,
+                           match="^matrix must be nonempty with finite "
+                                 "nonnegative entries$"):
+            pf_eigenpair(matrix)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             pf_eigenpair(np.ones((1, 3)))
