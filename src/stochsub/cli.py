@@ -165,9 +165,8 @@ def _cmd_freqs(rule, args):
         return lambda: {"word": args.word, "measure": value}, [[args.word, value]]
     words, vec = fm.frequency_vector(args.ell)
     decode = rule.alphabet.decode
-    values = vec.tolist()  # Python floats
-    return (lambda: {"ell": args.ell, "measures": dict(zip(map(decode, words), values))},
-            ([decode(w), v] for w, v in zip(words, values)))
+    return (lambda: {"ell": args.ell, "measures": dict(zip(map(decode, words), vec))},
+            ([decode(w), v] for w, v in zip(words, vec)))
 
 
 def _cmd_entropy(rule, args):
@@ -241,9 +240,9 @@ def _cmd_check(rule, args):
             fm.store_pf_vector(2, pair2.right)
             for ell in (1, 2, 3):
                 _, vec = fm.frequency_vector(ell)
-                checks.append((f"normalization-ell-{ell}",
-                               abs(float(vec.sum()) - 1.0) <= 1e-9,
-                               _fmt(float(vec.sum()))))
+                total = sum(vec)
+                checks.append((f"normalization-ell-{ell}", abs(total - 1.0) <= 1e-9,
+                               _fmt(total)))
             res = fm.consistency_residual(1, 3)
             checks.append(("consistency-1-3", res <= 1e-9, _fmt(res)))
             checks.append(("induced-eigenvalue-2",
@@ -252,8 +251,7 @@ def _cmd_check(rule, args):
                      for w, s in zip(ind.labels, ind.column_sums()))
             checks.append(("induced-column-sums", ok, "match E|image(u1)|"))
     ok_all = all(ok for _, ok, _ in checks)
-    report = {"checks": [{"name": n, "ok": bool(ok), "detail": d}  # not np.bool_
-                         for n, ok, d in checks],
+    report = {"checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
               "ok": ok_all}
     rows = [[n, "pass" if ok else "FAIL", d] for n, ok, d in checks]
     return lambda: report, rows, ok_all

@@ -16,17 +16,11 @@ from .words import abelianise
 
 
 def metric_entropy_partial(fm: FrequencyMeasure, n: int) -> float:
-    """-(1/n) * sum over legal n-words of mu([w]) log mu([w]); ValueError for
-    n > 1 on a non-expanding rule, which has no legal words longer than one
-    letter."""
-    if n > 1 and not fm.rule.is_expanding():
-        raise ValueError("metric entropy with n > 1 requires an expanding rule")
+    """-(1/n) * sum over legal n-words of mu([w]) log mu([w]); ValueError (from
+    `FrequencyMeasure.frequency_vector`) for n > 1 on a non-expanding rule,
+    which has no legal words longer than one letter."""
     _, vec = fm.frequency_vector(n)
-    total = 0.0
-    for x in vec:
-        if x > 0:
-            total += float(x) * math.log(float(x))
-    return -total / n
+    return -sum(x * math.log(x) for x in vec if x > 0) / n
 
 
 def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:

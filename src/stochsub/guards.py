@@ -17,7 +17,7 @@ ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 ITERATE_SUPPORT_LIMIT = 10**6
 INDUCED_COLUMN_LIMIT = 10**7    # kernel states per column of induced_mean_matrix
 # INDUCED_CELL_LIMIT counts the n * n cells of an induced matrix on n legal
-# words, the size of the table `stochsub matrix` prints and of the PF float form:
+# words, the size of the table `stochsub matrix` prints and of `to_float`:
 #   period_doubling ell 15: 5 686^2 = 32.3 M   ell 16: 9 816^2 = 96.4 M (refused)
 #   dyck            ell 7:  5 568^2 = 31.0 M   (ell 8 trips the language guard)
 INDUCED_CELL_LIMIT = 5 * 10**7

@@ -42,14 +42,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .guards import LANGUAGE_STATE_LIMIT, GuardExceeded, guard_limit
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Weight = Fraction | float | int  # a kernel weight, exact or float
 Counts = dict[bytes, Weight]
@@ -154,7 +151,7 @@ def _closure(
 
 
 def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
-                    weights: list | None = None) -> tuple[tuple[Word, ...], list | None]:
+                    weights: Sequence | None = None) -> tuple[tuple[Word, ...], list | None]:
     """The kernel over the legal m-words, each scaled by its weight (1
     without `weights`), under one language budget.  Its windows, the legal
     ell-words, are stored in `table` (the first words stored stay) and
@@ -243,7 +240,7 @@ class LanguageTable:
             raise ValueError("languages and frequency measures need a primitive rule")
         self.rule = rule
         self._table: dict[int, tuple[Word, ...]] = {}
-        self._vectors: dict[int, np.ndarray] = {}
+        self._vectors: dict[int, tuple[float, ...]] = {}
 
     @cached_property
     def power(self) -> tuple[int, SubstitutionRule] | None:

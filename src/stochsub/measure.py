@@ -31,21 +31,20 @@ inflating power or whose power has a large law.  Every FrequencyMeasure on
 one rule shares the table, and finds a cylinder's component by bisecting
 its sorted words; nothing is locked, and concurrent requests for one length
 may both compute it (the first words stored are the ones every reader gets).
+A vector is a tuple of Python floats, so no caller can change the one the
+table shares, and no frequency or entropy loads numpy.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .induced import induced_mean_matrix
 from .language import _recursion_pass
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # largest frequency change that `unique_ergodicity_probe` calls insensitive
@@ -65,9 +64,10 @@ class FrequencyMeasure:
         self.rule = rule
         self.table = rule.language()
 
-    def frequency_vector(self, ell: int) -> tuple[tuple[Word, ...], np.ndarray]:
-        """Legal ell-words with their limiting frequencies (sums to 1);
-        ValueError for ell > 1 on a non-expanding rule."""
+    def frequency_vector(self, ell: int) -> tuple[tuple[Word, ...], tuple[float, ...]]:
+        """Legal ell-words with their limiting frequencies (sums to 1), both
+        tuples, shared by every FrequencyMeasure on the rule; ValueError for
+        ell > 1 on a non-expanding rule."""
         if ell > 1 and not self.rule.is_expanding():
             raise ValueError("frequency vectors with ell > 1 require an expanding rule")
         vectors = self.table._vectors
@@ -79,32 +79,30 @@ class FrequencyMeasure:
                 vectors[ell] = self._recursion_vector(ell, m)
         return self.table.words_of_length(ell), vectors[ell]
 
-    def store_pf_vector(self, ell: int, vector: np.ndarray) -> None:
+    def store_pf_vector(self, ell: int, vector: Sequence[float]) -> None:
         """Keeps the PF right vector of `induced_mean_matrix(rule, ell)`, solved
-        elsewhere, as the frequency vector of ell unless one is stored."""
-        self.table._vectors.setdefault(ell, vector)
+        elsewhere, as the frequency vector of ell (a tuple) unless one is
+        stored."""
+        self.table._vectors.setdefault(ell, tuple(vector))
 
-    def _recursion_vector(self, ell: int, m: int) -> np.ndarray:
-        import numpy as np
-
+    def _recursion_vector(self, ell: int, m: int) -> tuple[float, ...]:
         _, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
         denominator, integer_images = power._integer_form
         images = [[(img, q / denominator) for img, q in entries]
                   for entries in integer_images]  # q / D is the double float(p)
-        _, sums = _recursion_pass(self.table, ell, m, images, prefix_vec.tolist())
-        vec = np.array(sums)
-        total = vec.sum()
+        _, sums = _recursion_pass(self.table, ell, m, images, prefix_vec)
+        total = sum(sums)
         # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
         _, letter_vec = self.frequency_vector(1)
         expected = sum(r * sum(q * len(img) for img, q in entries) / denominator
-                       for r, entries in zip(letter_vec.tolist(), integer_images))
+                       for r, entries in zip(letter_vec, integer_images))
         if abs(total - expected) > 1e-9 * expected:
             raise RuntimeError(
                 f"frequency vector for length {ell} sums to {total} before "
                 f"normalisation, not lambda^{k} = {expected}"
             )
-        return vec / total
+        return tuple(x / total for x in sums)
 
     def cylinder_measure(self, v: WordLike) -> float:
         """Measure of the cylinder set of v at any fixed position.
@@ -125,7 +123,7 @@ class FrequencyMeasure:
                 stacklevel=2,
             )
             return 0.0
-        return float(vec[pos])
+        return vec[pos]
 
     def consistency_residual(self, ell0: int, ell: int) -> float:
         """Worst absolute defect of the refinement identity: the measure of a
@@ -143,7 +141,7 @@ class FrequencyMeasure:
                 if mid in sums:
                     sums[mid] += value
             for w, value in zip(base_words, base_vec):
-                worst = max(worst, abs(float(value) - sums[w]))
+                worst = max(worst, abs(value - sums[w]))
         return worst
 
 
@@ -171,8 +169,6 @@ def unique_ergodicity_probe(
     'sensitive' if any frequency component for any window length j <= ell
     moves by more than PROBE_TOLERANCE.
     """
-    import numpy as np
-
     base_supports = rule.supports()
     for variant in variants:
         if variant.alphabet != rule.alphabet or variant.supports() != base_supports:
@@ -186,5 +182,5 @@ def unique_ergodicity_probe(
             words_b, vec_b = fm.frequency_vector(j)
             if words_a != words_b:
                 raise RuntimeError("variant language differs from base language")
-            worst = max(worst, float(np.abs(vec_a - vec_b).max()))
+            worst = max(worst, *(abs(a - b) for a, b in zip(vec_a, vec_b)))
     return ErgodicityProbe(worst > PROBE_TOLERANCE, worst, ell)

@@ -5,16 +5,22 @@ primitive and nonnegative, hence has a simple dominant eigenvalue with a
 spectral gap.  The normalisation follows the convention used throughout:
 the right eigenvector has L1 norm 1 and the left eigenvector is scaled so
 that left . right = 1.
+
+The iteration runs in plain Python floats on the sparse columns of the
+matrix, so no dense n x n array is built and numpy is never imported: a
+`RationalMatrix` gives its columns' nonzeros, each x / denominator as
+`to_float` stores it, and any other square input (nested lists or an
+ndarray) its nonzero entries column by column.  The right step A.x scatters
+each column; the left step w^T A takes one dot product per column.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+import math
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .substitution import RationalMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 100_000
@@ -29,51 +35,56 @@ class NonConvergence(RuntimeError):
 
 
 class PFEigenpair(NamedTuple):
-    """Dominant eigenvalue with L1-normalised right and dual left vector."""
+    """Dominant eigenvalue with L1-normalised right and dual left vector,
+    each a tuple of floats."""
 
     value: float
-    right: np.ndarray
-    left: np.ndarray
+    right: tuple[float, ...]
+    left: tuple[float, ...]
     residual: float
     iterations: int
 
 
-def _as_array(matrix) -> np.ndarray:
-    import numpy as np
-
+def _columns(matrix) -> list[tuple[list[int], list[float]]]:
+    """The matrix's sparse float columns, each its row indices and values;
+    ValueError unless it is square, nonempty, finite and nonnegative."""
     if isinstance(matrix, RationalMatrix):
-        arr = matrix.to_float()
+        d = matrix.denominator  # int division rounds correctly
+        columns = [(list(col), [x / d for x in col.values()]) for col in matrix.columns]
     else:
-        arr = np.asarray(matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        try:
+            rows = [[float(x) for x in row] for row in matrix]
+        except TypeError:
+            raise ValueError("matrix must be square") from None
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-    if arr.size == 0 or not (np.isfinite(arr).all() and (arr >= 0).all()):
+        columns = [([i for i, row in enumerate(rows) if row[j]],
+                    [row[j] for row in rows if row[j]]) for j in range(len(rows))]
+    if not columns or not all(0 <= x < math.inf for _, values in columns for x in values):
         raise ValueError("matrix must be nonempty with finite nonnegative entries")
-    return arr
+    return columns
 
 
-def _power_iterate(mat: np.ndarray) -> tuple[float, np.ndarray, float, int]:
-    import numpy as np
-
-    d = mat.shape[0]
-    x = np.full(d, 1.0 / d)
-    best = np.inf
+def _power_iterate(step: Callable[[list[float]], list[float]],
+                   d: int) -> tuple[float, list[float], float, int]:
+    x = [1.0 / d] * d
+    best = math.inf
     since_best = 0
     lam = 0.0
-    residual = np.inf
-    y = mat @ x
+    residual = math.inf
+    y = step(x)
     for it in range(1, MAX_ITERATIONS + 1):
-        norm = y.sum()  # L1 norm: the iterates stay nonnegative
+        norm = sum(y)  # L1 norm: the iterates stay nonnegative
         if norm <= 0:
-            raise NonConvergence("iterate collapsed to zero", np.inf)
+            raise NonConvergence("iterate collapsed to zero", math.inf)
         lam = norm
-        x = y / norm
-        y = mat @ x  # the residual's product is the next iterate
-        residual = float(np.abs(y - lam * x).sum())
+        x = [v / norm for v in y]
+        y = step(x)  # the residual's product is the next iterate
+        residual = sum(abs(a - lam * b) for a, b in zip(y, x))
         if residual <= DEFAULT_TOL:
             return lam, x, residual, it
         # the first residual always counts as progress: inf - inf is nan
-        if best == np.inf or residual < best - STALL_IMPROVEMENT * max(best, 1.0):
+        if best == math.inf or residual < best - STALL_IMPROVEMENT * max(best, 1.0):
             best = residual
             since_best = 0
         else:
@@ -86,25 +97,39 @@ def _power_iterate(mat: np.ndarray) -> tuple[float, np.ndarray, float, int]:
 
 
 def pf_eigenpair(matrix) -> PFEigenpair:
-    """PF eigenvalue and eigenvectors of a primitive nonnegative matrix.
+    """PF eigenvalue and eigenvectors of a primitive nonnegative matrix, a
+    `RationalMatrix` or any square nested sequence of numbers.
 
-    Raises ValueError for an empty matrix, a non-finite or negative entry, or
-    a non-positive eigenvector component (a primitivity violation in the
-    input), and NonConvergence if the residual target DEFAULT_TOL cannot be
-    met or an iterate collapses to zero (as for [[0]]).
+    Raises ValueError for a non-square or empty matrix, a non-finite or
+    negative entry, or a non-positive eigenvector component (a primitivity
+    violation in the input), and NonConvergence if the residual target
+    DEFAULT_TOL cannot be met or an iterate collapses to zero (as for [[0]]).
     """
-    mat = _as_array(matrix)
-    lam, right, res_r, it_r = _power_iterate(mat)
-    _, left_raw, res_l, it_l = _power_iterate(mat.T)
-    if right.min() <= 0 or left_raw.min() <= 0:
+    columns = _columns(matrix)
+    d = len(columns)
+
+    def times_right(x: list[float]) -> list[float]:  # A x, column by column
+        y = [0.0] * d
+        for (rows, values), xj in zip(columns, x):
+            for i, v in zip(rows, values):
+                y[i] += v * xj
+        return y
+
+    def times_left(w: list[float]) -> list[float]:  # w^T A, one dot per column
+        get = w.__getitem__
+        return [sum(map(mul, values, map(get, rows))) for rows, values in columns]
+
+    lam, right, res_r, it_r = _power_iterate(times_right, d)
+    _, left_raw, res_l, it_l = _power_iterate(times_left, d)
+    if min(right) <= 0 or min(left_raw) <= 0:
         raise ValueError(
             "PF eigenvector has a non-positive component; matrix is not primitive"
         )
-    left = left_raw / float(left_raw @ right)
+    scale = sum(map(mul, left_raw, right))
     return PFEigenpair(
-        value=float(lam),
-        right=right,
-        left=left,
+        value=lam,
+        right=tuple(right),
+        left=tuple(v / scale for v in left_raw),
         residual=max(res_r, res_l),
         iterations=it_r + it_l,
     )

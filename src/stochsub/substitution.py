@@ -79,6 +79,8 @@ class RationalMatrix:
                      for col in self.columns)
 
     def to_float(self):
+        """The dense float64 ndarray of the entries (imports numpy); the PF
+        solve reads the same doubles from `columns` instead."""
         import numpy as np
 
         mat = np.zeros((self.size, self.size))

@@ -114,7 +114,7 @@ def test_criterion_06_normalization_and_column_sums():
             fm = FrequencyMeasure(rule)
             for ell in range(1, 7):
                 _, vec = fm.frequency_vector(ell)
-                assert abs(float(vec.sum()) - 1.0) <= 1e-9
+                assert abs(sum(vec) - 1.0) <= 1e-9
             for ell in range(1, 5):
                 mat = induced_mean_matrix(rule, ell)
                 for u, total in zip(mat.labels, mat.column_sums()):

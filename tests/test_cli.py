@@ -249,7 +249,7 @@ class TestEntropy:
         code, out, err = invoke(capsys, "entropy", "--config", cfg("non_expanding"),
                                 "--max-n", "2", "--flavor", flavor, "--format", fmt)
         assert code == 1 and out == ""
-        assert err == ("error: metric entropy with n > 1 requires an "
+        assert err == ("error: frequency vectors with ell > 1 require an "
                        "expanding rule\n")
 
 

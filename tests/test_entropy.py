@@ -115,8 +115,8 @@ class TestMetricMisc:
         fm = FrequencyMeasure(non_expanding)
         assert metric_entropy_partial(fm, 1) == pytest.approx(math.log(2))
         for n in (2, 5):
-            with pytest.raises(ValueError, match="^metric entropy with n > 1 "
-                                                 "requires an expanding rule$"):
+            with pytest.raises(ValueError, match="^frequency vectors with ell > 1 "
+                                                 "require an expanding rule$"):
                 metric_entropy_partial(fm, n)
 
 

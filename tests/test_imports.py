@@ -1,6 +1,7 @@
-"""numpy is imported inside the functions that compute in floats, so the
-exact layer (language, matrices, iterate laws and kernel) and the package
-import itself start without it; the result records are NamedTuples and
+"""numpy is imported inside the samplers (and `RationalMatrix.to_float`)
+only, so the package import, the exact layer (language, matrices, iterate
+laws and kernel) and the float layer (PF solve, frequencies, entropy and
+`check`) start without it; the result records are NamedTuples and
 plain classes, so neither loads `dataclasses` or the `inspect` it pulls in;
 and the package's public names keep the modules they are defined in."""
 
@@ -63,6 +64,20 @@ EXACT_CASES = {
         "assert rule.kernel('ab', 'aba') > 0", 0),
 }
 
+FLOAT_CASES = {
+    "freqs": (cli("freqs", "--config", config("period_doubling"), "--ell", "5"), 0),
+    "freqs-word": (cli("freqs", "--config", config("period_doubling"), "--ell", "2",
+                       "--word", "bb"), 0),
+    "freqs-closure": (cli("freqs", "--config", config("dyck"), "--ell", "3"), 0),
+    "entropy": (cli("entropy", "--config", config("zeta"), "--max-n", "6"), 0),
+    "check": (cli("check", "--config", config("fibonacci")), 0),
+    "pf_eigenpair": (
+        "from stochsub import SubstitutionRule, induced_mean_matrix, pf_eigenpair\n"
+        f"rule = SubstitutionRule.from_file({config('dyck')!r})\n"
+        "assert pf_eigenpair(induced_mean_matrix(rule, 3)).value > 1\n"
+        "assert pf_eigenpair([[1.0, 1.0], [1.0, 0.0]]).value > 1", 0),
+}
+
 
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
 def test_exact_paths_leave_numpy_unloaded(case):
@@ -77,10 +92,16 @@ def test_exact_paths_leave_dataclasses_and_inspect_unloaded(case):
     assert run_child(body) == (expected_code, set())
 
 
-def test_float_path_loads_numpy():
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_paths_leave_numpy_dataclasses_and_inspect_unloaded(case):
+    body, expected_code = FLOAT_CASES[case]
+    assert run_child(body) == (expected_code, set())
+
+
+def test_sampler_loads_numpy():
     # positive control: the probe does see numpy (which imports inspect)
-    # where floats are computed, and still no dataclasses
-    body = cli("freqs", "--config", config("fibonacci"), "--ell", "3")
+    # where the samplers draw, and still no dataclasses
+    body = cli("sample", "--config", config("fibonacci"), "--letter", "a", "--n", "5")
     assert run_child(body) == (0, {"numpy", "inspect"})
 
 

@@ -261,7 +261,7 @@ class TestSparseColumns:
         monkeypatch.setattr(RationalMatrix, "rows", property(refuse))
         rule = SubstitutionRule.from_file(CONFIG_DIR / "dyck.json")
         words, vec = FrequencyMeasure(rule).frequency_vector(5)
-        assert len(words) == len(vec) and abs(vec.sum() - 1.0) <= 1e-12
+        assert len(words) == len(vec) and abs(sum(vec) - 1.0) <= 1e-12
         assert run(["check", "--config", str(CONFIG_DIR / "dyck.json")]) == 0
         assert "FAIL" not in capsys.readouterr().out
 

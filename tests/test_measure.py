@@ -61,14 +61,14 @@ class TestFrequencyVector:
     def test_normalization(self, ell, fibonacci, period_doubling, zeta):
         for rule in (fibonacci, period_doubling, zeta):
             _, vec = FrequencyMeasure(rule).frequency_vector(ell)
-            assert abs(float(vec.sum()) - 1.0) <= 1e-9
+            assert abs(sum(vec) - 1.0) <= 1e-9
 
 
     def test_period_doubling_depth_sixteen(self, period_doubling):
         fm = FrequencyMeasure(period_doubling)
         words, vec = fm.frequency_vector(16)
         assert len(words) == 9816
-        assert abs(float(vec.sum()) - 1.0) <= 1e-9
+        assert abs(sum(vec) - 1.0) <= 1e-9
         assert fm.consistency_residual(2, 16) <= 1e-9
 
 
@@ -80,7 +80,9 @@ def assert_matches_pf_route(rule, max_ell):
         words, vec = fm.frequency_vector(ell)
         matrix = induced_mean_matrix(rule, ell)
         assert words == matrix.labels
-        assert np.abs(vec - pf_eigenpair(matrix).right).max() <= 1e-12
+        right = pf_eigenpair(matrix).right
+        assert len(vec) == len(right)
+        assert max(abs(a - b) for a, b in zip(vec, right)) <= 1e-12
 
 
 def test_concurrent_recursion_does_not_deadlock():
@@ -188,6 +190,20 @@ class TestOneTablePerRule:
         assert words == expected_words
         assert np.array_equal(vec, expected)
 
+    def test_handed_out_vectors_cannot_change_the_shared_ones(self):
+        # the vectors are tuples of floats: scaling one in place rebinds the
+        # caller's name and leaves what every measure on the rule reads
+        rule = load("period_doubling")
+        fm = FrequencyMeasure(rule)
+        _, letters = fm.frequency_vector(1)
+        _, pairs = fm.frequency_vector(2)
+        letters *= 0
+        pairs *= 0
+        assert FrequencyMeasure(rule).cylinder_measure("bb") == pytest.approx(1 / 21)
+        words, vec = fm.frequency_vector(5)
+        assert len(vec) == len(words) and abs(sum(vec) - 1.0) <= 1e-12
+        assert type(vec) is tuple and {type(x) for x in vec} == {float}
+
     def test_store_pf_vector_keeps_the_first_vector(self):
         # a PF vector solved elsewhere becomes the frequency vector, unless one
         # is stored already, which stays
@@ -195,7 +211,7 @@ class TestOneTablePerRule:
         pair = pf_eigenpair(induced_mean_matrix(rule, 2))
         fm = FrequencyMeasure(rule)
         fm.store_pf_vector(2, pair.right)
-        fm.store_pf_vector(2, 2 * pair.right)
+        fm.store_pf_vector(2, [2 * x for x in pair.right])
         assert fm.frequency_vector(2)[1] is pair.right
         _, expected = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
         assert np.array_equal(pair.right, expected)
@@ -203,7 +219,7 @@ class TestOneTablePerRule:
     def test_recursion_checks_its_total_against_lambda_power(self):
         rule = load("period_doubling")
         _, base = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
-        rule.language()._vectors[2] = 2 * base
+        rule.language()._vectors[2] = tuple(2 * x for x in base)
         with pytest.raises(RuntimeError, match=r"before normalisation, not lambda\^1"):
             FrequencyMeasure(rule).frequency_vector(3)
 
@@ -279,7 +295,7 @@ class TestCylinderMeasure:
     def test_components_by_position(self, zeta):
         fm = FrequencyMeasure(zeta)
         words, vec = fm.frequency_vector(7)
-        assert [fm.cylinder_measure(w) for w in words] == vec.tolist()
+        assert [fm.cylinder_measure(w) for w in words] == list(vec)
 
     def test_additivity_both_sides(self, fibonacci, period_doubling):
         for rule in (fibonacci, period_doubling):
