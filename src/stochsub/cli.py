@@ -137,8 +137,6 @@ def _matrix_entries(mat):
 
 
 def _cmd_matrix(rule, args):
-    if args.ell < 1:
-        raise ValueError("--ell must be >= 1")
     mat = rule.mean_matrix() if args.ell == 1 else induced_mean_matrix(rule, args.ell)
     if args.ell == 1:
         labels = [rule.alphabet.symbol(c) for c in mat.labels]
@@ -151,7 +149,7 @@ def _cmd_matrix(rule, args):
 
 
 def _cmd_freqs(rule, args):
-    if args.ell < 1:
+    if args.ell < 1:  # else --word "" would print the empty cylinder's measure, 1
         raise ValueError("--ell must be >= 1")
     fm = FrequencyMeasure(rule)
     if args.word is not None:
@@ -170,7 +168,7 @@ def _cmd_freqs(rule, args):
 
 
 def _cmd_entropy(rule, args):
-    if args.max_n < 1:
+    if args.max_n < 1:  # the loop below would print an empty series and exit 0
         raise ValueError("--max-n must be >= 1")
     fm = FrequencyMeasure(rule) if args.flavor in ("metric", "both") else None
     entries = []
@@ -200,7 +198,7 @@ def _cmd_sample(rule, args):
         report = {"mode": "tail", "K": args.tail_k, "fraction": frac,
                   "trials": args.trials, "n": args.n, "seed": args.seed}
         return lambda: report, [["fraction", frac]]
-    # sample_iterate draws one trial, but --trials is checked as in the other modes
+    # sample_iterate draws one trial, so it never sees --trials; checked as elsewhere
     if args.trials < 1:
         raise ValueError("need trials >= 1")
     word = sample_iterate(rule, args.letter, args.n, seed=args.seed)
@@ -236,8 +234,8 @@ def _cmd_check(rule, args):
             ind = induced_mean_matrix(rule, 2)
             pair2 = pf_eigenpair(ind)
             # the mean matrix is the induced matrix of length 1
-            fm.store_pf_vector(1, pair.right)
-            fm.store_pf_vector(2, pair2.right)
+            fm._store_pf_vector(1, pair.right)
+            fm._store_pf_vector(2, pair2.right)
             for ell in (1, 2, 3):
                 _, vec = fm.frequency_vector(ell)
                 total = sum(vec)

@@ -1,7 +1,8 @@
 """Resource guards for operations whose cost can explode combinatorially.
 
 All default limits can be overridden at once through the environment
-variable STOCHSUB_GUARD_LIMIT.
+variable STOCHSUB_GUARD_LIMIT, a non-negative integer in ASCII digits; for
+any other value ("-5", "1e6", "") `guard_limit` raises a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def guard_limit(default: int, override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get(ENV_VAR)
-    if env is not None:
-        return int(env)
-    return default
+    if env is None:
+        return default
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {env!r}")
+    return int(env)

@@ -79,10 +79,10 @@ class FrequencyMeasure:
                 vectors[ell] = self._recursion_vector(ell, m)
         return self.table.words_of_length(ell), vectors[ell]
 
-    def store_pf_vector(self, ell: int, vector: Sequence[float]) -> None:
+    def _store_pf_vector(self, ell: int, vector: Sequence[float]) -> None:
         """Keeps the PF right vector of `induced_mean_matrix(rule, ell)`, solved
-        elsewhere, as the frequency vector of ell (a tuple) unless one is
-        stored."""
+        by `check`, as the frequency vector of ell unless one is stored;
+        private, as every measure of the rule reads it unchecked."""
         self.table._vectors.setdefault(ell, tuple(vector))
 
     def _recursion_vector(self, ell: int, m: int) -> tuple[float, ...]:

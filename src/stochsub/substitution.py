@@ -113,15 +113,6 @@ class IterateDistribution(NamedTuple):
     entries: Mapping[Word, Fraction]
 
 
-def _parse_probability(raw) -> Fraction:
-    if type(raw) in (str, int, Fraction):  # not bool, although it is an int
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):  # "half", "1/0"
-            pass
-    raise ValueError(f"probability must be a rational string or integer, got {raw!r}")
-
-
 def _substitute(words, e0: int, laws, denominator: int, limit: int) -> tuple[dict, int]:
     """Law of a word drawn from `words` (numerators over D^e0) with each letter
     c replaced by an independent draw from laws[c] = (numerators over D^e, e);
@@ -149,10 +140,10 @@ def _substitute(words, e0: int, laws, denominator: int, limit: int) -> tuple[dic
 
 
 class SubstitutionRule:
-    """A validated random substitution rule.
-
-    Immutable after construction; all operations are pure and safe for
-    concurrent use.
+    """A random substitution rule as given: the constructor checks only that
+    there is one image list per letter; `from_data` and `from_file` are the
+    validating entry points.  Immutable after construction; all operations
+    are pure and safe for concurrent use.
     """
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Sequence[tuple[Word, Fraction]]]):
@@ -172,40 +163,48 @@ class SubstitutionRule:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "SubstitutionRule":
-        """Validate raw rule data; raises RuleValidationError listing every
-        violated invariant.
+        """Validate a config as `json.load` reads it, in one pass; raises
+        RuleValidationError listing every violated invariant and bad shape.
 
-        Expected shape::
+        Expected shape (a word may also be a list of symbols)::
 
             {"alphabet": ["a", "b"],
              "rules": {"a": [{"word": "ab", "prob": "1/2"}, ...], ...}}
         """
-        problems: list[str] = []
+        if not isinstance(data, Mapping):
+            raise RuleValidationError(
+                [f"config must be a JSON object, got {type(data).__name__}"])
+        raw_alphabet = data.get("alphabet")
+        if not isinstance(raw_alphabet, list):  # a string would be read letter by letter
+            raise RuleValidationError(
+                [f"bad alphabet: expected a list of symbols, got {raw_alphabet!r}"])
         try:
-            alphabet = Alphabet(data["alphabet"])
-        except (KeyError, ValueError) as exc:
+            alphabet = Alphabet(raw_alphabet)
+        except ValueError as exc:
             raise RuleValidationError([f"bad alphabet: {exc}"]) from None
 
         raw_rules = data.get("rules")
         if not isinstance(raw_rules, Mapping):
             raise RuleValidationError(["missing or malformed 'rules' mapping"])
 
-        images: list[list[tuple[Word, Fraction]]] = [[] for _ in range(alphabet.size)]
-        flagged: set[int] = set()  # letters with a problem of their own
+        problems = [f"rule for unknown letter {symbol!r}"
+                    for symbol in raw_rules if symbol not in alphabet.symbols]
+        images = []
         for symbol in alphabet.symbols:
-            if symbol not in raw_rules:
-                problems.append(f"letter {symbol!r} has no image distribution")
-                flagged.add(alphabet.code(symbol))
-        for symbol, entries in raw_rules.items():
-            try:
-                code = alphabet.code(symbol)
-            except KeyError:
-                problems.append(f"rule for unknown letter {symbol!r}")
+            entries = raw_rules.get(symbol, [])
+            if not isinstance(entries, list):
+                problems.append(
+                    f"images of {symbol!r} must be a list, got {type(entries).__name__}")
                 continue
-            before = len(problems)
-            seen: set[Word] = set()
-            total = Fraction(0)
+            if not entries:
+                problems.append(f"letter {symbol!r} has no image words")
+            law: dict[Word, Fraction] = {}
             for entry in entries:
+                if not (isinstance(entry, Mapping)
+                        and isinstance(entry.get("word"), (str, list))):
+                    problems.append(f"image of {symbol!r} must be an object with a"
+                                    f" string or list 'word', got {entry!r}")
+                    continue
                 try:
                     word = alphabet.encode(entry["word"])
                 except (KeyError, ValueError) as exc:
@@ -214,35 +213,31 @@ class SubstitutionRule:
                 if len(word) == 0:
                     problems.append(f"image of {symbol!r} is empty")
                     continue
-                try:
-                    prob = _parse_probability(entry["prob"])
-                except (KeyError, ValueError) as exc:
-                    problems.append(f"image probability of {symbol!r}: {exc}")
+                raw = entry.get("prob")
+                try:  # a bool is an int, but no probability
+                    prob = Fraction(raw) if type(raw) in (str, int, Fraction) else None
+                except (ValueError, ZeroDivisionError):  # "half", "1/0"
+                    prob = None
+                if prob is None:
+                    problems.append(f"image probability of {symbol!r}: probability must"
+                                    f" be a rational string or integer, got {raw!r}")
                     continue
                 if not 0 < prob <= 1:
                     problems.append(
                         f"image probability of {symbol!r} must lie in (0,1], got {prob}"
                     )
                     continue
-                if word in seen:
+                if word in law:
                     problems.append(
                         f"duplicate image word {alphabet.decode(word)!r} for {symbol!r}"
                     )
                     continue
-                seen.add(word)
-                total += prob
-                images[code].append((word, prob))
-            if images[code] and total != 1:
+                law[word] = prob
+            if law and (total := sum(law.values())) != 1:
                 problems.append(
                     f"image probabilities of {symbol!r} sum to {total}, not 1"
                 )
-            if len(problems) > before:
-                flagged.add(code)
-        for code, entries in enumerate(images):
-            if not entries and code not in flagged:
-                problems.append(
-                    f"letter {alphabet.symbol(code)!r} has no image words"
-                )
+            images.append(law.items())
         if problems:
             raise RuleValidationError(problems)
         return cls(alphabet, images)

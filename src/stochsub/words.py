@@ -32,11 +32,11 @@ class Alphabet:
             raise ValueError("alphabet must contain at least one symbol")
         if len(symbols) > MAX_SYMBOLS:
             raise ValueError(f"alphabet has more than {MAX_SYMBOLS} symbols")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("alphabet symbols must be distinct")
-        for s in symbols:
+        for s in symbols:  # before the set below, which a list symbol breaks
             if not isinstance(s, str) or not s:
                 raise ValueError("alphabet symbols must be nonempty strings")
+        if len(set(symbols)) != len(symbols):
+            raise ValueError("alphabet symbols must be distinct")
         self._symbols = symbols
         self._codes = {s: i for i, s in enumerate(symbols)}
         self._single_char = all(len(s) == 1 for s in symbols)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import stochsub
-from stochsub import RationalMatrix, SubstitutionRule, induced_mean_matrix
+from stochsub import (RationalMatrix, RuleValidationError, SubstitutionRule,
+                      induced_mean_matrix)
 from stochsub.cli import run
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
@@ -413,6 +414,52 @@ class TestCheckAndErrors:
         code, out, err = invoke(capsys, command, "--config", cfg("fibonacci"), *rest)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and ">= 1" in err
+
+    @pytest.mark.parametrize("change,problem", [
+        (lambda d: [1, 2], "config must be a JSON object, got list"),
+        (lambda d: "x", "config must be a JSON object, got str"),
+        (lambda d: {**d, "alphabet": 5},
+         "bad alphabet: expected a list of symbols, got 5"),
+        (lambda d: {**d, "alphabet": [["a"]]},
+         "bad alphabet: alphabet symbols must be nonempty strings"),
+        # a string alphabet would be read letter by letter, " " among them
+        (lambda d: {**d, "alphabet": "a b"},
+         "bad alphabet: expected a list of symbols, got 'a b'"),
+        (lambda d: {**d, "rules": [1]}, "missing or malformed 'rules' mapping"),
+        (lambda d: {**d, "rules": {**d["rules"], "a": "ab"}},
+         "images of 'a' must be a list, got str"),
+        (lambda d: {**d, "rules": {**d["rules"], "b": 7}},
+         "images of 'b' must be a list, got int"),
+        (lambda d: {**d, "rules": {**d["rules"], "a": [5]}},
+         "image of 'a' must be an object with a string or list 'word', got 5"),
+        (lambda d: {**d, "rules": {**d["rules"], "b": [{"word": 5, "prob": "1"}]}},
+         "image of 'b' must be an object with a string or list 'word',"
+         " got {'word': 5, 'prob': '1'}"),
+        (lambda d: {**d, "rules": {**d["rules"], "b": [{"word": "a"}]}},
+         "image probability of 'b': probability must be a rational string or"
+         " integer, got None"),
+    ])
+    def test_malformed_config_shape_exit_one(self, capsys, tmp_path, change, problem):
+        data = change({"alphabet": ["a", "b"],
+                       "rules": {"a": [{"word": "ab", "prob": "1"}],
+                                 "b": [{"word": "a", "prob": "1"}]}})
+        with pytest.raises(RuleValidationError) as info:
+            SubstitutionRule.from_data(data)
+        assert info.value.problems == [problem]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "check", "--config", str(bad))
+        assert (code, out, err) == (1, "", f"error: {problem}\n")
+
+    @pytest.mark.parametrize("value,code,message", [
+        *((value, 1, "STOCHSUB_GUARD_LIMIT must be a non-negative integer,"
+                     f" got {value!r}") for value in ("abc", "1e6", "-5", "")),
+        ("0", 2, "sampled word exceeds letter budget 0"),
+    ])
+    def test_guard_variable(self, capsys, monkeypatch, value, code, message):
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", value)
+        assert invoke(capsys, "sample", "--config", cfg("fibonacci"), "--letter", "a",
+                      "--n", "12") == (code, "", f"error: {message}\n")
 
     def test_missing_config_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "language", "--config",

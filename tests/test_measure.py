@@ -210,8 +210,8 @@ class TestOneTablePerRule:
         rule = load("period_doubling")
         pair = pf_eigenpair(induced_mean_matrix(rule, 2))
         fm = FrequencyMeasure(rule)
-        fm.store_pf_vector(2, pair.right)
-        fm.store_pf_vector(2, [2 * x for x in pair.right])
+        fm._store_pf_vector(2, pair.right)
+        fm._store_pf_vector(2, [2 * x for x in pair.right])
         assert fm.frequency_vector(2)[1] is pair.right
         _, expected = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
         assert np.array_equal(pair.right, expected)
@@ -333,6 +333,12 @@ class TestConsistency:
     def test_examples(self, ell0, ell, fibonacci, period_doubling, zeta):
         for rule in (fibonacci, period_doubling, zeta):
             assert FrequencyMeasure(rule).consistency_residual(ell0, ell) <= 1e-9
+
+
+    @pytest.mark.parametrize("ell0,ell", [(0, 2), (3, 2)])
+    def test_lengths_out_of_order(self, period_doubling, ell0, ell):
+        with pytest.raises(ValueError, match=r"^need 1 <= ell0 <= ell$"):
+            FrequencyMeasure(period_doubling).consistency_residual(ell0, ell)
 
 
 class TestErgodicityProbe:

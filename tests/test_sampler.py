@@ -112,6 +112,12 @@ class TestEmpiricalFrequency:
         with pytest.raises(ValueError, match="legal"):
             empirical_frequency(period_doubling, "a", "bbb", 5, 5)
 
+    def test_depth_zero_rejected(self, period_doubling):
+        # n = 0 meets the samplers' n >= 0, but its one-letter word has no
+        # frequency to estimate
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            empirical_frequency(period_doubling, "a", "b", 0, 5)
+
     def test_deviation_shrinks_with_depth(self, period_doubling):
         target = FrequencyMeasure(period_doubling).cylinder_measure("bb")
         devs = [abs(empirical_frequency(period_doubling, "a", "bb", n, 100,

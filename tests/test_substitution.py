@@ -161,6 +161,18 @@ class TestValidation:
             })
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda rule: rule.iterate_distribution("a", -1),
+     "iteration count must be nonnegative"),
+    (lambda rule: rule.kernel("", "a"), "source word must be nonempty"),
+    (lambda rule: SubstitutionRule(rule.alphabet, rule.images[:1]),
+     "one image distribution per letter is required"),
+], ids=["iterate-negative-n", "kernel-empty-source", "constructor-image-count"])
+def test_argument_errors(fibonacci, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(fibonacci)
+
+
 class TestKernel:
     def test_two_decompositions(self):
         # a -> b|ba, b -> b|ab: [image(ab) = bab] happens via (ba)(b) or (b)(ab)
