@@ -18,12 +18,12 @@ from fractions import Fraction
 from itertools import chain
 
 from .entropy import metric_entropy_partial, topological_entropy_partial
-from .guards import GuardExceeded
+from .guards import GuardExceeded, guard_limit
 from .induced import induced_mean_matrix
 from .measure import FrequencyMeasure
 from .sampler import DEFAULT_SEED, empirical_frequency, length_tail, sample_iterate
 from .spectral import NonConvergence, pf_eigenpair
-from .substitution import RuleValidationError, SubstitutionRule
+from .substitution import SubstitutionRule
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,6 +271,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        guard_limit(0)  # refuses a malformed guard variable on every subcommand
         rule = SubstitutionRule.from_file(args.config)
         if args.command == "check":
             report, rows, ok = _cmd_check(rule, args)
@@ -282,8 +283,7 @@ def run(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuleValidationError, NonConvergence, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (NonConvergence, OSError, ValueError, KeyError) as exc:  # config errors too
         # str() of a KeyError is the repr of its message, quotes and all
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

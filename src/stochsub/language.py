@@ -161,7 +161,8 @@ def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
     keys = sorted(counts)  # bytes sort as the tuples of the stored words
     sums = None if weights is None else list(map(counts.__getitem__, keys))
     del counts  # freed before the tuples are built, which lowers the peak
-    return table._table.setdefault(ell, tuple(map(tuple, keys))), sums
+    words = table._table.get(ell)  # the tuples are built only for a new length
+    return words or table._table.setdefault(ell, tuple(map(tuple, keys))), sums
 
 
 def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | None:

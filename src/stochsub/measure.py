@@ -114,7 +114,7 @@ class FrequencyMeasure:
         if len(w) == 0:
             return 1.0
         if len(w) == 1 or self.rule.is_expanding():  # else no word this long is legal
-            _, vec = self.frequency_vector(len(w))
+            _, vec = self.frequency_vector(len(w))  # first, as its pass stores the words
         pos = self.table.position(w)
         if pos is None:
             warnings.warn(

@@ -6,12 +6,11 @@ spectral gap.  The normalisation follows the convention used throughout:
 the right eigenvector has L1 norm 1 and the left eigenvector is scaled so
 that left . right = 1.
 
-The iteration runs in plain Python floats on the sparse columns of the
-matrix, so no dense n x n array is built and numpy is never imported: a
-`RationalMatrix` gives its columns' nonzeros, each x / denominator as
-`to_float` stores it, and any other square input (nested lists or an
-ndarray) its nonzero entries column by column.  The right step A.x scatters
-each column; the left step w^T A takes one dot product per column.
+The input is a `RationalMatrix`, whose constructor is the one shape check.
+The iteration runs in plain Python floats on its sparse columns, so no
+dense n x n array is built and numpy is never imported: each nonzero x
+becomes x / denominator, the double `to_float` stores.  The right step A.x
+scatters each column; the left step w^T A takes one dot product per column.
 """
 
 from __future__ import annotations
@@ -45,21 +44,13 @@ class PFEigenpair(NamedTuple):
     iterations: int
 
 
-def _columns(matrix) -> list[tuple[list[int], list[float]]]:
+def _columns(matrix: RationalMatrix) -> list[tuple[list[int], list[float]]]:
     """The matrix's sparse float columns, each its row indices and values;
-    ValueError unless it is square, nonempty, finite and nonnegative."""
-    if isinstance(matrix, RationalMatrix):
-        d = matrix.denominator  # int division rounds correctly
-        columns = [(list(col), [x / d for x in col.values()]) for col in matrix.columns]
-    else:
-        try:
-            rows = [[float(x) for x in row] for row in matrix]
-        except TypeError:
-            raise ValueError("matrix must be square") from None
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        columns = [([i for i, row in enumerate(rows) if row[j]],
-                    [row[j] for row in rows if row[j]]) for j in range(len(rows))]
+    ValueError unless nonempty with finite nonnegative entries."""
+    if not isinstance(matrix, RationalMatrix):
+        raise TypeError(f"pf_eigenpair takes a RationalMatrix, got {type(matrix).__name__}")
+    d = matrix.denominator  # int division rounds correctly
+    columns = [(list(col), [x / d for x in col.values()]) for col in matrix.columns]
     if not columns or not all(0 <= x < math.inf for _, values in columns for x in values):
         raise ValueError("matrix must be nonempty with finite nonnegative entries")
     return columns
@@ -96,14 +87,14 @@ def _power_iterate(step: Callable[[list[float]], list[float]],
     raise NonConvergence("power iteration did not converge", residual)
 
 
-def pf_eigenpair(matrix) -> PFEigenpair:
-    """PF eigenvalue and eigenvectors of a primitive nonnegative matrix, a
-    `RationalMatrix` or any square nested sequence of numbers.
+def pf_eigenpair(matrix: RationalMatrix) -> PFEigenpair:
+    """PF eigenvalue and eigenvectors of a primitive `RationalMatrix`.
 
-    Raises ValueError for a non-square or empty matrix, a non-finite or
-    negative entry, or a non-positive eigenvector component (a primitivity
-    violation in the input), and NonConvergence if the residual target
-    DEFAULT_TOL cannot be met or an iterate collapses to zero (as for [[0]]).
+    Raises TypeError for any other argument, ValueError for an empty matrix,
+    a non-finite or negative entry, or a non-positive eigenvector component
+    (a primitivity violation in the input), and NonConvergence if the
+    residual target DEFAULT_TOL cannot be met or an iterate collapses to
+    zero (as for [[0]]).
     """
     columns = _columns(matrix)
     d = len(columns)

@@ -32,7 +32,7 @@ class RuleValidationError(ValueError):
 
 
 class RationalMatrix:
-    """Square nonnegative matrix of exact rationals with row/column labels.
+    """Square matrix of exact rationals with row/column labels.
 
     Row and column i both refer to ``labels[i]``; for mean matrices the
     labels are letter codes, for induced matrices they are legal words.  It
@@ -244,8 +244,15 @@ class SubstitutionRule:
 
     @classmethod
     def from_file(cls, path) -> "SubstitutionRule":
+        def unique_keys(pairs):  # plain json.load keeps the last of equal keys
+            obj = {}
+            for key, value in pairs:
+                if key in obj:
+                    raise RuleValidationError([f"config repeats key {key!r}"])
+                obj[key] = value
+            return obj
         with open(path) as fh:
-            return cls.from_data(json.load(fh))
+            return cls.from_data(json.load(fh, object_pairs_hook=unique_keys))
 
     # -- basic accessors ---------------------------------------------------
 

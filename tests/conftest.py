@@ -7,12 +7,20 @@ from importlib import resources
 import pytest
 from hypothesis import strategies as st
 
-from stochsub import Alphabet, SubstitutionRule
+from stochsub import Alphabet, RationalMatrix, SubstitutionRule
 from stochsub.language import _window_counts
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
 AB = Alphabet(["a", "b"])
+
+
+def rational_matrix(rows, denominator=1) -> RationalMatrix:
+    """The matrix with entries rows[i][j] / denominator, labelled 0..n-1; the
+    entries are taken as given, so a float, inf or nan reaches the solve."""
+    n = len(rows)
+    columns = tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n))
+    return RationalMatrix(tuple(range(n)), columns, denominator)
 
 
 def make_fibonacci(p1=Fraction(1, 2), p2=None) -> SubstitutionRule:

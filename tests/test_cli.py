@@ -451,6 +451,36 @@ class TestCheckAndErrors:
         code, out, err = invoke(capsys, "check", "--config", str(bad))
         assert (code, out, err) == (1, "", f"error: {problem}\n")
 
+    @pytest.mark.parametrize("rules,key", [
+        # plain json.load would keep the last: a -> b, and exit 0
+        ('"a": [{"word": "ab", "prob": "1"}], "a": [{"word": "b", "prob": "1"}],'
+         ' "b": [{"word": "a", "prob": "1"}]', "a"),
+        ('"a": [{"word": "ab", "prob": "1", "prob": "1/2"}],'
+         ' "b": [{"word": "a", "prob": "1"}]', "prob"),
+    ], ids=["letter", "prob"])
+    def test_repeated_config_key_exit_one(self, capsys, tmp_path, rules, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"alphabet": ["a", "b"], "rules": {%s}}' % rules)
+        code, out, err = invoke(capsys, "matrix", "--config", str(bad))
+        assert (code, out, err) == (1, "", f"error: config repeats key {key!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--config", cfg("fibonacci")),
+        ("matrix", "--config", cfg("fibonacci"), "--format", "json"),
+        ("language", "--config", cfg("fibonacci"), "--ell", "3"),
+        ("freqs", "--config", cfg("fibonacci"), "--ell", "1"),
+        ("entropy", "--config", cfg("fibonacci"), "--max-n", "1"),
+        ("check", "--config", cfg("non_expanding")),
+        ("check", "--config", cfg("fibonacci")),
+    ])
+    def test_malformed_guard_variable_exits_one_before_any_work(self, capsys,
+                                                               monkeypatch, argv):
+        # checked once at start, also where no guard is consulted
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "abc")
+        assert invoke(capsys, *argv) == (
+            1, "", "error: STOCHSUB_GUARD_LIMIT must be a non-negative integer,"
+                   " got 'abc'\n")
+
     @pytest.mark.parametrize("value,code,message", [
         *((value, 1, "STOCHSUB_GUARD_LIMIT must be a non-negative integer,"
                      f" got {value!r}") for value in ("abc", "1e6", "-5", "")),

@@ -72,10 +72,12 @@ FLOAT_CASES = {
     "entropy": (cli("entropy", "--config", config("zeta"), "--max-n", "6"), 0),
     "check": (cli("check", "--config", config("fibonacci")), 0),
     "pf_eigenpair": (
-        "from stochsub import SubstitutionRule, induced_mean_matrix, pf_eigenpair\n"
+        "from stochsub import (RationalMatrix, SubstitutionRule, induced_mean_matrix,\n"
+        "                      pf_eigenpair)\n"
         f"rule = SubstitutionRule.from_file({config('dyck')!r})\n"
         "assert pf_eigenpair(induced_mean_matrix(rule, 3)).value > 1\n"
-        "assert pf_eigenpair([[1.0, 1.0], [1.0, 0.0]]).value > 1", 0),
+        "fib = RationalMatrix((0, 1), ({0: 1, 1: 1}, {0: 1}))\n"
+        "assert pf_eigenpair(fib).value > 1", 0),
 }
 
 

@@ -18,6 +18,7 @@ from stochsub import (
     topological_entropy_partial,
     unique_ergodicity_probe,
 )
+from stochsub import language
 from stochsub.language import _StateBudget
 
 from conftest import (
@@ -178,6 +179,42 @@ class TestOneTablePerRule:
         words, _ = FrequencyMeasure(rule).frequency_vector(ell)
         assert rule.language().words_of_length(ell) is words
         assert words == legal_words(load(name), ell)
+
+    @staticmethod
+    def kernel_lengths(monkeypatch) -> list[int]:
+        """The window length of every later call of the realisation kernel."""
+        lengths = []
+        kernel = language._window_counts
+
+        def spy(images, words, ell, *args, **kwargs):
+            lengths.append(ell)
+            return kernel(images, words, ell, *args, **kwargs)
+
+        monkeypatch.setattr(language, "_window_counts", spy)
+        return lengths
+
+    @pytest.mark.parametrize("query", ["cylinder_measure", "frequency_vector"])
+    def test_cold_query_makes_one_kernel_pass_for_its_length(self, monkeypatch, query):
+        # cylinder_measure asks for the vector before the word's position:
+        # the float pass stores the words, so no unit pass runs for them
+        ell = 12
+        word = legal_words(load("period_doubling"), ell)[5]
+        lengths = self.kernel_lengths(monkeypatch)
+        fm = FrequencyMeasure(load("period_doubling"))
+        value = fm.cylinder_measure(word) if query == "cylinder_measure" else None
+        words, vec = fm.frequency_vector(ell)
+        assert lengths.count(ell) == 1
+        assert value in (None, vec[words.index(word)])
+
+    def test_words_then_vector_makes_two_passes(self, monkeypatch):
+        # the other order: the unit pass stores the words, then the float pass
+        # runs and keeps them without building its own word tuples again
+        ell = 12
+        lengths = self.kernel_lengths(monkeypatch)
+        rule = load("period_doubling")
+        words = rule.language().words_of_length(ell)
+        assert FrequencyMeasure(rule).frequency_vector(ell)[0] is words
+        assert lengths.count(ell) == 2
 
     @pytest.mark.parametrize("name", ["period_doubling", "fibonacci", "zeta"])
     def test_recursion_from_a_stored_base_vector(self, name):

@@ -119,14 +119,3 @@ def test_float_columns_are_to_float(name, ell):
     for j, (rows, values) in enumerate(_columns(matrix)):
         dense[rows, j] = values
     assert dense.tobytes() == matrix.to_float().tobytes()
-
-
-@pytest.mark.parametrize("name,ell", [("period_doubling", 4), ("dyck", 3)])
-def test_dense_input_matches_rational_input(name, ell):
-    # an ndarray goes through the same sparse columns, each in row order
-    matrix = matrix_of(name, ell)
-    sparse, dense = pf_eigenpair(matrix), pf_eigenpair(matrix.to_float())
-    assert sparse.iterations == dense.iterations
-    assert abs(sparse.value - dense.value) <= 1e-12
-    for a, b in ((sparse.right, dense.right), (sparse.left, dense.left)):
-        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12

@@ -19,6 +19,7 @@ from conftest import (
     make_fibonacci,
     make_non_expanding,
     make_period_doubling,
+    rational_matrix,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -46,7 +47,7 @@ class TestEigenpair:
         assert pair.residual <= 1e-12
 
     def test_trivial_one_by_one(self):
-        pair = pf_eigenpair(np.array([[3.0]]))
+        pair = pf_eigenpair(rational_matrix([[3]]))
         assert pair.value == 3.0 and pair.right[0] == 1.0
         # power iteration, no special case: each side converges in one step
         assert pair.left == (1.0,) and pair.residual == 0.0
@@ -54,58 +55,56 @@ class TestEigenpair:
 
     def test_zero_one_by_one_collapses(self):
         with pytest.raises(NonConvergence, match="collapsed to zero"):
-            pf_eigenpair(np.array([[0.0]]))
+            pf_eigenpair(rational_matrix([[0]]))
 
     def test_left_eigen_identity(self):
-        mat = make_period_doubling().mean_matrix().to_float()
-        pair = pf_eigenpair(mat)
-        left = np.array(pair.left)
+        matrix = make_period_doubling().mean_matrix()
+        pair = pf_eigenpair(matrix)
+        mat, left = matrix.to_float(), np.array(pair.left)
         assert np.abs(left @ mat - pair.value * left).max() <= 1e-9
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            pf_eigenpair(np.array([[1.0, -1.0], [1.0, 1.0]]))
+        # the constructor checks no numerator's sign, so the solve does
+        with pytest.raises(ValueError, match="finite nonnegative entries$"):
+            pf_eigenpair(rational_matrix([[1, -1], [1, 1]]))
 
     def test_defective_matrix_detected(self):
         # Jordan block: power iteration converges only polynomially
         with pytest.raises((NonConvergence, ValueError)):
-            pf_eigenpair(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            pf_eigenpair(rational_matrix([[1, 1], [0, 1]]))
 
     def test_periodic_matrix_stalls(self):
         # imprimitive: the iterates alternate and the residual stays at 0.5
         with pytest.raises(NonConvergence, match="stalled") as exc:
-            pf_eigenpair(np.array([[0.0, 2.0], [1.0, 0.0]]))
+            pf_eigenpair(rational_matrix([[0, 2], [1, 0]]))
         assert exc.value.residual == 0.5
 
     def test_reducible_matrix_non_positive_component(self):
         # converges at once, to an eigenvector with a zero component
         with pytest.raises(ValueError, match="non-positive component"):
-            pf_eigenpair(np.array([[1.0, 0.0], [0.0, 0.0]]))
+            pf_eigenpair(rational_matrix([[1, 0], [0, 0]]))
 
-    @pytest.mark.parametrize("matrix", [
-        np.zeros((0, 0)), [[np.inf]], [[np.nan]], [[1.0, np.nan], [1.0, 1.0]],
+    # the constructor checks the shape only, so these entries reach the solve
+    @pytest.mark.parametrize("rows", [
+        [], [[math.inf]], [[math.nan]], [[1, math.nan], [1, 1]],
     ], ids=["empty", "inf", "nan", "nan-entry"])
-    def test_rejects_empty_and_non_finite(self, matrix):
+    def test_rejects_empty_and_non_finite(self, rows):
         with pytest.raises(ValueError,
                            match="^matrix must be nonempty with finite "
                                  "nonnegative entries$"):
-            pf_eigenpair(matrix)
+            pf_eigenpair(rational_matrix(rows))
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            pf_eigenpair(np.ones((1, 3)))
-
-    @pytest.mark.parametrize("matrix", [
-        np.ones(3), [[1.0, 1.0], [1.0]], [1.0, 2.0],
-    ], ids=["vector", "ragged", "flat-list"])
-    def test_rejects_non_square_sequences(self, matrix):
-        with pytest.raises(ValueError, match="^matrix must be square$"):
+    @pytest.mark.parametrize("matrix", [[[1.0, 1.0], [1.0, 0.0]], np.ones((2, 2))],
+                             ids=["list", "ndarray"])
+    def test_rejects_anything_but_a_rational_matrix(self, matrix):
+        with pytest.raises(TypeError, match="^pf_eigenpair takes a RationalMatrix, "
+                                            f"got {type(matrix).__name__}$"):
             pf_eigenpair(matrix)
 
     def test_results_are_python_floats(self):
-        # nested lists, an ndarray and a RationalMatrix all give tuples of floats
-        mat = make_fibonacci().mean_matrix()
-        for matrix in (mat, mat.to_float(), mat.to_float().tolist(), [[1, 1], [1, 0]]):
+        # integer numerators over any denominator give tuples of floats
+        for matrix in (make_fibonacci().mean_matrix(), rational_matrix([[1, 1], [1, 0]]),
+                       rational_matrix([[3, 1], [2, 5]], 7)):
             pair = pf_eigenpair(matrix)
             assert type(pair.value) is float
             for vec in (pair.right, pair.left):
@@ -125,9 +124,9 @@ class TestEigenpair:
 
     def test_known_matrix_against_numpy(self):
         rng = np.random.default_rng(7)
-        mat = rng.random((5, 5)) + 0.1
-        pair = pf_eigenpair(mat)
-        lam = max(np.linalg.eigvals(mat).real)
+        numerators = rng.integers(1, 1000, (5, 5)).tolist()  # Python ints
+        pair = pf_eigenpair(rational_matrix(numerators, 1000))
+        lam = max(np.linalg.eigvals(np.array(numerators) / 1000).real)
         assert abs(pair.value - lam) <= 1e-9
 
 
