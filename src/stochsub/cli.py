@@ -3,8 +3,9 @@
 Subcommands: language, matrix, freqs, entropy, sample, check.  Every
 subcommand reads a rule from a JSON config (--config) and writes a report to
 standard output as TSV (default, 12 significant digits) or JSON (full double
-precision).  Exit codes: 0 success, 1 validation or usage error, 2 resource
-guard tripped.
+precision).  Each subparser names its handler, which returns (report, rows,
+ok); ok is false only for a failing `check`.  Exit codes: 0 success, 1
+validation or usage error or a failed check, 2 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -71,32 +72,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stochsub", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="rule config (JSON)")
         p.add_argument("--format", choices=("json", "tsv"), default="tsv")
 
     p = sub.add_parser("language", help="list the legal words of a length")
-    common(p)
+    common(p, _cmd_language)
     p.add_argument("--ell", type=int, required=True)
 
     p = sub.add_parser("matrix", help="mean or induced mean matrix, exact")
-    common(p)
+    common(p, _cmd_matrix)
     p.add_argument("--ell", type=int, default=1)
 
     p = sub.add_parser("freqs", help="cylinder frequencies of legal words")
-    common(p)
+    common(p, _cmd_freqs)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--word", help="restrict to one word")
 
     p = sub.add_parser("entropy", help="entropy partial sums")
-    common(p)
+    common(p, _cmd_entropy)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
         "--flavor", choices=("metric", "topological", "both"), default="both"
     )
 
     p = sub.add_parser("sample", help="Monte-Carlo iterate sampling")
-    common(p)
+    common(p, _cmd_sample)
     p.add_argument("--letter", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="estimate P[length < K*n]")
 
     p = sub.add_parser("check", help="run the invariant suite on a config")
-    common(p)
+    common(p, _cmd_check)
 
     return parser
 
@@ -117,7 +119,7 @@ def _cmd_language(rule, args):
     decode = rule.alphabet.decode
     return (lambda: {"ell": args.ell, "count": len(words),
                      "words": list(map(decode, words))},
-            ([decode(w)] for w in words))
+            ([decode(w)] for w in words), True)
 
 
 def _matrix_entries(mat):
@@ -145,7 +147,7 @@ def _cmd_matrix(rule, args):
     lines = zip(["", *labels], chain([labels], _matrix_entries(mat)))  # header first
     return (lambda: {"ell": args.ell, "labels": labels,
                      "rows": _matrix_entries(mat)},
-            ([lab, *line] for lab, line in lines))
+            ([lab, *line] for lab, line in lines), True)
 
 
 def _cmd_freqs(rule, args):
@@ -160,11 +162,11 @@ def _cmd_freqs(rule, args):
             value = fm.cylinder_measure(args.word)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        return lambda: {"word": args.word, "measure": value}, [[args.word, value]]
+        return lambda: {"word": args.word, "measure": value}, [[args.word, value]], True
     words, vec = fm.frequency_vector(args.ell)
     decode = rule.alphabet.decode
     return (lambda: {"ell": args.ell, "measures": dict(zip(map(decode, words), vec))},
-            ([decode(w), v] for w, v in zip(words, vec)))
+            ([decode(w), v] for w, v in zip(words, vec)), True)
 
 
 def _cmd_entropy(rule, args):
@@ -180,7 +182,7 @@ def _cmd_entropy(rule, args):
             entry["topological"] = topological_entropy_partial(rule, n)
         entries.append(entry)
     rows = map(dict.values, entries)  # n, metric, topological
-    return lambda: {"flavor": args.flavor, "series": entries}, rows
+    return lambda: {"flavor": args.flavor, "series": entries}, rows, True
 
 
 def _cmd_sample(rule, args):
@@ -191,13 +193,13 @@ def _cmd_sample(rule, args):
         report = {"mode": "frequency", "word": args.word,
                   "estimate": stats.estimate, "stderr": stats.stderr,
                   "trials": stats.trials, "n": stats.depth, "seed": stats.seed}
-        return lambda: report, list(report.items())[2:]  # from "estimate" on
+        return lambda: report, list(report.items())[2:], True  # from "estimate" on
     if args.tail_k is not None:
         frac = length_tail(rule, args.letter, args.n, args.tail_k, args.trials,
                            seed=args.seed)
         report = {"mode": "tail", "K": args.tail_k, "fraction": frac,
                   "trials": args.trials, "n": args.n, "seed": args.seed}
-        return lambda: report, [["fraction", frac]]
+        return lambda: report, [["fraction", frac]], True
     # sample_iterate draws one trial, so it never sees --trials; checked as elsewhere
     if args.trials < 1:
         raise ValueError("need trials >= 1")
@@ -205,7 +207,7 @@ def _cmd_sample(rule, args):
     decoded = rule.alphabet.decode(word)
     report = {"mode": "iterate", "n": args.n, "seed": args.seed,
               "length": len(word), "word": decoded}
-    return lambda: report, [[decoded], ["length", len(word)]]
+    return lambda: report, [[decoded], ["length", len(word)]], True
 
 
 def _cmd_check(rule, args):
@@ -255,15 +257,6 @@ def _cmd_check(rule, args):
     return lambda: report, rows, ok_all
 
 
-_COMMANDS = {
-    "language": _cmd_language,
-    "matrix": _cmd_matrix,
-    "freqs": _cmd_freqs,
-    "entropy": _cmd_entropy,
-    "sample": _cmd_sample,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -273,13 +266,9 @@ def run(argv=None) -> int:
     try:
         guard_limit(0)  # refuses a malformed guard variable on every subcommand
         rule = SubstitutionRule.from_file(args.config)
-        if args.command == "check":
-            report, rows, ok = _cmd_check(rule, args)
-            _emit(report, rows, args.format)
-            return 0 if ok else 1
-        report, rows = _COMMANDS[args.command](rule, args)
+        report, rows, ok = args.handler(rule, args)
         _emit(report, rows, args.format)
-        return 0
+        return 0 if ok else 1
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 ITERATE_SUPPORT_LIMIT = 10**6
 INDUCED_COLUMN_LIMIT = 10**7    # kernel states per column of induced_mean_matrix
 # INDUCED_CELL_LIMIT counts the n * n cells of an induced matrix on n legal
-# words, the size of the table `stochsub matrix` prints and of `to_float`:
+# words, the table `stochsub matrix` prints, and is checked before any column:
 #   period_doubling ell 15: 5 686^2 = 32.3 M   ell 16: 9 816^2 = 96.4 M (refused)
 #   dyck            ell 7:  5 568^2 = 31.0 M   (ell 8 trips the language guard)
 INDUCED_CELL_LIMIT = 5 * 10**7
@@ -42,10 +42,8 @@ class GuardExceeded(RuntimeError):
     """Raised when a computation would exceed its resource guard."""
 
 
-def guard_limit(default: int, override: int | None = None) -> int:
-    """Effective guard limit: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
+def guard_limit(default: int) -> int:
+    """Effective guard limit: the env var if set, else default."""
     env = os.environ.get(ENV_VAR)
     if env is None:
         return default

@@ -97,7 +97,9 @@ def _trials(
     start is a symbol or an in-range letter code (KeyError otherwise), and
     n >= 0 and trials >= 1 (ValueError otherwise).  A realisation over the
     letter guard raises GuardExceeded in the round that builds it, before
-    the other trials of its batch are yielded.
+    the other trials of its batch are yielded; where the shortest image
+    already takes the longest word over the guard, before that round draws
+    its uniforms.
     """
     (start,) = rule.encode((letter,))
     if n < 0:
@@ -107,6 +109,8 @@ def _trials(
     import numpy as np
 
     limit = guard_limit(SAMPLE_LETTER_LIMIT)
+    refusal = f"sampled word exceeds letter budget {limit}"
+    minlen = rule.min_image_length()
     base, thr, lens, table = _image_tables(rule)
     # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20, deeper
     # iterates than n = 20 run one trial per batch
@@ -120,7 +124,10 @@ def _trials(
                 for i in range(lo, hi)]
         word = np.full(hi - lo, start, dtype=np.uint8)
         ends = list(range(1, hi - lo + 1))
+        longest = 1  # letters in the longest word of the batch
         for _ in range(n):
+            if longest * minlen > limit:  # no image is shorter than minlen
+                raise GuardExceeded(refusal)
             u = np.empty(len(word))
             a = 0
             for rng, b in zip(rngs, ends):
@@ -131,8 +138,9 @@ def _trials(
                 img += row[word] <= u
             starts = np.array([0, *ends[:-1]])
             sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
-            if sizes.max() > limit:
-                raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
+            longest = int(sizes.max())
+            if longest > limit:
+                raise GuardExceeded(refusal)
             word = table.take(img, axis=0).ravel()
             word = word[word != PAD]
             ends = np.cumsum(sizes).tolist()

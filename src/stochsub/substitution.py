@@ -307,7 +307,8 @@ class SubstitutionRule:
             raise ValueError("iteration count must be nonnegative")
         if n == 0:
             return IterateDistribution(source=u, n=0, entries={u: Fraction(1)})
-        limit = guard_limit(ITERATE_SUPPORT_LIMIT, max_support)
+        limit = (guard_limit(ITERATE_SUPPORT_LIMIT) if max_support is None
+                 else max_support)
         denominator, images = self._integer_form
         reach = [set(u)]  # reach[d]: the letters of the realisations of theta^d(u)
         for _ in range(n):

@@ -80,9 +80,10 @@ def dense_matrix_output(rule, ell, fmt):
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
-def matrix_peak_rss_kb(*argv):
-    """Exit code and peak RSS (kB) of a child process that runs `matrix` on
-    period_doubling with argv, its stdout sent to the null device.
+def peak_rss_kb(*argv, env=None):
+    """Exit code and peak RSS (kB) of a child process that runs the CLI with
+    argv and the environment variables in env, its stdout sent to the null
+    device.
 
     The peak is the child's VmHWM, not its ru_maxrss: on Linux ru_maxrss
     keeps the spawning process's peak across exec, here that of pytest."""
@@ -98,9 +99,9 @@ def matrix_peak_rss_kb(*argv):
     )
     src = str(Path(stochsub.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", script, "matrix", "--config",
-         cfg("period_doubling"), *argv],
-        capture_output=True, text=True, check=True, env={"PYTHONPATH": src})
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, **(env or {})})
     code, maxrss_kb = map(int, done.stdout.split())
     return code, maxrss_kb
 
@@ -129,7 +130,8 @@ class TestMatrixFromColumns:
     def test_peak_memory_at_ell_13(self):
         # period_doubling ell 13 has 1 980 words, 3.9 M cells: printed through
         # the dense table of Fractions it peaked at 368 MB (Python 3.11, Linux)
-        code, maxrss_kb = matrix_peak_rss_kb("--ell", "13")
+        code, maxrss_kb = peak_rss_kb("matrix", "--config", cfg("period_doubling"),
+                                      "--ell", "13")
         assert code == 0
         assert maxrss_kb < 200 * 1024
 
@@ -137,7 +139,8 @@ class TestMatrixFromColumns:
     def test_json_rows_written_one_at_a_time(self):
         # the same table as JSON peaked at 53 MB while the document held every
         # row; written row by row it stays near the TSV run's 23 MB
-        code, maxrss_kb = matrix_peak_rss_kb("--ell", "13", "--format", "json")
+        code, maxrss_kb = peak_rss_kb("matrix", "--config", cfg("period_doubling"),
+                                      "--ell", "13", "--format", "json")
         assert code == 0
         assert maxrss_kb < 40 * 1024
 
@@ -216,6 +219,16 @@ class TestLanguage:
                               cfg("period_doubling"), "--ell", "2")
         assert code == 0
         assert out.splitlines() == ["aa", "ab", "ba", "bb"]
+
+    @pytest.mark.parametrize("name, ell", [("period_doubling", 4), ("dyck", 3)])
+    def test_json_matches_tsv(self, capsys, name, ell):
+        argv = ("language", "--config", cfg(name), "--ell", str(ell))
+        code, tsv, _ = invoke(capsys, *argv)
+        json_code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert code == json_code == 0 and err == ""
+        words = tsv.splitlines()
+        assert list(json.loads(out).items()) == [
+            ("ell", ell), ("count", len(words)), ("words", words)]
 
 
 class TestEntropy:
@@ -313,6 +326,21 @@ class TestSample:
                                 "--letter", "c", "--n", "3")
         assert code == 1 and out == ""
         assert err == "error: unknown letter 'c'\n"  # no KeyError repr quotes
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
+    def test_refused_round_builds_no_arrays(self):
+        # every period_doubling image has two letters, so the round that would
+        # make 2**23 letters is refused before it draws its uniforms; refused
+        # after the round, it peaked at 125 MB, above the admitted 2**22-letter
+        # run's 93 MB (Python 3.11, Linux)
+        def peak(n):
+            return peak_rss_kb("sample", "--config", cfg("period_doubling"),
+                               "--letter", "a", "--n", str(n),
+                               env={"STOCHSUB_GUARD_LIMIT": str(2**22)})
+
+        (refused, refused_kb), (admitted, admitted_kb) = peak(23), peak(22)
+        assert (refused, admitted) == (2, 0)
+        assert refused_kb < admitted_kb
 
 
 class TestCheckAndErrors:

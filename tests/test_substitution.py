@@ -324,6 +324,19 @@ class TestAgainstFractionOracles:
         assert rule.kernel(u, v) > 0
 
 
+class TestRepr:
+    # bench/tracer.py counts repeated language calls by (repr(rule), ell)
+    def test_pinned_on_a_bundled_config(self, fibonacci):
+        assert repr(fibonacci) == "SubstitutionRule(a -> {ab:1/2, ba:1/2}; b -> {a:1})"
+
+    def test_equal_for_two_loads_and_distinct_for_other_laws(self, fibonacci):
+        assert repr(SubstitutionRule.from_file(CONFIG_DIR / "fibonacci.json")) \
+            == repr(fibonacci)
+        shifted = SubstitutionRule(fibonacci.alphabet, [
+            [((0, 1), F(1, 3)), ((1, 0), F(2, 3))], [((0,), F(1))]])
+        assert repr(shifted) != repr(fibonacci)
+
+
 class TestMeanMatrix:
     def test_fibonacci(self):
         mat = make_fibonacci(F(1, 3)).mean_matrix()

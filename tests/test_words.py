@@ -78,6 +78,14 @@ class TestAlphabet:
             })
         assert "image of 'x1' is empty" in info.value.problems
 
+    def test_repr_and_hash_agree_with_eq(self):
+        ab, same = Alphabet(["a", "b"]), Alphabet(["a", "b"])
+        swapped = Alphabet(["b", "a"])
+        assert repr(ab) == "Alphabet(['a', 'b'])"
+        assert ab == same and hash(ab) == hash(same)
+        assert ab != swapped and ab != ["a", "b"]
+        assert len({ab, same, swapped}) == 2
+
     def test_rejects_bad_alphabets(self):
         with pytest.raises(ValueError):
             Alphabet([])
