@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_sample)
     p.add_argument("--letter", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=1,
+                   help="trials of the frequency and tail modes; iterate mode "
+                        "draws one trial and only checks --trials >= 1")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--word", help="estimate the frequency of this word")
@@ -200,7 +202,6 @@ def _cmd_sample(rule, args):
         report = {"mode": "tail", "K": args.tail_k, "fraction": frac,
                   "trials": args.trials, "n": args.n, "seed": args.seed}
         return lambda: report, [["fraction", frac]], True
-    # sample_iterate draws one trial, so it never sees --trials; checked as elsewhere
     if args.trials < 1:
         raise ValueError("need trials >= 1")
     word = sample_iterate(rule, args.letter, args.n, seed=args.seed)
@@ -226,7 +227,6 @@ def _cmd_check(rule, args):
         checks.append(("expanding-iff-lambda",
                        expanding == (pair.value > 1 + 1e-9),
                        "lambda > 1 matches expanding"))
-        # column sums of the mean matrix vs expected image lengths
         sums = mat.column_sums()
         ok = all(sums[c] == rule.expected_image_length(c)
                  for c in range(rule.alphabet.size))
@@ -235,10 +235,7 @@ def _cmd_check(rule, args):
             fm = FrequencyMeasure(rule)
             ind = induced_mean_matrix(rule, 2)
             pair2 = pf_eigenpair(ind)
-            # the mean matrix is the induced matrix of length 1
-            fm._store_pf_vector(1, pair.right)
-            fm._store_pf_vector(2, pair2.right)
-            for ell in (1, 2, 3):
+            for ell in (1, 2, 3):  # the vectors `freqs` prints
                 _, vec = fm.frequency_vector(ell)
                 total = sum(vec)
                 checks.append((f"normalization-ell-{ell}", abs(total - 1.0) <= 1e-9,

@@ -53,6 +53,10 @@ class MaxEntropyReport(NamedTuple):
 
 
 def max_entropy_class_check(rule: SubstitutionRule, max_n: int = 8) -> MaxEntropyReport:
+    """Whether the rule meets the shared-image criterion and, for uniform
+    probabilities, both partial sums at n = `max_n` rounded down to a
+    multiple of the image length N, and at least N.  GuardExceeded past the
+    language guard at that n."""
     supports = rule.supports()
     base = set(supports[0])
     for letter in range(1, rule.alphabet.size):
@@ -85,7 +89,6 @@ def max_entropy_class_check(rule: SubstitutionRule, max_n: int = 8) -> MaxEntrop
     )
     if not uniform:
         return report
-    # deepest multiple of the image length we can afford
     n = max(big_n, (max_n // big_n) * big_n)
     return report._replace(
         predicted_entropy=math.log(count) / big_n,

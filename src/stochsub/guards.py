@@ -16,7 +16,11 @@ ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 # bytes, so on fibonacci theta^7(a) it trips after about 1 s at a peak RSS of
 # about 175 MB (Python 3.11)
 ITERATE_SUPPORT_LIMIT = 10**6
-INDUCED_COLUMN_LIMIT = 10**7    # kernel states per column of induced_mean_matrix
+# INDUCED_COLUMN_LIMIT counts the kernel states of one induced_mean_matrix
+# column; the largest column at the deepest length the cell and language guards
+# admit spends 575 (period_doubling ell 15), 22 527 (zeta 22), 975 (fibonacci 16),
+# 100 (dyck 7), ell - 1 (deterministic_fibonacci): a net for other rules only
+INDUCED_COLUMN_LIMIT = 10**7
 # INDUCED_CELL_LIMIT counts the n * n cells of an induced matrix on n legal
 # words, the table `stochsub matrix` prints, and is checked before any column:
 #   period_doubling ell 15: 5 686^2 = 32.3 M   ell 16: 9 816^2 = 96.4 M (refused)

@@ -231,9 +231,9 @@ def legal_words(
 
 class LanguageTable:
     """Per-length cache of the legal words, sorted so that lookups bisect them,
-    and of their frequency vectors (filled by `measure.FrequencyMeasure`; a
-    vector depends on nothing else here, so any route may store one), with
-    the inflating power the recursions use.  Making it, once per rule by
+    and of their frequency vectors (written only by
+    `measure.FrequencyMeasure.frequency_vector`), with the inflating power
+    the recursions use.  Making it, once per rule by
     `SubstitutionRule.language()`, is the one primitivity check (ValueError)."""
 
     def __init__(self, rule: SubstitutionRule):
@@ -258,6 +258,8 @@ class LanguageTable:
         return m if m < ell else None
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:
+        """The legal ell-words, enumerated once per length; ValueError for
+        ell < 1 and GuardExceeded past the language guard (`legal_words`)."""
         if ell in self._table:
             return self._table[ell]
         return self._table.setdefault(ell, legal_words(self.rule, ell, _table=self))
@@ -271,6 +273,8 @@ class LanguageTable:
         return i if i < len(words) and words[i] == w else None
 
     def is_legal(self, word: WordLike) -> bool:
+        """Whether the word is legal (the empty word always is); KeyError or
+        ValueError for a word the alphabet cannot encode (`Alphabet.encode`),
+        GuardExceeded past the language guard at its length."""
         w = self.rule.encode(word)
-        # the empty specification is the full shift space
         return len(w) == 0 or self.position(w) is not None

@@ -24,14 +24,15 @@ p, scaled by R_m(p), per first letter and joins each sum once; every
 probability is positive, so its windows are the legal ell-words, which the
 rule's `LanguageTable` stores with the vector.  The total must equal
 lambda^k = sum over letters a of R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the
-stored letter frequencies and theta^k's `expected_image_length` (no
-eigenvalue is kept, so any route may store a base vector), and normalises it.
-The PF solve on `induced_mean_matrix` remains where the recursion
-does not apply: at the base lengths with m >= ell, and for rules without an
-inflating power or whose power has a large law.  Every FrequencyMeasure on
-one rule shares the table, and finds a cylinder's component by bisecting
-its sorted words; nothing is locked, and concurrent requests for one length
-may both compute it (the first words stored are the ones every reader gets).
+stored letter frequencies and theta^k's `expected_image_length`, and
+normalises it.  The PF solve on `induced_mean_matrix` remains where the
+recursion does not apply: at the base lengths with m >= ell, and for rules
+without an inflating power or whose power has a large law.
+`FrequencyMeasure.frequency_vector` is the one writer of the table's
+vectors.  Every FrequencyMeasure on one rule shares the table, and finds a
+cylinder's component by bisecting its sorted words; nothing is locked, and
+concurrent requests for one length may both compute it (the first words
+stored are the ones every reader gets).
 A vector is a tuple of Python floats, so no caller can change the one the
 table shares, and no frequency or entropy loads numpy.
 """
@@ -80,12 +81,6 @@ class FrequencyMeasure:
                 vectors[ell] = self._recursion_vector(ell, m)
         return self.table.words_of_length(ell), vectors[ell]
 
-    def _store_pf_vector(self, ell: int, vector: Sequence[float]) -> None:
-        """Keeps the PF right vector of `induced_mean_matrix(rule, ell)`, solved
-        by `check`, as the frequency vector of ell unless one is stored;
-        private, as every measure of the rule reads it unchecked."""
-        self.table._vectors.setdefault(ell, tuple(vector))
-
     def _recursion_vector(self, ell: int, m: int) -> tuple[float, ...]:
         _, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
@@ -130,7 +125,11 @@ class FrequencyMeasure:
         """Worst absolute defect of the refinement identity: the measure of a
         length-ell0 cylinder must equal the summed measures of its length-ell
         extensions at every anchoring position.  Both word lists come from the
-        rule's one language, so every window of an ell-word is an ell0-word."""
+        rule's one language, so every window of an ell-word is an ell0-word.
+
+        Raises ValueError unless 1 <= ell0 <= ell, and ValueError (from
+        `frequency_vector`) for ell > 1 on a non-expanding rule.
+        """
         if not 1 <= ell0 <= ell:
             raise ValueError("need 1 <= ell0 <= ell")
         base_words, base_vec = self.frequency_vector(ell0)
@@ -170,12 +169,19 @@ def unique_ergodicity_probe(
     component by component.  The verdict is 'sensitive' if any frequency
     component for any window length j <= ell moves by more than
     PROBE_TOLERANCE.
+
+    Raises ValueError for an empty `variants`, for a variant that changes
+    the image supports, for ell < 1 (from the language) and for ell > 1 on
+    a non-expanding rule.
     """
+    if not variants:
+        raise ValueError("the probe needs at least one variant")
     base_supports = rule.supports()
     for variant in variants:
         if variant.alphabet != rule.alphabet or variant.supports() != base_supports:
             raise ValueError("perturbation changes the image supports")
     base = FrequencyMeasure(rule)
+    base.frequency_vector(ell)  # the language refuses ell < 1 here
     worst = 0.0
     for variant in variants:
         fm = FrequencyMeasure(variant)

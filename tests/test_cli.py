@@ -358,27 +358,21 @@ class TestCheckAndErrors:
         assert code == 0 and doc["ok"] is True
         assert all(row["ok"] is True for row in doc["checks"])
 
-    @pytest.mark.parametrize("name,solves,builds", [
-        ("fibonacci", 2, 1), ("period_doubling", 2, 1), ("dyck", 3, 2),
-    ])
-    def test_check_builds_and_solves_each_matrix_once(self, capsys, monkeypatch,
-                                                      name, solves, builds):
-        # the mean matrix and the ell = 2 induced matrix, plus dyck's ell = 3
-        # one, which the recursion cannot reach without an inflating power
-        import stochsub.cli
+    def test_check_reads_the_vectors_freqs_serves(self, capsys, monkeypatch):
+        # frequency vectors at twice the PF solve fail the rows that read
+        # them; check's own solves keep its eigenvalue rows passing
         import stochsub.measure
 
-        calls = []
-        for module in (stochsub.cli, stochsub.measure):
-            for fn in ("pf_eigenpair", "induced_mean_matrix"):
-                def counting(*args, _fn=getattr(module, fn), _name=fn):
-                    calls.append(_name)
-                    return _fn(*args)
-                monkeypatch.setattr(module, fn, counting)
-        code, out, _ = invoke(capsys, "check", "--config", cfg(name))
-        assert code == 0 and "FAIL" not in out
-        assert calls.count("pf_eigenpair") == solves
-        assert calls.count("induced_mean_matrix") == builds
+        def doubled(mat, _solve=stochsub.measure.pf_eigenpair):
+            pair = _solve(mat)
+            return pair._replace(right=tuple(2 * x for x in pair.right))
+
+        monkeypatch.setattr(stochsub.measure, "pf_eigenpair", doubled)
+        code, out, _ = invoke(capsys, "check", "--config", cfg("fibonacci"))
+        failed = [row.split("\t")[0] for row in out.splitlines() if "\tFAIL\t" in row]
+        assert code == 1
+        assert failed == ["normalization-ell-1", "normalization-ell-2",
+                          "consistency-1-3"]
 
     def test_check_sums_every_induced_column(self, capsys, monkeypatch):
         # fibonacci's aa column, not the last column of its first letter a,

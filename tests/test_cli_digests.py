@@ -3,10 +3,10 @@
 Each case pins the exit code and the sha256 of standard output of one
 command line: `language`, `matrix` (ell 1-3), `freqs`, `entropy`, `check` and
 the three `sample` modes at a fixed seed, all in TSV, and in JSON where the
-output holds no full-precision float (`language`, `matrix`, `check`).  A case
-that fails also pins its standard error, a guard or validation message with
-no path or usage line in it.  Running this file as a script prints the table
-for the code on the import path:
+output holds no full-precision float (`language`, `matrix`, `check`).  A
+case that exits non-zero also pins its standard error, a guard or validation
+message with no path or usage line in it.  Running this file as a script
+prints the table for the code on the import path:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """
@@ -49,11 +49,11 @@ def cases():
             lines += [f"matrix --ell {ell}", f"matrix --ell {ell} --format json"]
         lines += ["freqs --ell 1", "freqs --ell 4", "entropy --max-n 4",
                   "check", "check --format json"]
-        sample = ["sample", "--letter", letter, "--seed", "7"]
+        start = ["--letter", letter, "--seed", "7"]  # after the mode: ids stay apart
         argvs = [line.split() for line in lines] + [
-            sample + ["--n", "5"],
-            sample + ["--n", "4", "--word", word, "--trials", "20"],
-            sample + ["--n", "4", "--tail-K", "1.5", "--trials", "20"],
+            ["sample", "--n", "5", *start],
+            ["sample", "--word", word, "--trials", "20", "--n", "4", *start],
+            ["sample", "--tail-K", "1.5", "--trials", "20", "--n", "4", *start],
         ]
         for argv in argvs:
             yield f"{name}: {' '.join(argv)}", name, argv, None
@@ -65,8 +65,10 @@ def outcome(name, argv, limit):
     """(exit code, sha256 of stdout), and stderr where the code is not 0."""
     config = str(CONFIG_DIR / f"{name}.json")
     out, err = io.StringIO(), io.StringIO()
-    env = {} if limit is None else {"STOCHSUB_GUARD_LIMIT": limit}
-    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("STOCHSUB_GUARD_LIMIT", None)
+        if limit is not None:
+            os.environ["STOCHSUB_GUARD_LIMIT"] = limit
         code = run([argv[0], "--config", config, *argv[1:]])
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return (code, digest) if code == 0 else (code, digest, err.getvalue())
@@ -86,9 +88,9 @@ EXPECTED = {
     'deterministic_fibonacci: entropy --max-n 4': (0, 'cfff8343fa0bd02e941493fb565669b46511cc283eb7d08549af94e7c2494706'),
     'deterministic_fibonacci: check': (0, 'f798ce505254d78117630fe281fe29be375cc66570b8bf6125bf3aea2cec528d'),
     'deterministic_fibonacci: check --format json': (0, 'b894efd9ce104c8fcf128bd4b3b9616ae46043a2f7d7c115170f094a7a4a799e'),
-    'deterministic_fibonacci: sample --letter a --seed 7 --n 5': (0, 'b659dcb89197047ae0e741aadd2dd72497e9deb93492e7567f3b400e7bf7752b'),
-    'deterministic_fibonacci: sample --letter a --seed 7 --n 4 --word ab --trials 20': (0, '67c52b6b417acd9bad14ea65d728887bb72fa6a704f7e487f88f04b4e0dc68c9'),
-    'deterministic_fibonacci: sample --letter a --seed 7 --n 4 --tail-K 1.5 --trials 20': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
+    'deterministic_fibonacci: sample --n 5 --letter a --seed 7': (0, 'b659dcb89197047ae0e741aadd2dd72497e9deb93492e7567f3b400e7bf7752b'),
+    'deterministic_fibonacci: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '67c52b6b417acd9bad14ea65d728887bb72fa6a704f7e487f88f04b4e0dc68c9'),
+    'deterministic_fibonacci: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
     'dyck: language --ell 4': (0, 'a8dc1ad916e5508972cce3aea7d416e29eafc9786a78cd6ecca8e9f6afed39f6'),
     'dyck: language --ell 4 --format json': (0, '3774e7daaf0d5ebbf7ff40ddcaef0180dfe951dc6c9c19db0b3c673e1929b24e'),
     'dyck: matrix --ell 1': (0, '24026ea4c1de0068f5da0cea6a72b4c47b63852512037986c5498723ee0a1b88'),
@@ -102,9 +104,9 @@ EXPECTED = {
     'dyck: entropy --max-n 4': (0, 'f5d123b896e676f78a3376aae3e870314d9c721f303c027f78b36d1c276b22bd'),
     'dyck: check': (0, 'e46ac8d20b14736e0a2a08b7ad2f3982627112f341c6c6479aff7b7c57ebd18d'),
     'dyck: check --format json': (0, '578cc539d7ba0cf618412e2404294f1f6cdfff96a1e36f830a9183f675eb654e'),
-    'dyck: sample --letter ( --seed 7 --n 5': (0, '21f7980bf427e6b4e94dcb5a8ba8f7df24eeeedd94542b4be1ae7d2187395b10'),
-    'dyck: sample --letter ( --seed 7 --n 4 --word () --trials 20': (0, 'ced6da7143855ce3c36e5241743f51529d61d7c9a664f45b2d048bc6ab3b391b'),
-    'dyck: sample --letter ( --seed 7 --n 4 --tail-K 1.5 --trials 20': (0, '1b5328e5375e0e6c7a57e3c581001ade85beb92f8c5d25d8e4ceb46bfb0161df'),
+    'dyck: sample --n 5 --letter ( --seed 7': (0, '21f7980bf427e6b4e94dcb5a8ba8f7df24eeeedd94542b4be1ae7d2187395b10'),
+    'dyck: sample --word () --trials 20 --n 4 --letter ( --seed 7': (0, 'ced6da7143855ce3c36e5241743f51529d61d7c9a664f45b2d048bc6ab3b391b'),
+    'dyck: sample --tail-K 1.5 --trials 20 --n 4 --letter ( --seed 7': (0, '1b5328e5375e0e6c7a57e3c581001ade85beb92f8c5d25d8e4ceb46bfb0161df'),
     'fibonacci: language --ell 4': (0, '5d7d024e0559f9421544c9fb6d2d20de45246fe87f53d44596a6fe42429b3478'),
     'fibonacci: language --ell 4 --format json': (0, '0509c73cb120e241ae1d3aa6aef1535ae349e80eca4bd6a39f1f98f62243f07b'),
     'fibonacci: matrix --ell 1': (0, 'bfc25ca96a10d6c54286d7e87ff3b2762a94a82c2c7ad46e47e984a4f2404d2e'),
@@ -118,9 +120,9 @@ EXPECTED = {
     'fibonacci: entropy --max-n 4': (0, 'f351fbb411b45818b25c02c152195e796153c88b8c90c47bcbf7fb76fa37ffcb'),
     'fibonacci: check': (0, 'ce66fc496393054c28d17e929a2f81d35c9aa438038aa5c68a934732e82d0623'),
     'fibonacci: check --format json': (0, '34124bdfb8eb6380e9ccf21a03d3a78988914901960ffa318a0e5d6a69e4f918'),
-    'fibonacci: sample --letter a --seed 7 --n 5': (0, 'eae1efb8e57f65ca8e3300384733578ba7e1e49b2d9fe9be1604da352eebf842'),
-    'fibonacci: sample --letter a --seed 7 --n 4 --word ab --trials 20': (0, '8b51e8c85aedbbab42281b4ad9d5613858f35988bf5628ebe66e96685f21740c'),
-    'fibonacci: sample --letter a --seed 7 --n 4 --tail-K 1.5 --trials 20': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
+    'fibonacci: sample --n 5 --letter a --seed 7': (0, 'eae1efb8e57f65ca8e3300384733578ba7e1e49b2d9fe9be1604da352eebf842'),
+    'fibonacci: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '8b51e8c85aedbbab42281b4ad9d5613858f35988bf5628ebe66e96685f21740c'),
+    'fibonacci: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
     'non_expanding: language --ell 4': (0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'non_expanding: language --ell 4 --format json': (0, '4ac4ce5bf0c9798f8e5e6cee28f0c654043d2b35389ee8e1f6053b62a0777adb'),
     'non_expanding: matrix --ell 1': (0, 'dac7314c3776655b45a089c2ca4f78bb665db351f78dd3aa2d44d86f255c27f0'),
@@ -134,9 +136,9 @@ EXPECTED = {
     'non_expanding: entropy --max-n 4': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: frequency vectors with ell > 1 require an expanding rule\n'),
     'non_expanding: check': (0, 'c6a56df66512a7d9c12d58e72ffdf47d3f9bdfeac57d26ed1c00218101ffb13d'),
     'non_expanding: check --format json': (0, '6b30a353cd1ce39fc8de6744180639e2df370477fd744595c2a0710f47709352'),
-    'non_expanding: sample --letter a --seed 7 --n 5': (0, '12225ce45753cf1a563acc5e2e4efbbcd73c85f8200af4915e1723ea92d83760'),
-    'non_expanding: sample --letter a --seed 7 --n 4 --word b --trials 20': (0, '33b5fe7ed1376ba84a3d8ee514b63be1e79655a764eb5fe60b1120545048f538'),
-    'non_expanding: sample --letter a --seed 7 --n 4 --tail-K 1.5 --trials 20': (0, 'be237c11673669c0a727d1982d46d8cb0c479baa8bc982f49d6afcc79190e629'),
+    'non_expanding: sample --n 5 --letter a --seed 7': (0, '12225ce45753cf1a563acc5e2e4efbbcd73c85f8200af4915e1723ea92d83760'),
+    'non_expanding: sample --word b --trials 20 --n 4 --letter a --seed 7': (0, '33b5fe7ed1376ba84a3d8ee514b63be1e79655a764eb5fe60b1120545048f538'),
+    'non_expanding: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'be237c11673669c0a727d1982d46d8cb0c479baa8bc982f49d6afcc79190e629'),
     'period_doubling: language --ell 4': (0, '5d7d024e0559f9421544c9fb6d2d20de45246fe87f53d44596a6fe42429b3478'),
     'period_doubling: language --ell 4 --format json': (0, '0509c73cb120e241ae1d3aa6aef1535ae349e80eca4bd6a39f1f98f62243f07b'),
     'period_doubling: matrix --ell 1': (0, '88a046855bed76b33d3c0c403c84edbd04775ce4c8da10daa0f3d48eee59b489'),
@@ -150,9 +152,9 @@ EXPECTED = {
     'period_doubling: entropy --max-n 4': (0, '8744e478e15389bd11cf3f0bf637ebcee830b8d59af504b4ea6925ab8edbee41'),
     'period_doubling: check': (0, 'f29ff117081f0a1be01d73cb973f4a4f1acfa1888b5a63112538243a94108c59'),
     'period_doubling: check --format json': (0, '5da79334ae6e28777fff33a3dc48df89c0c592192263519b53b086e87e3ce3b4'),
-    'period_doubling: sample --letter a --seed 7 --n 5': (0, '9934d8fdd4646e3217c2c347cf4e2983bec316a8370ccb9ec12ba3c24ef422a3'),
-    'period_doubling: sample --letter a --seed 7 --n 4 --word ab --trials 20': (0, 'd3e69087523602f5f364a6d281515234255dd761611c57762f5a91b1928bb163'),
-    'period_doubling: sample --letter a --seed 7 --n 4 --tail-K 1.5 --trials 20': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
+    'period_doubling: sample --n 5 --letter a --seed 7': (0, '9934d8fdd4646e3217c2c347cf4e2983bec316a8370ccb9ec12ba3c24ef422a3'),
+    'period_doubling: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, 'd3e69087523602f5f364a6d281515234255dd761611c57762f5a91b1928bb163'),
+    'period_doubling: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
     'zeta: language --ell 4': (0, '3356d33faeb6a17f8e78afa5ba2b6c53a93e3c47ebc7f9798f2141a8d09d9eca'),
     'zeta: language --ell 4 --format json': (0, '94728fc4ba9d0f13677e60c8f08dd3d8a0b3795c01d31399554536b04f21bfdc'),
     'zeta: matrix --ell 1': (0, '12a1d7317acd67eadcffbd91f4372df2be53cca37994ce2808922143e0330f2a'),
@@ -166,9 +168,9 @@ EXPECTED = {
     'zeta: entropy --max-n 4': (0, 'ef9434424069238ce3c04c1da35a4c56427f50fbd2e600769f6ac562e9182fa7'),
     'zeta: check': (0, '77d5b5bede92e100ffbbb3347c05ccdaeeb7e3517bef64fc5d0e17e597fa783e'),
     'zeta: check --format json': (0, '3dcb30b6f77be4dd2c8bad12f9cc665800a1af85337088ed35d7b87f99d54385'),
-    'zeta: sample --letter a --seed 7 --n 5': (0, 'bb73513150cd799e26fe186caedcdd247969b2cef669e45183643680787ed028'),
-    'zeta: sample --letter a --seed 7 --n 4 --word ab --trials 20': (0, '791d773c964bc6c5627893e56e73c069707446b9afa100509167b1c483d91ea5'),
-    'zeta: sample --letter a --seed 7 --n 4 --tail-K 1.5 --trials 20': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
+    'zeta: sample --n 5 --letter a --seed 7': (0, 'bb73513150cd799e26fe186caedcdd247969b2cef669e45183643680787ed028'),
+    'zeta: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '791d773c964bc6c5627893e56e73c069707446b9afa100509167b1c483d91ea5'),
+    'zeta: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
     'fibonacci: language --ell 6 @ 10': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: language enumeration exceeds guard 10 kernel states\n'),
     'zeta: freqs --ell 6 @ 10': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: induced matrix of 4 words exceeds guard 10 cells\n'),
     'period_doubling: sample --letter a --n 8 @ 100': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: sampled word exceeds letter budget 100\n'),
@@ -178,14 +180,9 @@ EXPECTED = {
 }
 
 
-@pytest.fixture(autouse=True)
-def no_guard_override(monkeypatch):
-    monkeypatch.delenv("STOCHSUB_GUARD_LIMIT", raising=False)
-
-
 @pytest.mark.parametrize("case,name,argv,limit",
                          [pytest.param(*c, id=c[0]) for c in cases()])
-def test_cli_output_is_pinned(case, name, argv, limit):
+def test_pinned(case, name, argv, limit):
     assert outcome(name, argv, limit) == EXPECTED[case]
 
 

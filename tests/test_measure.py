@@ -241,18 +241,6 @@ class TestOneTablePerRule:
         assert len(vec) == len(words) and abs(sum(vec) - 1.0) <= 1e-12
         assert type(vec) is tuple and {type(x) for x in vec} == {float}
 
-    def test_store_pf_vector_keeps_the_first_vector(self):
-        # a PF vector solved elsewhere becomes the frequency vector, unless one
-        # is stored already, which stays
-        rule = load("period_doubling")
-        pair = pf_eigenpair(induced_mean_matrix(rule, 2))
-        fm = FrequencyMeasure(rule)
-        fm._store_pf_vector(2, pair.right)
-        fm._store_pf_vector(2, [2 * x for x in pair.right])
-        assert fm.frequency_vector(2)[1] is pair.right
-        _, expected = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
-        assert np.array_equal(pair.right, expected)
-
     def test_recursion_checks_its_total_against_lambda_power(self):
         rule = load("period_doubling")
         _, base = FrequencyMeasure(load("period_doubling")).frequency_vector(2)
@@ -399,3 +387,14 @@ class TestErgodicityProbe:
     def test_support_change_rejected(self):
         with pytest.raises(ValueError, match="supports"):
             unique_ergodicity_probe(make_period_doubling(), 2, [make_zeta()])
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_no_window_length_rejected(self, ell):
+        # no length j <= ell to compare: the language refuses ell < 1
+        rule = make_period_doubling()
+        with pytest.raises(ValueError, match=r"^word length must be >= 1$"):
+            unique_ergodicity_probe(rule, ell, [make_period_doubling(F(1, 4))])
+
+    def test_no_variant_rejected(self):
+        with pytest.raises(ValueError, match=r"^the probe needs at least one variant$"):
+            unique_ergodicity_probe(make_period_doubling(), 2, [])
