@@ -12,9 +12,9 @@ import os
 ENV_VAR = "STOCHSUB_GUARD_LIMIT"
 
 # ITERATE_SUPPORT_LIMIT counts the words of an iterate law's support, not their
-# letters, and trips exactly when the support exceeds it; the words are held as
-# bytes, so on fibonacci theta^7(a) it trips after about 1 s at a peak RSS of
-# about 175 MB (Python 3.11)
+# letters (SAMPLE_LETTER_LIMIT guards those), and trips exactly when the support
+# exceeds it; the words are held as bytes, so on fibonacci theta^7(a) it trips
+# after about 1 s at a peak RSS of about 175 MB (Python 3.11)
 ITERATE_SUPPORT_LIMIT = 10**6
 # INDUCED_COLUMN_LIMIT counts the kernel states of one induced_mean_matrix
 # column; the largest column at the deepest length the cell and language guards
@@ -26,7 +26,21 @@ INDUCED_COLUMN_LIMIT = 10**7
 #   period_doubling ell 15: 5 686^2 = 32.3 M   ell 16: 9 816^2 = 96.4 M (refused)
 #   dyck            ell 7:  5 568^2 = 31.0 M   (ell 8 trips the language guard)
 INDUCED_CELL_LIMIT = 5 * 10**7
-SAMPLE_LETTER_LIMIT = 10**8     # letters in a single sampled realisation
+# SAMPLE_LETTER_LIMIT counts the letters of one sampled realisation, and of the
+# longest word of an exact iterate law.  The deepest `sample --n` it admits and
+# the first it refuses follow from the image lengths:
+#
+#   period_doubling, zeta   26 (2^26 letters; 739 MB on period_doubling), 27:
+#                           refused before the round draws, as every image
+#                           has two letters
+#   fibonacci,              37, 38: |theta^n(a)| = F(n + 2) and F(40) =
+#   deterministic_fibonacci 102 334 155; refused after the round, as a
+#                           one-letter image allows no earlier refusal
+#   non_expanding           never: the word stays one letter (--n 100000: 1.8 s)
+#   dyck                    images of 1 or 3 letters are drawn at random, so it
+#                           depends on the seed: any n <= 16 is admitted
+#                           (3^16 < 10^8), and the mean (7/3)^n passes 10^8 at 22
+SAMPLE_LETTER_LIMIT = 10**8
 
 # LANGUAGE_STATE_LIMIT counts the states of the realisation kernel
 # (`language._window_counts`), summed over the letters after the first of

@@ -206,27 +206,29 @@ def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | No
     return k, SubstitutionRule(rule.alphabet, images)
 
 
-def legal_words(
-    rule: SubstitutionRule, ell: int, *, _table: LanguageTable | None = None
-) -> tuple[Word, ...]:
+def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
     """The legal words of length ell, in lexicographic order of letter codes.
 
-    Shorter lengths needed by the recursion are taken from (and stored in) a
-    fresh LanguageTable of the rule; a table enumerating one of its lengths
-    passes itself as `_table`.  Raises ValueError for ell < 1 (the one length
-    check of all built on the language) and GuardExceeded when the kernel
-    states spent on this length exceed the language guard.
+    They are read from, or enumerated once into, the rule's language table
+    `rule.language()`, with the shorter lengths the recursion needs, so
+    they stay with the rule and are freed with it.  Raises ValueError for
+    ell < 1 (the one length check of all built on the language) and
+    GuardExceeded when the kernel states spent on this length exceed the
+    language guard.
     """
     if ell < 1:
         raise ValueError("word length must be >= 1")
-    table = LanguageTable(rule) if _table is None else _table
+    table = rule.language()
+    words = table._table.get(ell)
+    if words is not None:
+        return words
     m = table.prefix_length(ell)
     source = rule if m is None else table.power[1]
     images = [[(w, 1) for w, _ in entries] for entries in source._integer_form[1]]
     if m is not None:
         return _recursion_pass(table, ell, m, images)[0]
-    words = _closure(images, ell, _language_budget())
-    return tuple(map(tuple, sorted(w for w in words if len(w) == ell)))
+    words = sorted(w for w in _closure(images, ell, _language_budget()) if len(w) == ell)
+    return table._table.setdefault(ell, tuple(map(tuple, words)))
 
 
 class LanguageTable:
@@ -234,7 +236,9 @@ class LanguageTable:
     and of their frequency vectors (written only by
     `measure.FrequencyMeasure.frequency_vector`), with the inflating power
     the recursions use.  Making it, once per rule by
-    `SubstitutionRule.language()`, is the one primitivity check (ValueError)."""
+    `SubstitutionRule.language()`, is the one primitivity check (ValueError).
+    Its words are stored by `legal_words` and the recursion pass only, in
+    `rule.language()`, so a table built directly reads through to that one."""
 
     def __init__(self, rule: SubstitutionRule):
         if not rule.is_primitive()[0]:
@@ -258,11 +262,10 @@ class LanguageTable:
         return m if m < ell else None
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:
-        """The legal ell-words, enumerated once per length; ValueError for
-        ell < 1 and GuardExceeded past the language guard (`legal_words`)."""
-        if ell in self._table:
-            return self._table[ell]
-        return self._table.setdefault(ell, legal_words(self.rule, ell, _table=self))
+        """The legal ell-words, enumerated once per length into the rule's
+        table by `legal_words` (ValueError for ell < 1, GuardExceeded past
+        the language guard)."""
+        return self._table.get(ell) or legal_words(self.rule, ell)
 
     def position(self, word: WordLike) -> int | None:
         """The position of a nonempty word among the legal words of its

@@ -11,14 +11,16 @@ realisation is held at one byte per letter, as `bytes` of letter codes.
 
 Input contract, shared by every sampler and checked before the first trial:
 the start letter is a symbol or an in-range letter code (KeyError
-otherwise), the depth satisfies n >= 0 and the trial count trials >= 1
-(ValueError otherwise).  Each sampler states its own further conditions.
-All samplers draw from one trial engine, `_trials`.
+otherwise), the depth satisfies n >= 0, the trial count trials >= 1 and
+the seed is a non-negative integer (ValueError otherwise).  Each sampler
+states its own further conditions.  All samplers draw from one trial
+engine, `_trials`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -95,17 +97,19 @@ def _trials(
 
     The arguments are checked here, before the first trial is drawn: the
     start is a symbol or an in-range letter code (KeyError otherwise), and
-    n >= 0 and trials >= 1 (ValueError otherwise).  A realisation over the
-    letter guard raises GuardExceeded in the round that builds it, before
-    the other trials of its batch are yielded; where the shortest image
-    already takes the longest word over the guard, before that round draws
-    its uniforms.
+    n >= 0, trials >= 1 and the seed a non-negative integer (ValueError
+    otherwise).  A realisation over the letter guard raises GuardExceeded
+    in the round that builds it, before the other trials of its batch are
+    yielded; where the shortest image already takes the longest word over
+    the guard, before that round draws its uniforms.
     """
     (start,) = rule.encode((letter,))
     if n < 0:
         raise ValueError("iteration depth must be nonnegative")
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     import numpy as np
 
     limit = guard_limit(SAMPLE_LETTER_LIMIT)

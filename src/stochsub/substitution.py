@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .guards import ITERATE_SUPPORT_LIMIT, GuardExceeded, guard_limit
+from .guards import ITERATE_SUPPORT_LIMIT, SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
 from .words import Alphabet, WordLike, abelianise
 
 Word = tuple[int, ...]
@@ -300,8 +300,11 @@ class SubstitutionRule:
     ) -> IterateDistribution:
         """Exact law of theta^n(u), built from the laws of theta^m(c) once per
         (letter, depth) pair reachable from u.  For n >= 1, GuardExceeded is
-        raised exactly when the support exceeds the guard: with the other
-        choices fixed, each partial law maps one-to-one into that support."""
+        raised exactly when the support exceeds its guard (with the other
+        choices fixed, each partial law maps one-to-one into that support),
+        or its longest word the sampler's letter guard; the image lengths
+        give that word's length before any law is built, and no partial
+        law holds a longer word."""
         u = self.encode(u)
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
@@ -310,6 +313,13 @@ class SubstitutionRule:
         limit = (guard_limit(ITERATE_SUPPORT_LIMIT) if max_support is None
                  else max_support)
         denominator, images = self._integer_form
+        letters = guard_limit(SAMPLE_LETTER_LIMIT)
+        longest = [1] * len(images)  # of theta^d(c), capped just past the guard
+        for _ in range(n):
+            longest = [min(max(sum(map(longest.__getitem__, w)) for w, _ in entries),
+                           letters + 1) for entries in images]
+        if sum(map(longest.__getitem__, u)) > letters:
+            raise GuardExceeded(f"iterate word exceeds letter guard {letters}")
         reach = [set(u)]  # reach[d]: the letters of the realisations of theta^d(u)
         for _ in range(n):
             reach.append({c for b in reach[-1] for img, _ in images[b] for c in img})

@@ -11,6 +11,7 @@ from stochsub import (
     SubstitutionRule,
     empirical_frequency,
     induced_mean_matrix,
+    language,
     legal_words,
     metric_entropy_partial,
     topological_entropy_partial,
@@ -275,8 +276,9 @@ def test_language_pinned_at_depth(name):
     ("dyck", 5, 10622), ("fibonacci", 12, 9139),
 ])
 def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
-    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
-    tables = [LanguageTable(rule), LanguageTable(rule)]
+    # one rule per table, as a rule's words stay in its own table
+    tables = [SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json").language()
+              for _ in range(2)]
     for table in tables:
         for j in range(1, ell):
             table.words_of_length(j)
@@ -287,21 +289,38 @@ def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
         tables[1].words_of_length(ell)
 
 
+@pytest.mark.parametrize("first", ["legal_words", "words_of_length"])
+@pytest.mark.parametrize("name,top", [
+    ("fibonacci", 6), ("period_doubling", 6), ("zeta", 6),
+    ("deterministic_fibonacci", 6), ("non_expanding", 6), ("dyck", 5),
+])
+def test_one_table_per_rule(monkeypatch, name, top, first):
+    # either entry point enumerates a length once, into the rule's table,
+    # and both then return that tuple without another kernel pass
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    calls = {"legal_words": lambda ell: legal_words(rule, ell),
+             "words_of_length": lambda ell: rule.language().words_of_length(ell)}
+    kernel_calls = []
+    window_counts = language._window_counts
+
+    def spy(*args, **kwargs):
+        kernel_calls.append(args[2])
+        return window_counts(*args, **kwargs)
+
+    monkeypatch.setattr(language, "_window_counts", spy)
+    for ell in range(1, top + 1):
+        words = calls[first](ell)
+        spent = len(kernel_calls)
+        assert all(call(ell) is words for call in calls.values())
+        assert len(kernel_calls) == spent
+
+
 class TestLanguageTable:
     def test_position_agrees_with_order(self, zeta):
         table = LanguageTable(zeta)
         words = table.words_of_length(3)
         assert all(table.position(w) == i for i, w in enumerate(words))
         assert table.position("aaa") is None
-
-    def test_table_keeps_its_own_lengths(self):
-        # the shorter lengths the recursion needs land in the table that
-        # enumerates, not in the rule's shared table
-        rule = SubstitutionRule.from_file(CONFIG_DIR / "zeta.json")
-        table = LanguageTable(rule)
-        table.words_of_length(8)
-        assert table.prefix_length(8) in table._table
-        assert rule.language()._table == {}
 
     def test_is_legal(self, period_doubling):
         table = LanguageTable(period_doubling)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -186,14 +187,16 @@ class TestLengthTail:
         assert vals[0] >= vals[1] >= vals[2]
 
 
-# every sampler called as (rule, letter, n, trials); sample_iterate draws
-# exactly one trial and takes no trial count
+# every sampler called as (rule, letter, n, trials, **seed); sample_iterate
+# draws exactly one trial and takes no trial count
 SAMPLERS = {
-    "sample_iterate": lambda r, a, n, t: sample_iterate(r, a, n),
-    "empirical_frequency": lambda r, a, n, t: empirical_frequency(r, a, "a", n, t),
-    "sample_iterate_law": lambda r, a, n, t: sample_iterate_law(r, a, n, t),
-    "gw_direction_estimate": lambda r, a, n, t: gw_direction_estimate(r, a, n, t),
-    "length_tail": lambda r, a, n, t: length_tail(r, a, n, 1.0, t),
+    "sample_iterate": lambda r, a, n, t, **kw: sample_iterate(r, a, n, **kw),
+    "empirical_frequency":
+        lambda r, a, n, t, **kw: empirical_frequency(r, a, "a", n, t, **kw),
+    "sample_iterate_law": lambda r, a, n, t, **kw: sample_iterate_law(r, a, n, t, **kw),
+    "gw_direction_estimate":
+        lambda r, a, n, t, **kw: gw_direction_estimate(r, a, n, t, **kw),
+    "length_tail": lambda r, a, n, t, **kw: length_tail(r, a, n, 1.0, t, **kw),
 }
 
 
@@ -219,6 +222,13 @@ class TestInputContract:
         with pytest.raises(ValueError, match="trials >= 1"):
             SAMPLERS[name](fibonacci, "a", 3, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_seed_not_a_non_negative_integer(self, name, seed, fibonacci):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative "
+                                             f"integer, got {re.escape(repr(seed))}$"):
+            SAMPLERS[name](fibonacci, "a", 3, 5, seed=seed)
+
     @pytest.mark.parametrize("k", [-1.0, 0.0, math.nan, math.inf])
     def test_tail_threshold(self, k, fibonacci):
         with pytest.raises(ValueError, match="finite and > 0"):
@@ -231,6 +241,8 @@ class TestInputContract:
             _trials(fibonacci, "a", -1, 1, 0)
         with pytest.raises(ValueError):
             _trials(fibonacci, "a", 3, 0, 0)
+        with pytest.raises(ValueError):
+            _trials(fibonacci, "a", 3, 1, -1)
 
     def test_code_and_symbol_agree(self, fibonacci):
         for code, symbol in enumerate(fibonacci.alphabet.symbols):

@@ -250,6 +250,14 @@ class TestIterates:
         with pytest.raises(GuardExceeded, match="limit 10079"):
             fibonacci.iterate_distribution("a", 6, max_support=10079)
 
+    def test_guard_counts_the_letters_of_a_word(self, monkeypatch, det_fibonacci):
+        # one word of F(n + 2) letters: the support guard never trips
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "1000")
+        (word,) = det_fibonacci.iterate_distribution("a", 14).entries
+        assert len(word) == 987
+        with pytest.raises(GuardExceeded, match="^iterate word exceeds letter guard 1000$"):
+            det_fibonacci.iterate_distribution("a", 15)
+
     def test_guard_ignores_a_larger_intermediate_law(self):
         # a -> b|c, b -> a, c -> a: the law at depth 1 has two words, the law
         # at depth 2 one
