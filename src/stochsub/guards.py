@@ -1,8 +1,10 @@
 """Resource guards for operations whose cost can explode combinatorially.
 
-All default limits can be overridden at once through the environment
-variable STOCHSUB_GUARD_LIMIT, a non-negative integer in ASCII digits; for
-any other value ("-5", "1e6", "") `guard_limit` raises a ValueError naming it.
+Every guard is a `Budget`, refused exactly when its count exceeds its limit,
+so 0 refuses each computation that counts a state, cell or letter.  All
+default limits can be overridden at once through STOCHSUB_GUARD_LIMIT, a
+non-negative integer in ASCII digits read when a budget is made; for any
+other value ("-5", "1e6", "") `guard_limit` raises a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -68,3 +70,23 @@ def guard_limit(default: int) -> int:
     if not (env.isascii() and env.isdigit()):
         raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {env!r}")
     return int(env)
+
+
+class Budget:
+    """One resource guard.  Its limit is `limit` if given, else
+    `guard_limit(default)`; `message`, the GuardExceeded text, gets the
+    limit in its one `{}`.  `spend` adds to the running total `used`,
+    `check` tests one peak count on its own."""
+
+    def __init__(self, default: int, message: str, limit: int | None = None):
+        self.limit = guard_limit(default) if limit is None else limit
+        self.message = message.format(self.limit)
+        self.used = 0
+
+    def spend(self, count: int) -> None:
+        self.used += count
+        self.check(self.used)
+
+    def check(self, count: int) -> None:
+        if count > self.limit:
+            raise GuardExceeded(self.message)

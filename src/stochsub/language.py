@@ -26,7 +26,7 @@ The closure (once per round), the recursion (once per length, on all of L_m,
 weighted by 1 for `legal_words` and by R_m for the frequency recursion) and
 each induced column (once, on its word) call one kernel, `_window_counts`.
 It enumerates the images of each word's tail once, each tail letter
-spending the current states from a `_StateBudget` (raising GuardExceeded
+spending the current states from a `guards.Budget` (raising GuardExceeded
 past its limit), sums the tails per first letter, and joins each letter's
 images to that sum once.
 
@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
-from .guards import LANGUAGE_STATE_LIMIT, GuardExceeded, guard_limit
+from .guards import LANGUAGE_STATE_LIMIT, Budget
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
 
@@ -59,31 +59,13 @@ Counts = dict[bytes, Weight]
 POWER_REALISATION_LIMIT = 2000
 
 
-class _StateBudget:
-    """Running count of spent enumeration states against a guard; `guarded`
-    and `unit` name the computation and its states in the GuardExceeded
-    message."""
-
-    def __init__(self, limit: int, guarded: str, unit: str = ""):
-        self.limit = limit
-        self.used = 0
-        self.message = f"{guarded} exceeds guard {limit}{unit}"
-
-    def spend(self, states: int) -> None:
-        self.used += states
-        if self.used > self.limit:
-            raise GuardExceeded(self.message)
-
-
-def _language_budget() -> _StateBudget:
+def _language_budget() -> Budget:
     """The state budget of one word length: its words and frequency vector."""
-    return _StateBudget(
-        guard_limit(LANGUAGE_STATE_LIMIT), "language enumeration", " kernel states"
-    )
+    return Budget(LANGUAGE_STATE_LIMIT, "language enumeration exceeds guard {} kernel states")
 
 
 def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
-                   words: Sequence[Sequence[int]], ell: int, budget: _StateBudget,
+                   words: Sequence[Sequence[int]], ell: int, budget: Budget,
                    weights: Sequence[Weight] | None = None, mass: int = 1) -> Counts:
     """The ell-windows (cut short at the end) that start in the image of each
     word's first letter, with their expected counts times the word's weight
@@ -136,7 +118,7 @@ def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
 
 
 def _closure(
-    images: Sequence[Sequence[tuple[bytes, int]]], ell: int, budget: _StateBudget
+    images: Sequence[Sequence[tuple[bytes, int]]], ell: int, budget: Budget
 ) -> set[bytes]:
     """Every word reachable from a single letter by repeatedly taking the
     windows that start in the first image of an inflation.  Each round

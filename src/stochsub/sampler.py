@@ -24,7 +24,7 @@ import numbers
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .guards import SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
+from .guards import SAMPLE_LETTER_LIMIT, Budget
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import MAX_SYMBOLS, WordLike, abelianise, count_occurrences
@@ -112,8 +112,7 @@ def _trials(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     import numpy as np
 
-    limit = guard_limit(SAMPLE_LETTER_LIMIT)
-    refusal = f"sampled word exceeds letter budget {limit}"
+    letters = Budget(SAMPLE_LETTER_LIMIT, "sampled word exceeds letter budget {}")
     minlen = rule.min_image_length()
     base, thr, lens, table = _image_tables(rule)
     # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20, deeper
@@ -130,8 +129,7 @@ def _trials(
         ends = list(range(1, hi - lo + 1))
         longest = 1  # letters in the longest word of the batch
         for _ in range(n):
-            if longest * minlen > limit:  # no image is shorter than minlen
-                raise GuardExceeded(refusal)
+            letters.check(longest * minlen)  # no image is shorter than minlen
             u = np.empty(len(word))
             a = 0
             for rng, b in zip(rngs, ends):
@@ -143,8 +141,7 @@ def _trials(
             starts = np.array([0, *ends[:-1]])
             sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
             longest = int(sizes.max())
-            if longest > limit:
-                raise GuardExceeded(refusal)
+            letters.check(longest)
             word = table.take(img, axis=0).ravel()
             word = word[word != PAD]
             ends = np.cumsum(sizes).tolist()
@@ -188,7 +185,8 @@ def empirical_frequency(
     v = rule.encode(v)
     if not rule.language().is_legal(v):
         raise ValueError(f"word {rule.alphabet.decode(v)!r} is not legal")
-    freqs = np.array([count_occurrences(word, v) / len(word) for word in realisations])
+    freqs = np.fromiter((count_occurrences(word, v) / len(word) for word in realisations),
+                        dtype=float, count=trials)
     stderr = float(freqs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SampleStats(
         estimate=float(freqs.mean()), stderr=stderr, trials=trials, depth=n, seed=seed

@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .guards import ITERATE_SUPPORT_LIMIT, SAMPLE_LETTER_LIMIT, GuardExceeded, guard_limit
+from .guards import ITERATE_SUPPORT_LIMIT, SAMPLE_LETTER_LIMIT, Budget
 from .words import Alphabet, WordLike, abelianise
 
 Word = tuple[int, ...]
@@ -113,10 +113,11 @@ class IterateDistribution(NamedTuple):
     entries: Mapping[Word, Fraction]
 
 
-def _substitute(words, e0: int, laws, denominator: int, limit: int) -> tuple[dict, int]:
+def _substitute(words, e0: int, laws, denominator: int, support: Budget) -> tuple[dict, int]:
     """Law of a word drawn from `words` (numerators over D^e0) with each letter
-    c replaced by an independent draw from laws[c] = (numerators over D^e, e);
-    every law is keyed by `bytes` words."""
+    c replaced by an independent draw from laws[c] = (numerators over D^e, e),
+    each partial law checked against `support`; laws are keyed by `bytes`."""
+    check = support.check  # bound once: it runs once per prefix
     exps = {word: sum(laws[c][1] for c in word) for word in words}
     top = max(exps.values())
     out: dict[bytes, int] = {}
@@ -129,13 +130,11 @@ def _substitute(words, e0: int, laws, denominator: int, limit: int) -> tuple[dic
                 for w, z in numerators.items():
                     key = prefix + w
                     nxt[key] = nxt.get(key, 0) + y * z
-                if len(nxt) > limit:
-                    raise GuardExceeded(f"iterate support exceeds guard limit {limit}")
+                check(len(nxt))
             acc = nxt
         for w, y in acc.items():
             out[w] = out.get(w, 0) + y
-        if len(out) > limit:
-            raise GuardExceeded(f"iterate support exceeds guard limit {limit}")
+        check(len(out))
     return out, e0 + top
 
 
@@ -310,24 +309,23 @@ class SubstitutionRule:
             raise ValueError("iteration count must be nonnegative")
         if n == 0:
             return IterateDistribution(source=u, n=0, entries={u: Fraction(1)})
-        limit = (guard_limit(ITERATE_SUPPORT_LIMIT) if max_support is None
-                 else max_support)
+        support = Budget(ITERATE_SUPPORT_LIMIT, "iterate support exceeds guard limit {}",
+                         max_support)
         denominator, images = self._integer_form
-        letters = guard_limit(SAMPLE_LETTER_LIMIT)
+        letters = Budget(SAMPLE_LETTER_LIMIT, "iterate word exceeds letter guard {}")
         longest = [1] * len(images)  # of theta^d(c), capped just past the guard
         for _ in range(n):
             longest = [min(max(sum(map(longest.__getitem__, w)) for w, _ in entries),
-                           letters + 1) for entries in images]
-        if sum(map(longest.__getitem__, u)) > letters:
-            raise GuardExceeded(f"iterate word exceeds letter guard {letters}")
+                           letters.limit + 1) for entries in images]
+        letters.check(sum(map(longest.__getitem__, u)))
         reach = [set(u)]  # reach[d]: the letters of the realisations of theta^d(u)
         for _ in range(n):
             reach.append({c for b in reach[-1] for img, _ in images[b] for c in img})
         laws = {c: ({bytes((c,)): 1}, 0) for c in reach[n]}  # theta^m(c), m = 0..n
         for depth in range(n - 1, -1, -1):
-            laws = {b: _substitute(dict(images[b]), 1, laws, denominator, limit)
+            laws = {b: _substitute(dict(images[b]), 1, laws, denominator, support)
                     for b in reach[depth]}
-        numerators, e = _substitute({bytes(u): 1}, 0, laws, denominator, limit)
+        numerators, e = _substitute({bytes(u): 1}, 0, laws, denominator, support)
         scale = denominator**e
         entries = {tuple(w): Fraction(x, scale) for w, x in numerators.items()}
         return IterateDistribution(source=u, n=n, entries=entries)

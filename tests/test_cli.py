@@ -56,7 +56,7 @@ class TestMatrix:
         code, out, err = invoke(capsys, "matrix", "--config", cfg("dyck"),
                                 "--ell", "2")
         assert code == 2 and out == ""
-        assert "induced matrix of 14 words exceeds guard 195 cells" in err
+        assert err == "error: induced matrix of 14 words exceeds guard 195 cells\n"
         monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "196")
         code, out, _ = invoke(capsys, "matrix", "--config", cfg("dyck"),
                               "--ell", "2")

@@ -3,8 +3,10 @@ only, so the package import, the exact layer (language, matrices, iterate
 laws and kernel) and the float layer (PF solve, frequencies, entropy and
 `check`) start without it; the result records are NamedTuples and
 plain classes, so neither loads `dataclasses` or the `inspect` it pulls in;
-and the package's public names keep the modules they are defined in."""
+the package's public names keep the modules they are defined in; and every
+guard is read and refused in `guards.py`."""
 
+import ast
 import functools
 import importlib
 import subprocess
@@ -144,3 +146,30 @@ def test_public_name_resolves_to_its_module(name):
     assert value is getattr(module, name)
     if hasattr(value, "__module__"):
         assert value.__module__ == HOME[name]
+
+
+def call_sites(name: str) -> set[tuple[str, str]]:
+    """(module file, innermost enclosing function) of every call of `name`
+    in the package's source."""
+    sites = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            sites.add((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(stochsub.__file__).resolve().parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_guards_are_read_and_refused_in_one_module():
+    # every refusal goes through a guards.Budget, which reads its own limit;
+    # the CLI reads it once more at start, to refuse a malformed value
+    assert {module for module, _ in call_sites("GuardExceeded")} == {"guards.py"}
+    assert {site for site in call_sites("guard_limit")
+            if site[0] != "guards.py"} == {("cli.py", "run")}

@@ -14,7 +14,7 @@ from stochsub import (
     pf_eigenpair,
 )
 from stochsub.cli import run
-from stochsub.language import _StateBudget
+from stochsub.guards import Budget
 
 from conftest import (
     CONFIG_DIR,
@@ -97,7 +97,7 @@ def fraction_induced_rows(rule, ell):
     images = [[(bytes(w), p) for w, p in entries] for entries in rule.images]
     rows = [[F(0)] * len(words) for _ in words]
     for j, u in enumerate(words):
-        budget = _StateBudget(10**7, "oracle column")
+        budget = Budget(10**7, "oracle column")
         for w, weight in column_weights(images, u, ell, budget).items():
             rows[table.position(w)][j] = weight
     return tuple(tuple(r) for r in rows)
@@ -121,7 +121,7 @@ def per_word_columns(rule, ell):
     denominator, images = rule._integer_form
     out = []
     for u in words:
-        budget = _StateBudget(10**7, "oracle column")
+        budget = Budget(10**7, "oracle column")
         counts = column_weights(images, u, ell, budget, mass=denominator)
         out.append(({index[w]: x for w, x in counts.items()}, budget.used))
     return out
@@ -309,6 +309,6 @@ class TestColumnGuard:
         monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 9)
         assert induced_mean_matrix(rule, 4).size == 160
         monkeypatch.setattr("stochsub.induced.INDUCED_COLUMN_LIMIT", 8)
-        with pytest.raises(GuardExceeded, match="induced-matrix column "
+        with pytest.raises(GuardExceeded, match="^induced-matrix column "
                            "enumeration exceeds guard 8$"):
             induced_mean_matrix(rule, 4)

@@ -39,7 +39,8 @@ from hypothesis import strategies as st
 
 from stochsub import FrequencyMeasure, SubstitutionRule
 from stochsub import language
-from stochsub.language import _StateBudget, _closure, _window_counts
+from stochsub.guards import Budget
+from stochsub.language import _closure, _window_counts
 
 from conftest import (
     CONFIG_DIR,
@@ -97,10 +98,10 @@ def weightings(rule):
 def assert_same_as_oracle(rule, u, ell):
     for name, images, scale, mass in weightings(rule):
         as_bytes = [[(bytes(w), x) for w, x in entries] for entries in images]
-        expected_budget = _StateBudget(10**7, "oracle")
+        expected_budget = Budget(10**7, "oracle")
         expected = tuple_column_weights(images, u, ell, expected_budget, scale, mass)
         for word in (u, bytes(u)):
-            budget = _StateBudget(10**7, "kernel")
+            budget = Budget(10**7, "kernel")
             got = column_weights(as_bytes, word, ell, budget, scale, mass)
             assert all(type(w) is bytes for w in got), name
             assert [tuple(w) for w in got] == list(expected), name
@@ -141,8 +142,8 @@ def assert_shared_dict_is_the_sum(rule, words, ell):
         as_bytes = [[(bytes(w), x) for w, x in entries] for entries in images]
         weights = (None if name == "unit"
                    else [(i + 1) * scale for i in range(len(words))])
-        separate_budget, shared_budget = (_StateBudget(10**7, "kernel"),
-                                          _StateBudget(10**7, "kernel"))
+        separate_budget, shared_budget = (Budget(10**7, "kernel"),
+                                          Budget(10**7, "kernel"))
         expected = {}
         for u, weight in zip(words, weights or [1] * len(words)):
             one = column_weights(as_bytes, u, ell, separate_budget, weight, mass)
@@ -188,12 +189,12 @@ def assert_closure_inflates_each_word_once(rule, ell):
         inflated.extend(words)
         return _window_counts(images, words, *args)
 
-    budget = _StateBudget(10**7, "closure")
+    budget = Budget(10**7, "closure")
     with mock.patch.object(language, "_window_counts", recording):
         found = _closure(images, ell, budget)
     assert len(inflated) == len(set(inflated))
     assert set(inflated) == found
-    single = _StateBudget(10**7, "single words")
+    single = Budget(10**7, "single words")
     for u in found:
         column_weights(images, u, ell, single)
     assert budget.used == single.used
@@ -225,7 +226,7 @@ def per_word_frequency_vector(rule, ell):
     denominator, integer_images = fm.table.power[1]._integer_form
     images = [[(img, q / denominator) for img, q in entries]
               for entries in integer_images]
-    budget = _StateBudget(10**7, "oracle")
+    budget = Budget(10**7, "oracle")
     counts = {}
     for p, r in zip(prefixes, prefix_vec):
         for w, x in column_weights(images, p, ell, budget, float(r)).items():

@@ -285,7 +285,8 @@ def test_guard_counts_kernel_states(monkeypatch, name, ell, states):
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states))
     assert tables[0].words_of_length(ell)
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(states - 1))
-    with pytest.raises(GuardExceeded, match=f"exceeds guard {states - 1} kernel"):
+    with pytest.raises(GuardExceeded, match="^language enumeration exceeds guard "
+                       f"{states - 1} kernel states$"):
         tables[1].words_of_length(ell)
 
 

@@ -19,7 +19,7 @@ from stochsub import (
     unique_ergodicity_probe,
 )
 from stochsub import language
-from stochsub.language import _StateBudget
+from stochsub.guards import Budget
 
 from conftest import (
     CONFIG_DIR,
@@ -124,15 +124,15 @@ def load(name):
 
 
 def count_states(monkeypatch):
-    """Record the states every `_StateBudget` spends from now on."""
+    """Record the states every `Budget` spends from now on."""
     spent = []
-    spend = _StateBudget.spend
+    spend = Budget.spend
 
     def counting(budget, states):
         spent.append(states)
         spend(budget, states)
 
-    monkeypatch.setattr(_StateBudget, "spend", counting)
+    monkeypatch.setattr(Budget, "spend", counting)
     return spent
 
 
@@ -153,7 +153,7 @@ class TestOneTablePerRule:
             fm.frequency_vector(ell)
         monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "9138")
         with pytest.raises(GuardExceeded,
-                           match="language enumeration exceeds guard 9138 kernel"):
+                           match="^language enumeration exceeds guard 9138 kernel states$"):
             fm.frequency_vector(12)
         monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "9139")
         assert len(fm.frequency_vector(12)[0]) == len(fm.table.words_of_length(12))

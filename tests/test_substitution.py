@@ -247,7 +247,8 @@ class TestIterates:
     def test_guard_raises_exactly_past_the_support(self, fibonacci):
         law = fibonacci.iterate_distribution("a", 6, max_support=10080)
         assert len(law.entries) == 10080
-        with pytest.raises(GuardExceeded, match="limit 10079"):
+        with pytest.raises(GuardExceeded,
+                           match="^iterate support exceeds guard limit 10079$"):
             fibonacci.iterate_distribution("a", 6, max_support=10079)
 
     def test_guard_counts_the_letters_of_a_word(self, monkeypatch, det_fibonacci):
@@ -257,6 +258,12 @@ class TestIterates:
         assert len(word) == 987
         with pytest.raises(GuardExceeded, match="^iterate word exceeds letter guard 1000$"):
             det_fibonacci.iterate_distribution("a", 15)
+        # the exact trip point: the 987 letters of theta^14(a)
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "987")
+        det_fibonacci.iterate_distribution("a", 14)
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "986")
+        with pytest.raises(GuardExceeded, match="^iterate word exceeds letter guard 986$"):
+            det_fibonacci.iterate_distribution("a", 14)
 
     def test_guard_ignores_a_larger_intermediate_law(self):
         # a -> b|c, b -> a, c -> a: the law at depth 1 has two words, the law
