@@ -1,11 +1,11 @@
 """Command line front end.
 
-Subcommands: language, matrix, freqs, entropy, sample, check.  Every
-subcommand reads a rule from a JSON config (--config) and writes a report to
-standard output as TSV (default, 12 significant digits) or JSON (full double
-precision).  Each subparser names its handler, which returns (report, rows,
-ok); ok is false only for a failing `check`.  Exit codes: 0 success, 1
-validation or usage error or a failed check, 2 resource guard tripped.
+Subcommands: language, matrix, freqs, entropy, sample, check.  Each reads a
+rule from a JSON config (--config) and writes TSV (default, 12 significant
+digits) or JSON (full double precision) to standard output.  Its handler
+returns (report, rows, ok): rows are lists of str that the handler formats, ok
+is false only for a failing `check`.  Exit codes: 0 success, 1 validation or
+usage error or a failed check, 2 guard tripped.
 """
 
 from __future__ import annotations
@@ -58,14 +58,12 @@ def _write_json(doc: dict) -> None:
 
 
 def _emit(report, rows, fmt: str) -> None:
-    """rows (any iterable) drive the TSV output; report() builds the JSON
-    document, so that TSV never holds it."""
+    """rows (any iterable of lists of str) drive the TSV output; report()
+    builds the JSON document, so that TSV never holds it."""
     if fmt == "json":
         _write_json(report())
     else:
-        for row in rows:
-            cells = [_fmt(c) if isinstance(c, float) else str(c) for c in row]
-            sys.stdout.write("\t".join(cells) + "\n")
+        sys.stdout.writelines("\t".join(row) + "\n" for row in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,11 +162,11 @@ def _cmd_freqs(rule, args):
             value = fm.cylinder_measure(args.word)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        return lambda: {"word": args.word, "measure": value}, [[args.word, value]], True
+        return lambda: {"word": args.word, "measure": value}, [[args.word, _fmt(value)]], True
     words, vec = fm.frequency_vector(args.ell)
     decode = rule.alphabet.decode
     return (lambda: {"ell": args.ell, "measures": dict(zip(map(decode, words), vec))},
-            ([decode(w), v] for w, v in zip(words, vec)), True)
+            ([decode(w), _fmt(v)] for w, v in zip(words, vec)), True)
 
 
 def _cmd_entropy(rule, args):
@@ -183,7 +181,7 @@ def _cmd_entropy(rule, args):
         if args.flavor in ("topological", "both"):
             entry["topological"] = topological_entropy_partial(rule, n)
         entries.append(entry)
-    rows = map(dict.values, entries)  # n, metric, topological
+    rows = ([str(n), *map(_fmt, sums)] for n, *sums in map(dict.values, entries))
     return lambda: {"flavor": args.flavor, "series": entries}, rows, True
 
 
@@ -195,20 +193,22 @@ def _cmd_sample(rule, args):
         report = {"mode": "frequency", "word": args.word,
                   "estimate": stats.estimate, "stderr": stats.stderr,
                   "trials": stats.trials, "n": stats.depth, "seed": stats.seed}
-        return lambda: report, list(report.items())[2:], True  # from "estimate" on
+        rows = [["estimate", _fmt(stats.estimate)], ["stderr", _fmt(stats.stderr)],
+                *([k, str(report[k])] for k in ("trials", "n", "seed"))]
+        return lambda: report, rows, True
     if args.tail_k is not None:
         frac = length_tail(rule, args.letter, args.n, args.tail_k, args.trials,
                            seed=args.seed)
         report = {"mode": "tail", "K": args.tail_k, "fraction": frac,
                   "trials": args.trials, "n": args.n, "seed": args.seed}
-        return lambda: report, [["fraction", frac]], True
+        return lambda: report, [["fraction", _fmt(frac)]], True
     if args.trials < 1:
         raise ValueError("need trials >= 1")
     word = sample_iterate(rule, args.letter, args.n, seed=args.seed)
     decoded = rule.alphabet.decode(word)
     report = {"mode": "iterate", "n": args.n, "seed": args.seed,
               "length": len(word), "word": decoded}
-    return lambda: report, [[decoded], ["length", len(word)]], True
+    return lambda: report, [[decoded], ["length", str(len(word))]], True
 
 
 def _cmd_check(rule, args):

@@ -237,8 +237,8 @@ class LanguageTable:
     def prefix_length(self, ell: int) -> int | None:
         """The length m < ell of the legal words whose images under the
         inflating power contain every legal ell-word, or None where the
-        recursion does not apply (no inflating power, or m >= ell)."""
-        if self.power is None:
+        recursion does not apply (ell < 3, no inflating power, or m >= ell)."""
+        if ell < 3 or self.power is None:
             return None
         m = (ell - 2) // self.power[1].min_image_length() + 2
         return m if m < ell else None

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from .guards import SAMPLE_LETTER_LIMIT, Budget
 from .spectral import pf_eigenpair
 from .substitution import SubstitutionRule, Word
-from .words import MAX_SYMBOLS, WordLike, abelianise, count_occurrences
+from .words import MAX_SYMBOLS, WordLike, count_occurrences
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,7 +229,7 @@ def gw_direction_estimate(
     worst = 0.0
     growth = []
     for word in realisations:
-        counts = np.array(abelianise(word, size), dtype=float)
+        counts = np.bincount(np.frombuffer(word, dtype=np.uint8), minlength=size)
         direction = counts / counts.sum()
         worst = max(worst, float(np.abs(direction - pair.right).sum()))
         growth.append(len(word) / pair.value**n)

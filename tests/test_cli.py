@@ -9,7 +9,7 @@ import pytest
 import stochsub
 from stochsub import (RationalMatrix, RuleValidationError, SubstitutionRule,
                       induced_mean_matrix)
-from stochsub.cli import run
+from stochsub.cli import _emit, run
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
@@ -22,6 +22,21 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# fibonacci under STOCHSUB_GUARD_LIMIT=2: the command line and its
+# (exit code, stdout, stderr)
+SHORT_LENGTH_CASES = {
+    "language --ell 1": (0, "a\nb\n", ""),
+    "language --ell 2":
+        (2, "", "error: language enumeration exceeds guard 2 kernel states\n"),
+    "freqs --ell 1":
+        (2, "", "error: induced matrix of 2 words exceeds guard 2 cells\n"),
+    "freqs --ell 2 --word ab":
+        (2, "", "error: language enumeration exceeds guard 2 kernel states\n"),
+    "sample --letter a --n 1 --word a --trials 2":
+        (0, "estimate\t0.5\nstderr\t0\ntrials\t2\nn\t1\nseed\t1729\n", ""),
+}
 
 
 class TestMatrix:
@@ -513,6 +528,16 @@ class TestCheckAndErrors:
         assert invoke(capsys, "sample", "--config", cfg("fibonacci"), "--letter", "a",
                       "--n", "12") == (code, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("line,expected", list(SHORT_LENGTH_CASES.items()),
+                             ids=list(SHORT_LENGTH_CASES))
+    def test_short_lengths_build_no_inflating_power(self, capsys, monkeypatch,
+                                                     line, expected):
+        # fibonacci's inflating power theta^2 has 3-letter images, past a
+        # guard of 2: each call is refused only by the guard of its own work
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "2")
+        command, *rest = line.split()
+        assert invoke(capsys, command, "--config", cfg("fibonacci"), *rest) == expected
+
     def test_missing_config_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "language", "--config",
                               str(tmp_path / "nope.json"), "--ell", "1")
@@ -554,3 +579,12 @@ class TestCheckAndErrors:
                                 "--ell", "4")
         assert code == 2 and out == ""
         assert err == "error: induced-matrix column enumeration exceeds guard 8\n"
+
+
+def test_tsv_rows_are_strings_made_by_their_subcommand(capsys):
+    # `_emit` only joins: a cell its handler left unformatted is a TypeError
+    _emit(None, iter([["ab", "0.5"], ["n", "3"]]), "tsv")
+    assert capsys.readouterr().out == "ab\t0.5\nn\t3\n"
+    for cell in (0.5, 3):
+        with pytest.raises(TypeError):
+            _emit(None, [["ab", cell]], "tsv")

@@ -3,7 +3,8 @@
 Each case pins the exit code and the sha256 of standard output of one
 command line: `language`, `matrix` (ell 1-3), `freqs`, `entropy`, `check` and
 the three `sample` modes at a fixed seed, all in TSV, and in JSON where the
-output holds no full-precision float (`language`, `matrix`, `check`).  A
+output holds no full-precision float (`language`, `matrix`, `check`), plus
+larger TSV tables (`matrix --ell 5`, `freqs --ell 6`, `entropy --max-n 6`).  A
 case that exits non-zero also pins its standard error, a guard or validation
 message with no path or usage line in it.  Running this file as a script
 prints the table for the code on the import path:
@@ -49,6 +50,7 @@ def cases():
             lines += [f"matrix --ell {ell}", f"matrix --ell {ell} --format json"]
         lines += ["freqs --ell 1", "freqs --ell 4", "entropy --max-n 4",
                   "check", "check --format json"]
+        lines += ["matrix --ell 5", "freqs --ell 6", "entropy --max-n 6"]
         start = ["--letter", letter, "--seed", "7"]  # after the mode: ids stay apart
         argvs = [line.split() for line in lines] + [
             ["sample", "--n", "5", *start],
@@ -88,6 +90,9 @@ EXPECTED = {
     'deterministic_fibonacci: entropy --max-n 4': (0, 'cfff8343fa0bd02e941493fb565669b46511cc283eb7d08549af94e7c2494706'),
     'deterministic_fibonacci: check': (0, 'f798ce505254d78117630fe281fe29be375cc66570b8bf6125bf3aea2cec528d'),
     'deterministic_fibonacci: check --format json': (0, 'b894efd9ce104c8fcf128bd4b3b9616ae46043a2f7d7c115170f094a7a4a799e'),
+    'deterministic_fibonacci: matrix --ell 5': (0, 'c6d678d1a113f53649292c1de673bce2f58c213673c607c0eccbb85d65be70f6'),
+    'deterministic_fibonacci: freqs --ell 6': (0, '918cd179ee1145afe3d8c7d44106c2b999c0690076786d431d784abbed74ad58'),
+    'deterministic_fibonacci: entropy --max-n 6': (0, 'ab32efae781ea5b9151df3fdbe95f53ec834cc1d1970db74b6630e44b6681be3'),
     'deterministic_fibonacci: sample --n 5 --letter a --seed 7': (0, 'b659dcb89197047ae0e741aadd2dd72497e9deb93492e7567f3b400e7bf7752b'),
     'deterministic_fibonacci: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '67c52b6b417acd9bad14ea65d728887bb72fa6a704f7e487f88f04b4e0dc68c9'),
     'deterministic_fibonacci: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
@@ -104,6 +109,9 @@ EXPECTED = {
     'dyck: entropy --max-n 4': (0, 'f5d123b896e676f78a3376aae3e870314d9c721f303c027f78b36d1c276b22bd'),
     'dyck: check': (0, 'e46ac8d20b14736e0a2a08b7ad2f3982627112f341c6c6479aff7b7c57ebd18d'),
     'dyck: check --format json': (0, '578cc539d7ba0cf618412e2404294f1f6cdfff96a1e36f830a9183f675eb654e'),
+    'dyck: matrix --ell 5': (0, '3053521a80200913e7c5a493fc35d4506c758f80b543d7cd5a5ae7275893b96a'),
+    'dyck: freqs --ell 6': (0, '9aaae968f6916a289aeffee1de06bd0e2dd8d020edb8e1f7a756a61f4816e85e'),
+    'dyck: entropy --max-n 6': (0, 'bcfa7708c3d09244109f47293a59a37370c23edafd80cba14bbae4597fc119b4'),
     'dyck: sample --n 5 --letter ( --seed 7': (0, '21f7980bf427e6b4e94dcb5a8ba8f7df24eeeedd94542b4be1ae7d2187395b10'),
     'dyck: sample --word () --trials 20 --n 4 --letter ( --seed 7': (0, 'ced6da7143855ce3c36e5241743f51529d61d7c9a664f45b2d048bc6ab3b391b'),
     'dyck: sample --tail-K 1.5 --trials 20 --n 4 --letter ( --seed 7': (0, '1b5328e5375e0e6c7a57e3c581001ade85beb92f8c5d25d8e4ceb46bfb0161df'),
@@ -120,6 +128,9 @@ EXPECTED = {
     'fibonacci: entropy --max-n 4': (0, 'f351fbb411b45818b25c02c152195e796153c88b8c90c47bcbf7fb76fa37ffcb'),
     'fibonacci: check': (0, 'ce66fc496393054c28d17e929a2f81d35c9aa438038aa5c68a934732e82d0623'),
     'fibonacci: check --format json': (0, '34124bdfb8eb6380e9ccf21a03d3a78988914901960ffa318a0e5d6a69e4f918'),
+    'fibonacci: matrix --ell 5': (0, '98173c9d70ad33f3fad4006cca2ecaaaab9d80dc4f27d42f7d21ba601c760397'),
+    'fibonacci: freqs --ell 6': (0, '95eba943265413ed2446995fd63e6d33ec0dfbbb233dd01c6118e680465728c5'),
+    'fibonacci: entropy --max-n 6': (0, 'c3433065156187aaf6f2e34555d181ccd9db66042dd8694cbc2e6f397a45fa74'),
     'fibonacci: sample --n 5 --letter a --seed 7': (0, 'eae1efb8e57f65ca8e3300384733578ba7e1e49b2d9fe9be1604da352eebf842'),
     'fibonacci: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '8b51e8c85aedbbab42281b4ad9d5613858f35988bf5628ebe66e96685f21740c'),
     'fibonacci: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
@@ -136,6 +147,9 @@ EXPECTED = {
     'non_expanding: entropy --max-n 4': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: frequency vectors with ell > 1 require an expanding rule\n'),
     'non_expanding: check': (0, 'c6a56df66512a7d9c12d58e72ffdf47d3f9bdfeac57d26ed1c00218101ffb13d'),
     'non_expanding: check --format json': (0, '6b30a353cd1ce39fc8de6744180639e2df370477fd744595c2a0710f47709352'),
+    'non_expanding: matrix --ell 5': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: induced matrices with ell > 1 require an expanding rule\n'),
+    'non_expanding: freqs --ell 6': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: frequency vectors with ell > 1 require an expanding rule\n'),
+    'non_expanding: entropy --max-n 6': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: frequency vectors with ell > 1 require an expanding rule\n'),
     'non_expanding: sample --n 5 --letter a --seed 7': (0, '12225ce45753cf1a563acc5e2e4efbbcd73c85f8200af4915e1723ea92d83760'),
     'non_expanding: sample --word b --trials 20 --n 4 --letter a --seed 7': (0, '33b5fe7ed1376ba84a3d8ee514b63be1e79655a764eb5fe60b1120545048f538'),
     'non_expanding: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'be237c11673669c0a727d1982d46d8cb0c479baa8bc982f49d6afcc79190e629'),
@@ -152,6 +166,9 @@ EXPECTED = {
     'period_doubling: entropy --max-n 4': (0, '8744e478e15389bd11cf3f0bf637ebcee830b8d59af504b4ea6925ab8edbee41'),
     'period_doubling: check': (0, 'f29ff117081f0a1be01d73cb973f4a4f1acfa1888b5a63112538243a94108c59'),
     'period_doubling: check --format json': (0, '5da79334ae6e28777fff33a3dc48df89c0c592192263519b53b086e87e3ce3b4'),
+    'period_doubling: matrix --ell 5': (0, '1882a61963232100c8b5581877a47c13a7c1fa522d87723d9ccffd72979bb1c7'),
+    'period_doubling: freqs --ell 6': (0, '53b57b5b4957d0263fbb23f86684c63da54d61c2b15c62793697d66e2c99f266'),
+    'period_doubling: entropy --max-n 6': (0, '3ae5567002d4429118e83c0086bea19a42ec646c60fd12cf57321a81ed320e3a'),
     'period_doubling: sample --n 5 --letter a --seed 7': (0, '9934d8fdd4646e3217c2c347cf4e2983bec316a8370ccb9ec12ba3c24ef422a3'),
     'period_doubling: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, 'd3e69087523602f5f364a6d281515234255dd761611c57762f5a91b1928bb163'),
     'period_doubling: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
@@ -168,6 +185,9 @@ EXPECTED = {
     'zeta: entropy --max-n 4': (0, 'ef9434424069238ce3c04c1da35a4c56427f50fbd2e600769f6ac562e9182fa7'),
     'zeta: check': (0, '77d5b5bede92e100ffbbb3347c05ccdaeeb7e3517bef64fc5d0e17e597fa783e'),
     'zeta: check --format json': (0, '3dcb30b6f77be4dd2c8bad12f9cc665800a1af85337088ed35d7b87f99d54385'),
+    'zeta: matrix --ell 5': (0, 'c448afa6a9a345c92a2e9b41001768d7b9b751de407ff75ff0259f1aeb12e10b'),
+    'zeta: freqs --ell 6': (0, '37525f7574426dd383380f7a23f82a22107a34162c37dd432122476c43d1349a'),
+    'zeta: entropy --max-n 6': (0, '795c8e81f06696d3caebba739e17ba4fd4b731842fd94c76e48cd7afe5cac92e'),
     'zeta: sample --n 5 --letter a --seed 7': (0, 'bb73513150cd799e26fe186caedcdd247969b2cef669e45183643680787ed028'),
     'zeta: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '791d773c964bc6c5627893e56e73c069707446b9afa100509167b1c483d91ea5'),
     'zeta: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),

@@ -20,6 +20,7 @@ from stochsub import (
 from conftest import (
     AB,
     CONFIG_DIR,
+    make_fibonacci,
     make_large_power,
     make_no_inflating_power,
     make_non_expanding,
@@ -235,6 +236,18 @@ class TestAgainstFixedPoint:
         assert table.power[0] == 3
         for ell in range(1, 9):
             assert table.words_of_length(ell) == fixed_point_language(rule, ell)
+
+    @pytest.mark.parametrize("call", [
+        lambda rule: legal_words(rule, 2),
+        lambda rule: FrequencyMeasure(rule).frequency_vector(2),
+    ], ids=["legal_words", "frequency_vector"])
+    def test_short_lengths_build_no_inflating_power(self, call):
+        # m >= ell for every ell < 3, so the recursion never needs theta^k
+        rule = make_fibonacci()
+        call(rule)
+        assert "power" not in vars(rule.language())
+        legal_words(rule, 3)
+        assert rule.language().power[0] == 2
 
     @settings(max_examples=40, deadline=None)
     @given(small_rules())

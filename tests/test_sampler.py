@@ -23,7 +23,9 @@ from stochsub import (
 
 from stochsub import sampler
 from stochsub.guards import SAMPLE_LETTER_LIMIT, guard_limit
-from stochsub.sampler import _trials
+from stochsub.sampler import DirectionStats, _trials
+from stochsub.spectral import pf_eigenpair
+from stochsub.words import abelianise
 
 from conftest import (
     CONFIG_DIR,
@@ -171,6 +173,19 @@ class TestDirections:
     def test_non_expanding_rejected(self):
         with pytest.raises(ValueError, match="expanding"):
             gw_direction_estimate(make_non_expanding(), "a", 3, 5)
+
+    @pytest.mark.parametrize("n,seed", [(1, 7), (2, 1), (4, 1729)])
+    def test_letter_counts_match_abelianise_on_dyck(self, dyck, n, seed):
+        # four letters, and realisations of one to three letters miss some
+        pair = pf_eigenpair(dyck.mean_matrix())
+        worst, growth = 0.0, []
+        for word in _trials(dyck, "(", n, 200, seed):
+            counts = np.array(abelianise(word, dyck.alphabet.size), dtype=float)
+            worst = max(worst, float(np.abs(counts / counts.sum() - pair.right).sum()))
+            growth.append(len(word) / pair.value**n)
+        oracle = DirectionStats(worst, float(np.mean(growth)), tuple(growth),
+                                200, n, seed)
+        assert gw_direction_estimate(dyck, "(", n, 200, seed=seed) == oracle
 
 
 class TestLengthTail:
