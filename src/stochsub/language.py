@@ -247,7 +247,8 @@ class LanguageTable:
         """The legal ell-words, enumerated once per length into the rule's
         table by `legal_words` (ValueError for ell < 1, GuardExceeded past
         the language guard)."""
-        return self._table.get(ell) or legal_words(self.rule, ell)
+        words = self._table.get(ell)  # () is a stored length too
+        return legal_words(self.rule, ell) if words is None else words
 
     def position(self, word: WordLike) -> int | None:
         """The position of a nonempty word among the legal words of its

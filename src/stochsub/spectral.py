@@ -7,9 +7,9 @@ the right eigenvector has L1 norm 1 and the left eigenvector is scaled so
 that left . right = 1.
 
 The input is a `RationalMatrix`, whose constructor is the one shape check.
-The iteration runs in plain Python floats on its sparse columns, so no
-dense n x n array is built and numpy is never imported: each nonzero x
-becomes x / denominator, the double `to_float` stores.  The right step A.x
+The iteration runs in plain Python floats on its sparse float columns,
+`RationalMatrix.to_float` (each nonzero x as x / denominator), so no dense
+n x n array is built and numpy is never imported.  The right step A.x
 scatters each column; the left step w^T A takes one dot product per column.
 """
 
@@ -45,12 +45,11 @@ class PFEigenpair(NamedTuple):
 
 
 def _columns(matrix: RationalMatrix) -> list[tuple[list[int], list[float]]]:
-    """The matrix's sparse float columns, each its row indices and values;
+    """The matrix's sparse float columns (`RationalMatrix.to_float`);
     ValueError unless nonempty with finite nonnegative entries."""
     if not isinstance(matrix, RationalMatrix):
         raise TypeError(f"pf_eigenpair takes a RationalMatrix, got {type(matrix).__name__}")
-    d = matrix.denominator  # int division rounds correctly
-    columns = [(list(col), [x / d for x in col.values()]) for col in matrix.columns]
+    columns = matrix.to_float()
     if not columns or not all(0 <= x < math.inf for _, values in columns for x in values):
         raise ValueError("matrix must be nonempty with finite nonnegative entries")
     return columns

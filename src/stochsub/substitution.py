@@ -6,7 +6,8 @@ iterate laws and the mean substitution matrix admit bit-exact tests.  The
 API speaks `fractions.Fraction` and tuple words; inside, with D the lcm of
 the probability denominators and integer image weights q = p * D, the kernel
 and the iterate laws run on integer numerators over powers of D, on `bytes`
-words.  Floating point enters only in the spectral module.
+words.  Floating point enters only through `RationalMatrix.to_float`, the
+sparse float view that the spectral module's PF solve reads.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class RationalMatrix:
     is stored as the realisation kernel yields it: sparse columns, each a
     dict {row index: nonzero integer numerator} (equal columns may be one
     dict), over one ``denominator``, D for the mean matrix and D^ell for
-    induced ones.  ``rows`` and ``column_sums`` build Fractions.  The fields
-    are read-only: assigning to one raises AttributeError.
+    induced ones.  ``rows`` and ``column_sums`` build Fractions, ``to_float``
+    floats.  The fields are read-only: assigning to one raises AttributeError.
     """
 
     def __init__(self, labels: tuple, columns: tuple, denominator: int = 1):
@@ -78,16 +79,11 @@ class RationalMatrix:
         return tuple(Fraction(sum(col.values()), self.denominator)
                      for col in self.columns)
 
-    def to_float(self):
-        """The dense float64 ndarray of the entries (imports numpy); the PF
-        solve reads the same doubles from `columns` instead."""
-        import numpy as np
-
-        mat = np.zeros((self.size, self.size))
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                mat[i, j] = x / self.denominator  # int division rounds correctly
-        return mat
+    def to_float(self) -> list[tuple[list[int], list[float]]]:
+        """The sparse float columns the PF solve iterates: per column, its row
+        indices and each x / denominator (int division rounds correctly)."""
+        d = self.denominator
+        return [(list(col), [x / d for x in col.values()]) for col in self.columns]
 
     def is_primitive(self) -> tuple[bool, int | None]:
         """Primitivity of the support pattern, with witness exponent.

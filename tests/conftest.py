@@ -4,6 +4,7 @@ parameterised builders with symbolic-friendly rational probabilities."""
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -21,6 +22,20 @@ def rational_matrix(rows, denominator=1) -> RationalMatrix:
     n = len(rows)
     columns = tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n))
     return RationalMatrix(tuple(range(n)), columns, denominator)
+
+
+def dense_to_float(mat):
+    """Oracle: the float matrix converted cell by cell from the dense rows,
+    zeros included."""
+    return np.array([[float(x) for x in row] for row in mat.rows], dtype=float)
+
+
+def scatter(columns, size):
+    """The dense array of sparse float columns, as `to_float` returns them."""
+    dense = np.zeros((size, size))
+    for j, (rows, values) in enumerate(columns):
+        dense[rows, j] = values
+    return dense
 
 
 def make_fibonacci(p1=Fraction(1, 2), p2=None) -> SubstitutionRule:

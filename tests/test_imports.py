@@ -1,6 +1,6 @@
-"""numpy is imported inside the samplers (and `RationalMatrix.to_float`)
-only, so the package import, the exact layer (language, matrices, iterate
-laws and kernel) and the float layer (PF solve, frequencies, entropy and
+"""numpy is imported inside the samplers only, so the package import, the
+exact layer (language, matrices, iterate laws and kernel) and the float
+layer (`RationalMatrix.to_float`, PF solve, frequencies, entropy and
 `check`) start without it; the result records are NamedTuples and
 plain classes, so neither loads `dataclasses` or the `inspect` it pulls in;
 the package's public names keep the modules they are defined in; and every
@@ -80,6 +80,10 @@ FLOAT_CASES = {
         "assert pf_eigenpair(induced_mean_matrix(rule, 3)).value > 1\n"
         "fib = RationalMatrix((0, 1), ({0: 1, 1: 1}, {0: 1}))\n"
         "assert pf_eigenpair(fib).value > 1", 0),
+    "to_float": (
+        "from stochsub import SubstitutionRule, induced_mean_matrix\n"
+        f"dyck = SubstitutionRule.from_file({config('dyck')!r})\n"
+        "assert induced_mean_matrix(dyck, 3).to_float()", 0),
 }
 
 

@@ -19,11 +19,13 @@ from stochsub.guards import Budget
 from conftest import (
     CONFIG_DIR,
     column_weights,
+    dense_to_float,
     make_deterministic_fibonacci,
     make_fibonacci,
     make_non_expanding,
     make_period_doubling,
     make_zeta,
+    scatter,
     small_rules,
 )
 
@@ -230,12 +232,6 @@ class TestStructure:
             induced_mean_matrix(rule, 4)
 
 
-def dense_to_float(mat):
-    """Oracle: the float matrix converted cell by cell from the dense rows,
-    zeros included."""
-    return np.array([[float(x) for x in row] for row in mat.rows], dtype=float)
-
-
 class TestSparseColumns:
     @pytest.mark.parametrize("name,max_ell", [
         ("fibonacci", 4), ("period_doubling", 4), ("zeta", 4),
@@ -245,14 +241,14 @@ class TestSparseColumns:
         rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
         for mat in [rule.mean_matrix()] + [induced_mean_matrix(rule, ell)
                                            for ell in range(1, max_ell + 1)]:
-            assert np.array_equal(mat.to_float(), dense_to_float(mat))
+            assert np.array_equal(scatter(mat.to_float(), mat.size), dense_to_float(mat))
 
     @given(small_rules(), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_to_float_equals_dense_oracle_on_random_rules(self, rule, ell):
         assume(rule.is_primitive()[0] and rule.is_expanding())
         mat = induced_mean_matrix(rule, ell)
-        assert np.array_equal(mat.to_float(), dense_to_float(mat))
+        assert np.array_equal(scatter(mat.to_float(), mat.size), dense_to_float(mat))
 
     def test_pf_route_never_builds_rows(self, monkeypatch, capsys):
         def refuse(self):

@@ -25,7 +25,11 @@ the library's pass must give the same words and a vector within 1e-14 of
 it, relative on the bundled configs and absolute on random small rules.
 There a letter of theta^3 can have a thousand images, and the oracle itself
 is up to 1.4e-14 relative from the exact sum of its float inputs, so a
-relative bound would measure the oracle's rounding.
+relative bound would measure the oracle's rounding.  `exact_frequency_vector`
+runs the same pass in Fractions on exact copies of those float inputs, R_m
+and the power's images q / D, and normalises exactly; on the bundled configs
+the library's vector must lie within 1e-14 relative of it (the worst today
+is 4.4e-15, on period_doubling at ell 13).
 """
 
 import math
@@ -259,3 +263,30 @@ def test_frequency_pass_against_per_word_merge_small_rules(rule, ell):
     assume(rule.is_primitive()[0] and rule.is_expanding())
     assume(rule.language().prefix_length(ell) is not None)
     assert_pass_matches_per_word_merge(rule, ell, atol=1e-14)
+
+
+def exact_frequency_vector(rule, ell):
+    """Oracle: the frequency pass in exact arithmetic on the float inputs the
+    library's pass reads, R_m and theta^k's images q / D, as Fractions."""
+    fm = FrequencyMeasure(rule)
+    m = fm.table.prefix_length(ell)
+    prefixes, prefix_vec = fm.frequency_vector(m)
+    denominator, integer_images = fm.table.power[1]._integer_form
+    images = [[(img, F(q / denominator)) for img, q in entries]
+              for entries in integer_images]
+    counts = _window_counts(images, prefixes, ell, Budget(10**7, "oracle"),
+                            list(map(F, prefix_vec)))
+    total = sum(counts.values())
+    keys = sorted(counts)
+    return tuple(map(tuple, keys)), [counts[w] / total for w in keys]
+
+
+@pytest.mark.parametrize("name", ["deterministic_fibonacci", "fibonacci",
+                                  "period_doubling", "zeta"])
+def test_frequency_pass_against_exact_sums(name):
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    for ell in range(3, 15):
+        expected_words, expected = exact_frequency_vector(rule, ell)
+        words, vec = FrequencyMeasure(rule).frequency_vector(ell)
+        assert words == expected_words
+        assert all(abs(F(x) - y) <= F(1e-14) * y for x, y in zip(vec, expected))

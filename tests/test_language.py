@@ -341,3 +341,21 @@ class TestLanguageTable:
         assert table.is_legal("bb")
         assert not table.is_legal("bbb")
         assert table.is_legal("")
+
+    def test_empty_length_is_read_from_the_table(self, monkeypatch):
+        # non_expanding has no legal word of two letters: the stored empty
+        # tuple is served like any other, not enumerated again
+        rule = SubstitutionRule.from_file(CONFIG_DIR / "non_expanding.json")
+        table = rule.language()
+        calls = []
+
+        def spy(rule, ell):
+            calls.append(ell)
+            return legal_words(rule, ell)
+
+        monkeypatch.setattr(language, "legal_words", spy)
+        for _ in range(3):
+            assert table.words_of_length(2) == ()
+            assert not table.is_legal("ab")
+            assert table.position("ab") is None
+        assert calls == [2]

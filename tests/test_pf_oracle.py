@@ -1,10 +1,10 @@
 """The PF solver against the dense numpy power iteration it replaced.
 
-`dense_pf_eigenpair` is the solver as it ran on `RationalMatrix.to_float()`:
-a dense float64 array, iterated with `mat @ x` on the right and `mat.T @ x`
-on the left.  The library iterates in plain Python floats on the sparse
-columns; its sums run in another order, so its vectors may differ in the
-last bits.  On every bundled config (ell 1-4, dyck to 5), value, right and
+`dense_pf_eigenpair` is the solver as it ran on the dense float64 array of
+the matrix (`conftest.dense_to_float`, once `RationalMatrix.to_float`),
+iterated with `mat @ x` on the right and `mat.T @ x` on the left.  The
+library iterates in plain Python floats on the sparse columns; its sums run
+in another order, so its vectors may differ in the last bits.  On every bundled config (ell 1-4, dyck to 5), value, right and
 left must agree within 1e-12 and the iteration counts must be equal.
 
 On random small rules the same holds for almost every matrix, but not for
@@ -13,8 +13,9 @@ whether it stops there or one step later.  In 17 938 solves of the
 strategy below, 6 stopped one iteration apart, and their vectors differed
 by up to 7.4e-13, one step's move at the tolerance; equal counts differed
 by at most 2.2e-15.  So there a count may be one off per side, with
-vectors within 2 * DEFAULT_TOL.  The sparse float columns must hold
-exactly the doubles that `to_float` stores.
+vectors within 2 * DEFAULT_TOL.  The sparse float columns the solve
+reads, `RationalMatrix.to_float`, must hold exactly the doubles of the
+dense conversion.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from stochsub.spectral import (
     _columns,
 )
 
-from conftest import CONFIG_DIR, small_rules
+from conftest import CONFIG_DIR, dense_to_float, scatter, small_rules
 
 CONFIG_CASES = [(name, ell) for name in ("deterministic_fibonacci", "fibonacci",
                                          "period_doubling", "zeta")
@@ -72,7 +73,7 @@ def dense_power_iterate(mat):
 
 def dense_pf_eigenpair(matrix):
     """Oracle: (value, right, left, iterations) from the dense iteration."""
-    mat = matrix.to_float()
+    mat = dense_to_float(matrix)
     lam, right, _, it_r = dense_power_iterate(mat)
     _, left_raw, _, it_l = dense_power_iterate(mat.T)
     assert right.min() > 0 and left_raw.min() > 0
@@ -115,7 +116,5 @@ def test_small_rules_match_dense_iteration(rule):
 @pytest.mark.parametrize("name,ell", CONFIG_CASES)
 def test_float_columns_are_to_float(name, ell):
     matrix = matrix_of(name, ell)
-    dense = np.zeros((matrix.size, matrix.size))
-    for j, (rows, values) in enumerate(_columns(matrix)):
-        dense[rows, j] = values
-    assert dense.tobytes() == matrix.to_float().tobytes()
+    dense = scatter(_columns(matrix), matrix.size)
+    assert dense.tobytes() == dense_to_float(matrix).tobytes()

@@ -16,6 +16,7 @@ from stochsub import (
 
 from conftest import (
     CONFIG_DIR,
+    dense_to_float,
     make_fibonacci,
     make_non_expanding,
     make_period_doubling,
@@ -60,7 +61,7 @@ class TestEigenpair:
     def test_left_eigen_identity(self):
         matrix = make_period_doubling().mean_matrix()
         pair = pf_eigenpair(matrix)
-        mat, left = matrix.to_float(), np.array(pair.left)
+        mat, left = dense_to_float(matrix), np.array(pair.left)
         assert np.abs(left @ mat - pair.value * left).max() <= 1e-9
 
     def test_rejects_negative_entries(self):
