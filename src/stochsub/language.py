@@ -12,8 +12,8 @@ letter uses instead the smallest power theta^k whose shortest image has two
 letters: a primitive rule and its powers have the same language (Rust &
 Spindeler, Indag. Math. 2018).
 
-Where the recursion does not apply -- at the base lengths with m >= ell, for
-rules without such a power (a letter whose single-letter images lead back to
+Where the recursion does not apply -- at lengths 1 and 2, for rules
+without such a power (a letter whose single-letter images lead back to
 itself, like Dyck's "(" -> "("), and for powers whose exact law would be
 large -- the legal ell-words are found in the closure of the single letters
 under the same step, computed in rounds, each inflating the words the last
@@ -23,12 +23,12 @@ x is the ell-window (cut short at the end) of the realisation of theta^j(a)
 at that letter, so by induction on j the rounds collect them all.
 
 The closure (once per round), the recursion (once per length, on all of L_m,
-weighted by 1 for `legal_words` and by R_m for the frequency recursion) and
-each induced column (once, on its word) call one kernel, `_window_counts`.
-It enumerates the images of each word's tail once, each tail letter
-spending the current states from a `guards.Budget` (raising GuardExceeded
-past its limit), sums the tails per first letter, and joins each letter's
-images to that sum once.
+with the rule's integer images for `legal_words`, which reads only the
+windows, or weighted by R_m for the frequency recursion) and each induced
+column (once, on its word) call one kernel, `_window_counts`.  It enumerates
+the images of each word's tail once, each tail letter spending the current
+states from a `guards.Budget` (raising GuardExceeded past its limit), sums the
+tails per first letter, and joins each letter's images to that sum once.
 
 The kernel keys its states and windows by `bytes` words (one byte per
 letter code, see `words`), which sort exactly as tuples of codes do; the
@@ -78,7 +78,7 @@ def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
     The tails are summed per first letter, and each image of the letter is
     joined to the sum once: p times a tail's weight, or times their total
     inside the image."""
-    heads: list[Counts | None] = [None] * len(images)  # tail prefixes by first letter
+    heads: list[Counts] = [{} for _ in images]  # tail prefixes by first letter
     for u, scale in zip(words, weights or repeat(1)):
         states: Counts = {b"": scale}
         for letter in u[1:]:
@@ -94,14 +94,11 @@ def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
                     nxt[key] = nxt.get(key, 0) + weight * p
             states = nxt
         tails = heads[u[0]]
-        if tails is None:
-            heads[u[0]] = states
-            continue
         for tail, weight in states.items():
             tails[tail] = tails.get(tail, 0) + weight
     counts: Counts = {}
     for first, tails in zip(images, heads):
-        if tails is None:
+        if not tails:
             continue
         total = sum(tails.values())
         for img, p in first:
@@ -147,47 +144,6 @@ def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
     return words or table._table.setdefault(ell, tuple(map(tuple, keys))), sums
 
 
-def inflating_power(rule: SubstitutionRule) -> tuple[int, SubstitutionRule] | None:
-    """The smallest power theta^k whose shortest image has at least two
-    letters, as (k, exact rule of theta^k).
-
-    The shortest image lengths and realisation counts of the powers follow
-    from the supports by an integer recursion, so k is found without building
-    any law (building the laws power by power took a 100-letter cycle rule
-    from 0.018 s to 34 s).  A chain of one-letter images longer than the
-    alphabet must revisit a letter, which then has a one-letter image in
-    every power: if k exceeds the alphabet size no power inflates, and the
-    result is None.  None too when theta^k has more than
-    POWER_REALISATION_LIMIT realisations.
-    """
-    supports = rule.supports()
-    letters = range(rule.alphabet.size)
-    shortest = [1] * len(letters)
-    realisations = [1] * len(letters)
-    for k in range(1, len(letters) + 1):
-        shortest = [
-            min(sum(shortest[c] for c in w) for w in supports[a]) for a in letters
-        ]
-        realisations = [
-            sum(math.prod(realisations[c] for c in w) for w in supports[a])
-            for a in letters
-        ]
-        if min(shortest) >= 2:
-            break
-    else:
-        return None
-    if k == 1:
-        return 1, rule
-    if sum(realisations) > POWER_REALISATION_LIMIT:
-        return None
-    images = [
-        rule.iterate_distribution((a,), k, max_support=POWER_REALISATION_LIMIT)
-        .entries.items()
-        for a in letters
-    ]
-    return k, SubstitutionRule(rule.alphabet, images)
-
-
 def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
     """The legal words of length ell, in lexicographic order of letter codes.
 
@@ -205,11 +161,10 @@ def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
     if words is not None:
         return words
     m = table.prefix_length(ell)
-    source = rule if m is None else table.power[1]
-    images = [[(w, 1) for w, _ in entries] for entries in source._integer_form[1]]
     if m is not None:
-        return _recursion_pass(table, ell, m, images)[0]
-    words = sorted(w for w in _closure(images, ell, _language_budget()) if len(w) == ell)
+        return _recursion_pass(table, ell, m, table.power[1]._integer_form[1])[0]
+    found = _closure(rule._integer_form[1], ell, _language_budget())
+    words = sorted(w for w in found if len(w) == ell)
     return table._table.setdefault(ell, tuple(map(tuple, words)))
 
 
@@ -217,7 +172,7 @@ class LanguageTable:
     """Per-length cache of the legal words, sorted so that lookups bisect them,
     and of their frequency vectors (written only by
     `measure.FrequencyMeasure.frequency_vector`), with the inflating power
-    the recursions use.  Making it, once per rule by
+    the recursions use, `power`.  Making it, once per rule by
     `SubstitutionRule.language()`, is the one primitivity check (ValueError).
     Its words are stored by `legal_words` and the recursion pass only, in
     `rule.language()`, so a table built directly reads through to that one."""
@@ -231,17 +186,52 @@ class LanguageTable:
 
     @cached_property
     def power(self) -> tuple[int, SubstitutionRule] | None:
-        """(k, theta^k) from `inflating_power`, or None."""
-        return inflating_power(self.rule)
+        """The smallest power theta^k whose shortest image has at least two
+        letters, as (k, exact rule of theta^k).
+
+        The shortest image lengths and realisation counts of the powers follow
+        from the supports by an integer recursion, so k is found without building
+        any law (building the laws power by power took a 100-letter cycle rule
+        from 0.018 s to 34 s).  A chain of one-letter images longer than the
+        alphabet must revisit a letter, which then has a one-letter image in
+        every power: if k exceeds the alphabet size no power inflates, and the
+        result is None.  None too when theta^k has more than
+        POWER_REALISATION_LIMIT realisations."""
+        rule = self.rule
+        supports = rule.supports()
+        letters = range(rule.alphabet.size)
+        shortest = [1] * len(letters)
+        realisations = [1] * len(letters)
+        for k in range(1, len(letters) + 1):
+            shortest = [
+                min(sum(shortest[c] for c in w) for w in supports[a]) for a in letters
+            ]
+            realisations = [
+                sum(math.prod(realisations[c] for c in w) for w in supports[a])
+                for a in letters
+            ]
+            if min(shortest) >= 2:
+                break
+        else:
+            return None
+        if k == 1:
+            return 1, rule
+        if sum(realisations) > POWER_REALISATION_LIMIT:
+            return None
+        images = [
+            rule.iterate_distribution((a,), k, max_support=POWER_REALISATION_LIMIT)
+            .entries.items()
+            for a in letters
+        ]
+        return k, SubstitutionRule(rule.alphabet, images)
 
     def prefix_length(self, ell: int) -> int | None:
         """The length m < ell of the legal words whose images under the
-        inflating power contain every legal ell-word, or None where the
-        recursion does not apply (ell < 3, no inflating power, or m >= ell)."""
+        inflating power (two letters or more each, so m < ell) contain every
+        legal ell-word, or None at lengths 1 and 2 or without that power."""
         if ell < 3 or self.power is None:
             return None
-        m = (ell - 2) // self.power[1].min_image_length() + 2
-        return m if m < ell else None
+        return (ell - 2) // self.power[1].min_image_length() + 2
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:
         """The legal ell-words, enumerated once per length into the rule's

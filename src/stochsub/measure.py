@@ -26,8 +26,8 @@ rule's `LanguageTable` stores with the vector.  The total must equal
 lambda^k = sum over letters a of R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the
 stored letter frequencies and theta^k's `expected_image_length`, and
 normalises it.  The PF solve on `induced_mean_matrix` remains where the
-recursion does not apply: at the base lengths with m >= ell, and for rules
-without an inflating power or whose power has a large law.
+recursion does not apply: at lengths 1 and 2, and for rules without an
+inflating power or whose power has a large law.
 `FrequencyMeasure.frequency_vector` is the one writer of the table's
 vectors.  Every FrequencyMeasure on one rule shares the table, and finds a
 cylinder's component by bisecting its sorted words; nothing is locked, and
