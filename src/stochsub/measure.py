@@ -39,6 +39,7 @@ table shares, and no frequency or entropy loads numpy.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple, Sequence
 
@@ -88,7 +89,7 @@ class FrequencyMeasure:
         images = [[(img, q / denominator) for img, q in entries]
                   for entries in integer_images]  # q / D is the double float(p)
         _, sums = _recursion_pass(self.table, ell, m, images, prefix_vec)
-        total = sum(sums)
+        total = math.fsum(sums)  # exactly rounded, so no summation error
         # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
         _, letter_vec = self.frequency_vector(1)
         expected = sum(r * float(power.expected_image_length(a))
