@@ -242,7 +242,7 @@ class TestAgainstFixedPoint:
         lambda rule: FrequencyMeasure(rule).frequency_vector(2),
     ], ids=["legal_words", "frequency_vector"])
     def test_short_lengths_build_no_inflating_power(self, call):
-        # m >= ell for every ell < 3, so the recursion never needs theta^k
+        # prefix_length is None at lengths 1 and 2 before it reads theta^k
         rule = make_fibonacci()
         call(rule)
         assert "power" not in vars(rule.language())
@@ -327,6 +327,31 @@ def test_one_table_per_rule(monkeypatch, name, top, first):
         spent = len(kernel_calls)
         assert all(call(ell) is words for call in calls.values())
         assert len(kernel_calls) == spent
+
+
+def assert_prefix_length_below_ell(rule):
+    """The recursion reads the legal m-words for an ell-word, so it needs
+    m < ell: the inflating power's images have two letters or more, which
+    makes prefix_length below ell at every length it routes."""
+    table = rule.language()
+    assert table.prefix_length(1) is None and table.prefix_length(2) is None
+    if table.power is None:
+        assert all(table.prefix_length(ell) is None for ell in range(3, 41))
+        return
+    assert table.power[1].min_image_length() >= 2
+    assert all(table.prefix_length(ell) < ell for ell in range(3, 41))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_prefix_length_below_ell_bundled(name):
+    assert_prefix_length_below_ell(SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rules())
+def test_prefix_length_below_ell_small_rules(rule):
+    assume(rule.is_primitive()[0])
+    assert_prefix_length_below_ell(rule)
 
 
 class TestLanguageTable:
