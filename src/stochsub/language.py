@@ -197,9 +197,8 @@ class LanguageTable:
         every power: if k exceeds the alphabet size no power inflates, and the
         result is None.  None too when theta^k has more than
         POWER_REALISATION_LIMIT realisations."""
-        rule = self.rule
-        supports = rule.supports()
-        letters = range(rule.alphabet.size)
+        supports = self.rule.supports()
+        letters = range(self.rule.alphabet.size)
         shortest = [1] * len(letters)
         realisations = [1] * len(letters)
         for k in range(1, len(letters) + 1):
@@ -215,15 +214,15 @@ class LanguageTable:
         else:
             return None
         if k == 1:
-            return 1, rule
+            return 1, self.rule
         if sum(realisations) > POWER_REALISATION_LIMIT:
             return None
         images = [
-            rule.iterate_distribution((a,), k, max_support=POWER_REALISATION_LIMIT)
+            self.rule.iterate_distribution((a,), k, max_support=POWER_REALISATION_LIMIT)
             .entries.items()
             for a in letters
         ]
-        return k, SubstitutionRule(rule.alphabet, images)
+        return k, SubstitutionRule(self.rule.alphabet, images)
 
     def prefix_length(self, ell: int) -> int | None:
         """The length m < ell of the legal words whose images under the
