@@ -30,14 +30,12 @@ INDUCED_COLUMN_LIMIT = 10**7
 INDUCED_CELL_LIMIT = 5 * 10**7
 # SAMPLE_LETTER_LIMIT counts the letters of one sampled realisation, and of the
 # longest word of an exact iterate law.  The deepest `sample --n` it admits and
-# the first it refuses follow from the image lengths:
+# the first it refuses, before any round where the image lengths fix it:
 #
 #   period_doubling, zeta   26 (2^26 letters; 739 MB on period_doubling), 27:
-#                           refused before the round draws, as every image
-#                           has two letters
+#                           every realisation has 2^27 letters (15 MB)
 #   fibonacci,              37, 38: |theta^n(a)| = F(n + 2) and F(40) =
-#   deterministic_fibonacci 102 334 155; refused after the round, as a
-#                           one-letter image allows no earlier refusal
+#   deterministic_fibonacci 102 334 155 (15 MB)
 #   non_expanding           never: the word stays one letter (--n 100000: 1.8 s)
 #   dyck                    images of 1 or 3 letters are drawn at random, so it
 #                           depends on the seed: any n <= 16 is admitted

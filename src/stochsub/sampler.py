@@ -14,7 +14,8 @@ the start letter is a symbol or an in-range letter code (KeyError
 otherwise), the depth satisfies n >= 0, the trial count trials >= 1 and
 the seed is a non-negative integer (ValueError otherwise).  Each sampler
 states its own further conditions.  All samplers draw from one trial
-engine, `_trials`.
+engine, `_trials`; an iterate, tail or law sample that the letter guard
+refuses by the image lengths alone loads no numpy.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ def _trials(
     The arguments are checked here, before the first trial is drawn: the
     start is a symbol or an in-range letter code (KeyError otherwise), and
     n >= 0, trials >= 1 and the seed a non-negative integer (ValueError
-    otherwise).  A realisation over the letter guard raises GuardExceeded
-    in the round that builds it, before the other trials of its batch are
-    yielded; where the shortest image already takes the longest word over
-    the guard, before that round draws its uniforms.
+    otherwise).  From the first next() on, after each sampler's own checks,
+    GuardExceeded is raised before numpy loads where even the shortest
+    realisation is over the letter guard, else in the round that builds one
+    over it, before its batch yields, or before the round draws where the
+    shortest image already takes the longest word over the guard.
     """
     (start,) = rule.encode((letter,))
     if n < 0:
@@ -110,45 +112,46 @@ def _trials(
         raise ValueError("need trials >= 1")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    import numpy as np
-
     letters = Budget(SAMPLE_LETTER_LIMIT, "sampled word exceeds letter budget {}")
-    minlen = rule.min_image_length()
-    base, thr, lens, table = _image_tables(rule)
-    # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20, deeper
-    # iterates than n = 20 run one trial per batch
-    bound = max(rule.max_image_length() ** min(n, 20), 1024)
-    batch = max(1, BATCH_LETTERS // bound)
-
-    def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
-        """Trials lo..hi-1 together: their concatenated words and the end
-        offset of each."""
-        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-                for i in range(lo, hi)]
-        word = np.full(hi - lo, start, dtype=np.uint8)
-        ends = list(range(1, hi - lo + 1))
-        longest = 1  # letters in the longest word of the batch
-        for _ in range(n):
-            letters.check(longest * minlen)  # no image is shorter than minlen
-            u = np.empty(len(word))
-            a = 0
-            for rng, b in zip(rngs, ends):
-                rng.random(out=u[a:b])
-                a = b
-            img = base.take(word)
-            for row in thr:
-                img += row[word] <= u
-            starts = np.array([0, *ends[:-1]])
-            sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
-            longest = int(sizes.max())
-            letters.check(longest)
-            word = table.take(img, axis=0).ravel()
-            word = word[word != PAD]
-            ends = np.cumsum(sizes).tolist()
-        return word, ends
-
-    # a generator, so that the checks above run at the call
+    # a generator, so that the checks above run at the call, the rest at next()
     def realisations():
+        if n:  # if the shortest realisation is over the guard, every trial is
+            letters.check(rule._iterate_lengths(n, min, letters.limit + 1)[start])
+        import numpy as np
+        minlen = rule.min_image_length()
+        base, thr, lens, table = _image_tables(rule)
+        # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20,
+        # deeper iterates than n = 20 run one trial per batch
+        bound = max(rule.max_image_length() ** min(n, 20), 1024)
+        batch = max(1, BATCH_LETTERS // bound)
+
+        def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
+            """Trials lo..hi-1 together: their concatenated words and the end
+            offset of each."""
+            rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+                    for i in range(lo, hi)]
+            word = np.full(hi - lo, start, dtype=np.uint8)
+            ends = list(range(1, hi - lo + 1))
+            longest = 1  # letters in the longest word of the batch
+            for _ in range(n):
+                letters.check(longest * minlen)  # no image is shorter than minlen
+                u = np.empty(len(word))
+                a = 0
+                for rng, b in zip(rngs, ends):
+                    rng.random(out=u[a:b])
+                    a = b
+                img = base.take(word)
+                for row in thr:
+                    img += row[word] <= u
+                starts = np.array([0, *ends[:-1]])
+                sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
+                longest = int(sizes.max())
+                letters.check(longest)
+                word = table.take(img, axis=0).ravel()
+                word = word[word != PAD]
+                ends = np.cumsum(sizes).tolist()
+            return word, ends
+
         for lo in range(0, trials, batch):
             word, ends = run(lo, min(lo + batch, trials))
             data, a = word.tobytes(), 0

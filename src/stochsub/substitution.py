@@ -298,8 +298,8 @@ class SubstitutionRule:
         raised exactly when the support exceeds its guard (with the other
         choices fixed, each partial law maps one-to-one into that support),
         or its longest word the sampler's letter guard; the image lengths
-        give that word's length before any law is built, and no partial
-        law holds a longer word."""
+        give that word's length (as the sampler's shortest) before any law
+        is built, and no partial law holds a longer word."""
         u = self.encode(u)
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
@@ -309,10 +309,7 @@ class SubstitutionRule:
                          max_support)
         denominator, images = self._integer_form
         letters = Budget(SAMPLE_LETTER_LIMIT, "iterate word exceeds letter guard {}")
-        longest = [1] * len(images)  # of theta^d(c), capped just past the guard
-        for _ in range(n):
-            longest = [min(max(sum(map(longest.__getitem__, w)) for w, _ in entries),
-                           letters.limit + 1) for entries in images]
+        longest = self._iterate_lengths(n, max, letters.limit + 1)
         letters.check(sum(map(longest.__getitem__, u)))
         reach = [set(u)]  # reach[d]: the letters of the realisations of theta^d(u)
         for _ in range(n):
@@ -325,6 +322,17 @@ class SubstitutionRule:
         scale = denominator**e
         entries = {tuple(w): Fraction(x, scale) for w, x in numerators.items()}
         return IterateDistribution(source=u, n=n, entries=entries)
+
+    def _iterate_lengths(self, n: int, pick, cap: int) -> list[int]:
+        """Per letter c, the `pick` (min or max) of |theta^n(c)|, capped at `cap`."""
+        lengths = [1] * self.alphabet.size
+        for _ in range(n):
+            step = [min(pick(sum(map(lengths.__getitem__, w)) for w, _ in entries), cap)
+                    for entries in self._integer_form[1]]
+            if step == lengths:  # a fixed point: so are all later steps
+                break
+            lengths = step
+        return lengths
 
     # -- mean matrix and classification ------------------------------------
 

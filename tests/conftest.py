@@ -1,6 +1,7 @@
 """Shared fixtures: the example rules, both from the packaged configs and as
 parameterised builders with symbolic-friendly rational probabilities."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from importlib import resources
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from stochsub import Alphabet, RationalMatrix, SubstitutionRule
+from stochsub import Alphabet, GuardExceeded, RationalMatrix, SubstitutionRule
+from stochsub.guards import SAMPLE_LETTER_LIMIT, guard_limit
 from stochsub.language import _window_counts
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
@@ -153,3 +155,32 @@ def column_weights(images, u, ell, budget, scale=1, mass=1):
     """The realisation kernel of one word: the weights of the ell-windows that
     start in the image of u[0], scaled by `scale`, as an induced column."""
     return _window_counts(images, [u], ell, budget, [scale], mass)
+
+
+def reference_trials(rule, letter, n, trials, seed):
+    """The per-letter trial loop the batched engine replaced: one trial at a
+    time, each letter's image chosen by bisecting its cumulative
+    probabilities with its own uniform, and a word over the letter guard
+    refused after the round that builds it."""
+    (start,) = rule.encode((letter,))
+    limit = guard_limit(SAMPLE_LETTER_LIMIT)
+    words, thresholds = [], []
+    for entries in rule.images:
+        acc, cum = 0.0, []
+        for _, p in entries:
+            acc += float(p)
+            cum.append(acc)
+        cum[-1] = 1.0 + 1e-15  # guard against roundoff at the top end
+        words.append([w for w, _ in entries])
+        thresholds.append(cum)
+    for i in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+        word = [start]
+        for _ in range(n):
+            out = []
+            for c, u in zip(word, rng.random(len(word))):
+                out.extend(words[c][bisect_right(thresholds[c], u)])
+            if len(out) > limit:
+                raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
+            word = out
+        yield word

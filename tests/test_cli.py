@@ -344,10 +344,10 @@ class TestSample:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
     def test_refused_round_builds_no_arrays(self):
-        # every period_doubling image has two letters, so the round that would
-        # make 2**23 letters is refused before it draws its uniforms; refused
-        # after the round, it peaked at 125 MB, above the admitted 2**22-letter
-        # run's 93 MB (Python 3.11, Linux)
+        # every period_doubling image has two letters, so every realisation of
+        # theta^23(a) has 2**23 letters and is refused before any round draws;
+        # refused after the round, it peaked at 125 MB, above the admitted
+        # 2**22-letter run's 93 MB (Python 3.11, Linux)
         def peak(n):
             return peak_rss_kb("sample", "--config", cfg("period_doubling"),
                                "--letter", "a", "--n", str(n),
@@ -356,6 +356,22 @@ class TestSample:
         (refused, refused_kb), (admitted, admitted_kb) = peak(23), peak(22)
         assert (refused, admitted) == (2, 0)
         assert refused_kb < admitted_kb
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
+    def test_refused_depth_draws_no_round(self):
+        # the 2**27 letters of every period_doubling theta^27(a) are over the
+        # default guard, so it is refused before numpy loads or a round draws;
+        # it peaked at 675 MB when only each round's own checks refused it
+        # (Python 3.11, Linux)
+        code, maxrss_kb = peak_rss_kb("sample", "--config", cfg("period_doubling"),
+                                      "--letter", "a", "--n", "27")
+        assert code == 2 and maxrss_kb < 60_000
+
+    def test_depth_zero_passes_a_zero_limit(self, capsys, monkeypatch):
+        # theta^0(a) is the letter itself, drawn in no round, so no guard reads it
+        monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "0")
+        assert invoke(capsys, "sample", "--config", cfg("fibonacci"), "--letter", "a",
+                      "--n", "0") == (0, "a\nlength\t1\n", "")
 
 
 class TestCheckAndErrors:

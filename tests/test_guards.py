@@ -18,12 +18,17 @@ its count and refused one below it, with the full message:
   theta^14, 987).
 """
 
+from fractions import Fraction
+from functools import partial
+
+import numpy as np
 import pytest
 
 from stochsub import GuardExceeded, SubstitutionRule, sample_iterate
 from stochsub.guards import Budget
+from stochsub.sampler import DEFAULT_SEED
 
-from conftest import CONFIG_DIR
+from conftest import AB, CONFIG_DIR, reference_trials
 
 
 class TestBudget:
@@ -71,33 +76,77 @@ def load(name):
     return SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
 
 
-# site: (config, run, count, message); `run` admits a limit of `count` and
-# is refused at count - 1 with `message`, its `{}` the limit
+def sampled_length(letter, n, seed, rule):
+    """A sampler site's run, bound to its first three arguments: the length
+    of one sampled realisation of theta^n(letter)."""
+    return len(sample_iterate(rule, letter, n, seed))
+
+
+# a -> ab | aab, b -> ba: images of two letters or more, of differing lengths
+LONG_AND_SHORT = SubstitutionRule(AB, [
+    [(AB.encode("ab"), Fraction(1, 2)), (AB.encode("aab"), Fraction(1, 2))],
+    [(AB.encode("ba"), Fraction(1))]])
+
+# site: (rule, run, count, message); `run` admits a limit of `count` and is
+# refused at count - 1 with `message`, its `{}` the limit.  A sampler site's
+# count is the length of the reference loop's word for its run
 SITES = {
-    # every image has two letters, so the round that doubles 16 letters to
-    # 32 is refused before it draws
-    "sampler before the round": (
-        "period_doubling", lambda rule: len(sample_iterate(rule, "a", 5)), 32,
+    # b -> a keeps the shortest image one letter long, yet every realisation
+    # of theta^5(a) has F(7) = 13 letters, so 12 refuses it before any round
+    "sampler up front": (
+        load("fibonacci"), partial(sampled_length, "a", 5, DEFAULT_SEED), 13,
         "sampled word exceeds letter budget {}"),
-    # b -> a keeps the shortest image one letter long, so only the round
-    # that builds theta^5(a), F(7) = 13 letters, can be refused
+    # the shortest theta^3(a) has 8 letters; at this seed theta^2(a) has 8
+    # and every image has two letters or more, so the round that builds the
+    # 16 of theta^3(a) is refused before it draws
+    "sampler before the round": (
+        LONG_AND_SHORT, partial(sampled_length, "a", 3, 5), 16,
+        "sampled word exceeds letter budget {}"),
+    # "(" -> "(" keeps the shortest realisation one letter long, and a
+    # one-letter image allows no refusal before a round: only the round that
+    # builds the 21 letters of theta^3("(") at this seed can be refused
     "sampler after the round": (
-        "fibonacci", lambda rule: len(sample_iterate(rule, "a", 5)), 13,
+        load("dyck"), partial(sampled_length, "(", 3, DEFAULT_SEED), 21,
         "sampled word exceeds letter budget {}"),
     # the 256 words of theta^4(a) trip the check of each partial law, before
     # the word's law is merged
     "iterate support of a partial law": (
-        "zeta", lambda rule: len(rule.iterate_distribution("a", 4).entries), 256,
+        load("zeta"), lambda rule: len(rule.iterate_distribution("a", 4).entries), 256,
         "iterate support exceeds guard limit {}"),
 }
+# the uniforms each sampler site draws before it refuses count - 1: none up
+# front, the 1 + 3 letters of rounds 1 and 2 before round 3, and all three
+# rounds' 1 + 3 + 9 where only a round's own result can be refused
+SAMPLER_SITES = {"sampler up front": 0, "sampler before the round": 4,
+                 "sampler after the round": 13}
 
 
 @pytest.mark.parametrize("site", SITES)
 def test_trip_point(monkeypatch, site):
-    name, run, count, message = SITES[site]
-    rule = load(name)
+    rule, run, count, message = SITES[site]
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(count))
     assert run(rule) == count
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(count - 1))
     with pytest.raises(GuardExceeded, match=f"^{message.format(count - 1)}$"):
         run(rule)
+
+
+@pytest.mark.parametrize("site", SAMPLER_SITES)
+def test_sampler_site(monkeypatch, site):
+    rule, run, count, _ = SITES[site]
+    monkeypatch.delenv("STOCHSUB_GUARD_LIMIT", raising=False)
+    letter, n, seed = run.args
+    (word,) = reference_trials(rule, letter, n, 1, seed)
+    assert len(word) == count
+    drawn = []
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, *args, out=None, **kwargs):
+            drawn.append(out.size)
+            return super().random(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(count - 1))
+    with pytest.raises(GuardExceeded):
+        run(rule)
+    assert sum(drawn) == SAMPLER_SITES[site]

@@ -113,6 +113,19 @@ def test_sampler_loads_numpy():
     assert run_child(body) == (0, {"numpy", "inspect"})
 
 
+def test_refused_sample_leaves_numpy_unloaded():
+    # every realisation of fibonacci theta^12(a) has F(14) = 377 letters, so
+    # the image lengths alone refuse it under a guard of 10, before numpy
+    argv = ["sample", "--config", config("fibonacci"), "--letter", "a", "--n", "12"]
+    body = ("import io\n"
+            "from stochsub.cli import run\n"
+            "os.environ['STOCHSUB_GUARD_LIMIT'] = '10'\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            f"    code = run({argv!r})\n"
+            "assert err.getvalue() == 'error: sampled word exceeds letter budget 10\\n'")
+    assert run_child(body) == (2, set())
+
+
 def test_probe_sees_dataclasses():
     # positive control for the other two probed modules
     assert run_child("import dataclasses") == (0, {"dataclasses", "inspect"})

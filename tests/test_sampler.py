@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,6 @@ from stochsub import (
 )
 
 from stochsub import sampler
-from stochsub.guards import SAMPLE_LETTER_LIMIT, guard_limit
 from stochsub.sampler import DirectionStats, _trials
 from stochsub.spectral import pf_eigenpair
 from stochsub.words import abelianise
@@ -33,6 +31,7 @@ from conftest import (
     make_fibonacci,
     make_non_expanding,
     make_period_doubling,
+    reference_trials,
     small_rules,
 )
 
@@ -259,6 +258,20 @@ class TestInputContract:
         with pytest.raises(ValueError):
             _trials(fibonacci, "a", 3, 1, -1)
 
+    def test_letter_guard_checked_after_the_samplers_own(self, period_doubling,
+                                                         monkeypatch):
+        # every realisation of theta^27(a) has 2**27 letters, over the
+        # default guard; the samplers' own checks still refuse first
+        monkeypatch.delenv("STOCHSUB_GUARD_LIMIT", raising=False)
+        realisations = _trials(period_doubling, "a", 27, 1, 0)
+        with pytest.raises(ValueError, match="is not legal"):
+            empirical_frequency(period_doubling, "a", "bbb", 27, 5)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            length_tail(period_doubling, "a", 27, -1.0, 5)
+        with pytest.raises(GuardExceeded,
+                           match="^sampled word exceeds letter budget 100000000$"):
+            next(realisations)
+
     def test_code_and_symbol_agree(self, fibonacci):
         for code, symbol in enumerate(fibonacci.alphabet.symbols):
             assert sample_iterate(fibonacci, code, 6, seed=3) == \
@@ -307,37 +320,20 @@ def test_seed_contract_pinned(name):
     assert digest == SAMPLER_DIGESTS[name]
 
 
-def reference_trials(rule, letter, n, trials, seed):
-    """The per-letter trial loop the batched engine replaced: one trial at a
-    time, each letter's image chosen by bisecting its cumulative
-    probabilities with its own uniform."""
-    (start,) = rule.encode((letter,))
-    limit = guard_limit(SAMPLE_LETTER_LIMIT)
-    words, thresholds = [], []
-    for entries in rule.images:
-        acc, cum = 0.0, []
-        for _, p in entries:
-            acc += float(p)
-            cum.append(acc)
-        cum[-1] = 1.0 + 1e-15  # guard against roundoff at the top end
-        words.append([w for w, _ in entries])
-        thresholds.append(cum)
-    for i in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        word = [start]
-        for _ in range(n):
-            out = []
-            for c, u in zip(word, rng.random(len(word))):
-                out.extend(words[c][bisect_right(thresholds[c], u)])
-            if len(out) > limit:
-                raise GuardExceeded(f"sampled word exceeds letter budget {limit}")
-            word = out
-        yield word
-
-
 def assert_engine_matches(rule, letter, n, trials, seed):
     engine = list(map(tuple, _trials(rule, letter, n, trials, seed)))
     assert engine == list(map(tuple, reference_trials(rule, letter, n, trials, seed)))
+
+
+def outcome(realisations):
+    """The words a trial iterator yields, as tuples, and the GuardExceeded
+    message that ends it, or None."""
+    words = []
+    try:
+        words.extend(map(tuple, realisations))
+    except GuardExceeded as exc:
+        return words, str(exc)
+    return words, None
 
 
 class TestBatchedEngine:
@@ -353,6 +349,20 @@ class TestBatchedEngine:
     @given(small_rules(), st.integers(0, 6), st.integers(1, 12), st.integers(0, 2**32))
     def test_matches_reference_on_random_rules(self, rule, n, trials, seed):
         assert_engine_matches(rule, 0, n, trials, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_rules(), small_rules(min_length=2)), st.integers(1, 6),
+           st.integers(0, 2**32))
+    def test_guard_matches_reference_at_every_limit(self, rule, n, seed):
+        # the checks before a round only refuse earlier, with the same
+        # message; within one batch, before any word is yielded
+        longest = max(map(len, reference_trials(rule, 0, n, 3, seed)))
+        with pytest.MonkeyPatch.context() as mp:
+            for limit in range(longest + 1):
+                mp.setenv("STOCHSUB_GUARD_LIMIT", str(limit))
+                words, message = outcome(reference_trials(rule, 0, n, 3, seed))
+                engine = outcome(_trials(rule, 0, n, 3, seed))
+                assert engine == (words if message is None else [], message)
 
     @pytest.mark.parametrize("name, letter, n, trials", [
         ("period_doubling", "a", 16, 50),   # batches of 2**20 // 2**16 = 16
