@@ -14,8 +14,8 @@ the start letter is a symbol or an in-range letter code (KeyError
 otherwise), the depth satisfies n >= 0, the trial count trials >= 1 and
 the seed is a non-negative integer (ValueError otherwise).  Each sampler
 states its own further conditions.  All samplers draw from one trial
-engine, `_trials`; an iterate, tail or law sample that the letter guard
-refuses by the image lengths alone loads no numpy.
+engine, `_trials`, and a sample that the letter guard refuses by the image
+lengths alone loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .guards import SAMPLE_LETTER_LIMIT, Budget
@@ -180,16 +181,16 @@ def empirical_frequency(
     """Mean and standard error of the relative frequency of v across
     independent realisations of the n-th iterate; needs n >= 1 and a legal v
     (ValueError otherwise)."""
-    import numpy as np
-
     realisations = _trials(rule, letter, n, trials, seed)
     if n < 1:
         raise ValueError("need n >= 1")
     v = rule.encode(v)
     if not rule.language().is_legal(v):
         raise ValueError(f"word {rule.alphabet.decode(v)!r} is not legal")
-    freqs = np.fromiter((count_occurrences(word, v) / len(word) for word in realisations),
-                        dtype=float, count=trials)
+    freqs = (count_occurrences(word, v) / len(word) for word in realisations)
+    first = next(freqs)  # a depth the guard refuses up front stops here, before numpy
+    import numpy as np
+    freqs = np.fromiter(chain((first,), freqs), dtype=float, count=trials)
     stderr = float(freqs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return SampleStats(
         estimate=float(freqs.mean()), stderr=stderr, trials=trials, depth=n, seed=seed
@@ -221,17 +222,17 @@ def gw_direction_estimate(
     limiting growth factor, whose law is not modelled here.  Needs a
     primitive expanding rule (ValueError otherwise).
     """
-    import numpy as np
-
     primitive, _ = rule.is_primitive()
     if not (primitive and rule.is_expanding()):
         raise ValueError("direction estimates need a primitive expanding rule")
     realisations = _trials(rule, letter, n, trials, seed)
     pair = pf_eigenpair(rule.mean_matrix())
+    first = next(realisations)  # as in empirical_frequency, numpy loads after the guard
+    import numpy as np
     size = rule.alphabet.size
     worst = 0.0
     growth = []
-    for word in realisations:
+    for word in chain((first,), realisations):
         counts = np.bincount(np.frombuffer(word, dtype=np.uint8), minlength=size)
         direction = counts / counts.sum()
         worst = max(worst, float(np.abs(direction - pair.right).sum()))

@@ -1,6 +1,7 @@
 """Shared fixtures: the example rules, both from the packaged configs and as
 parameterised builders with symbolic-friendly rational probabilities."""
 
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from importlib import resources
@@ -16,6 +17,13 @@ from stochsub.language import _window_counts
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
 AB = Alphabet(["a", "b"])
+
+
+def child_env(**env: str) -> dict[str, str]:
+    """The environment of a child Python process: `env`, plus
+    PYTHONDONTWRITEBYTECODE=1 where this process writes no bytecode, so that
+    a test run without bytecode leaves no __pycache__ in the checkout."""
+    return {**env, **({"PYTHONDONTWRITEBYTECODE": "1"} if sys.dont_write_bytecode else {})}
 
 
 def rational_matrix(rows, denominator=1) -> RationalMatrix:

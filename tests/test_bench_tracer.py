@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 REPO = Path(__file__).resolve().parents[1]
 TRACER = REPO / "bench" / "tracer.py"
 
@@ -43,7 +45,7 @@ def test_traced_check_times_the_float_conversion(tmp_path):
     out = tmp_path / "spans.json"
     subprocess.run([sys.executable, "bench/child.py", "--spans", str(out), "cli", "check",
                     "--config", "src/stochsub/configs/fibonacci.json"],
-                   cwd=REPO, env={"PYTHONPATH": "src"}, capture_output=True, check=True)
+                   cwd=REPO, env=child_env(PYTHONPATH="src"), capture_output=True, check=True)
     spans = json.loads(out.read_text())
     conversions = [s for s in spans if s["name"] == "spectral.to_float"]
     assert conversions

@@ -11,6 +11,8 @@ from stochsub import (RationalMatrix, RuleValidationError, SubstitutionRule,
                       induced_mean_matrix)
 from stochsub.cli import _emit, run
 
+from conftest import child_env
+
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
 
@@ -116,7 +118,7 @@ def peak_rss_kb(*argv, env=None):
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src, **(env or {})})
+        env=child_env(PYTHONPATH=src, **(env or {})))
     code, maxrss_kb = map(int, done.stdout.split())
     return code, maxrss_kb
 

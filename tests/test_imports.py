@@ -1,8 +1,10 @@
-"""numpy is imported inside the samplers only, so the package import, the
-exact layer (language, matrices, iterate laws and kernel) and the float
-layer (`RationalMatrix.to_float`, PF solve, frequencies, entropy and
-`check`) start without it; the result records are NamedTuples and
-plain classes, so neither loads `dataclasses` or the `inspect` it pulls in;
+"""The package namespace is lazy, so `import stochsub` loads none of its
+modules and importing one module loads only what that module imports; numpy
+is imported inside the samplers only, so the package import, the exact
+layer (language, matrices, iterate laws and kernel) and the float layer
+(`RationalMatrix.to_float`, PF solve, frequencies, entropy and `check`)
+start without it; the result records are NamedTuples and plain classes,
+so neither loads `dataclasses` or the `inspect` it pulls in;
 the package's public names keep the modules they are defined in; and every
 guard is read and refused in `guards.py`."""
 
@@ -16,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import stochsub
+
+from conftest import child_env
 
 SRC = str(Path(stochsub.__file__).resolve().parents[1])
 CONFIGS = Path(stochsub.__file__).resolve().parent / "configs"
@@ -39,7 +43,7 @@ def run_child(body: str) -> tuple[int, frozenset[str]]:
     script = CHILD.format(body="\n".join("    " + line for line in body.splitlines()),
                           probed=PROBED)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, check=True, env={"PYTHONPATH": SRC})
+                          text=True, check=True, env=child_env(PYTHONPATH=SRC))
     code, *loaded = done.stdout.split()
     return int(code), frozenset(loaded)
 
@@ -115,14 +119,31 @@ def test_sampler_loads_numpy():
 
 def test_refused_sample_leaves_numpy_unloaded():
     # every realisation of fibonacci theta^12(a) has F(14) = 377 letters, so
-    # the image lengths alone refuse it under a guard of 10, before numpy
+    # the image lengths alone refuse it under a guard of 10, before numpy,
+    # also in --word mode, where empirical_frequency draws the first one
     argv = ["sample", "--config", config("fibonacci"), "--letter", "a", "--n", "12"]
-    body = ("import io\n"
-            "from stochsub.cli import run\n"
+    for mode in ([], ["--word", "a", "--trials", "5"]):
+        body = ("import io\n"
+                "from stochsub.cli import run\n"
+                "os.environ['STOCHSUB_GUARD_LIMIT'] = '10'\n"
+                "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+                f"    code = run({argv + mode!r})\n"
+                "assert err.getvalue() == 'error: sampled word exceeds letter budget 10\\n'")
+        assert run_child(body) == (2, set()), mode
+
+
+@pytest.mark.parametrize("name,error", [("fibonacci", "GuardExceeded"),
+                                        ("non_expanding", "ValueError")])
+def test_refused_direction_estimate_leaves_numpy_unloaded(name, error):
+    # the guard refuses fibonacci theta^12(a) by the image lengths, and the
+    # non-expanding rule is refused before any draw
+    body = ("from stochsub import GuardExceeded, SubstitutionRule, gw_direction_estimate\n"
+            f"rule = SubstitutionRule.from_file({config(name)!r})\n"
             "os.environ['STOCHSUB_GUARD_LIMIT'] = '10'\n"
-            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
-            f"    code = run({argv!r})\n"
-            "assert err.getvalue() == 'error: sampled word exceeds letter budget 10\\n'")
+            "try:\n"
+            "    gw_direction_estimate(rule, 'a', 12, 5)\n"
+            f"except {error}:\n"
+            "    code = 2")
     assert run_child(body) == (2, set())
 
 
@@ -163,6 +184,42 @@ def test_public_name_resolves_to_its_module(name):
     assert value is getattr(module, name)
     if hasattr(value, "__module__"):
         assert value.__module__ == HOME[name]
+
+
+def package_modules(body: str) -> set[str]:
+    """The stochsub modules that a fresh child process loads to run body."""
+    script = f"import sys\n{body}\nprint(*(m for m in sys.modules if m.startswith('stochsub.')))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env=child_env(PYTHONPATH=SRC))
+    return set(done.stdout.split())
+
+
+def test_package_import_loads_no_module():
+    assert package_modules("import stochsub") == set()
+
+
+def test_parsing_a_rule_loads_its_three_modules():
+    # what the benchmark's set-up probe runs
+    probe = ("from stochsub.substitution import SubstitutionRule\n"
+             f"SubstitutionRule.from_file({config('fibonacci')!r})")
+    assert package_modules(probe) == {"stochsub.substitution", "stochsub.words",
+                                      "stochsub.guards"}
+
+
+def test_each_module_resolves_after_the_package_import():
+    body = ("import stochsub\n"
+            f"for name in {[m.split('.')[1] for m in PUBLIC_MODULES]!r}:\n"
+            "    assert getattr(stochsub, name) is sys.modules['stochsub.' + name]")
+    assert package_modules(body) == set(PUBLIC_MODULES)
+
+
+def test_dir_lists_the_public_names():
+    assert set(stochsub.__all__) <= set(dir(stochsub))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stochsub.no_such_name
 
 
 def call_sites(name: str) -> set[tuple[str, str]]:
