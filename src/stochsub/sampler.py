@@ -1,7 +1,10 @@
 """Monte-Carlo simulation of the substitution Markov chain.
 
 Reproducibility contract: trial i of a run with base seed s draws from
-numpy's PCG64 generator seeded with SeedSequence([s, i]).  Within a trial,
+numpy's PCG64 generator seeded with SeedSequence([s, i]).  The states
+SeedSequence([s, i]) gives are computed for up to 1024 trials at once, in
+one pass of uint32 array operations (module `_seeding`); the contract is
+unchanged, as trial i still starts from exactly that state.  Within a trial,
 words are rewritten round by round; each round consumes one uniform per
 letter, left to right (also for letters with a single image, so streams stay
 aligned across rules).  Results are therefore independent of scheduling:
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .guards import SAMPLE_LETTER_LIMIT, Budget
@@ -119,18 +122,19 @@ def _trials(
         if n:  # if the shortest realisation is over the guard, every trial is
             letters.check(rule._iterate_lengths(n, min, letters.limit + 1)[start])
         import numpy as np
+        from ._seeding import generators
         minlen = rule.min_image_length()
         base, thr, lens, table = _image_tables(rule)
         # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20,
         # deeper iterates than n = 20 run one trial per batch
         bound = max(rule.max_image_length() ** min(n, 20), 1024)
         batch = max(1, BATCH_LETTERS // bound)
+        streams = generators(seed, 0, trials)
 
         def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
             """Trials lo..hi-1 together: their concatenated words and the end
             offset of each."""
-            rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-                    for i in range(lo, hi)]
+            rngs = list(islice(streams, hi - lo))
             word = np.full(hi - lo, start, dtype=np.uint8)
             ends = list(range(1, hi - lo + 1))
             longest = 1  # letters in the longest word of the batch

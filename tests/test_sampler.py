@@ -21,6 +21,7 @@ from stochsub import (
 )
 
 from stochsub import sampler
+from stochsub._seeding import TrialSeed, generators, seed_states
 from stochsub.sampler import DirectionStats, _trials
 from stochsub.spectral import pf_eigenpair
 from stochsub.words import abelianise
@@ -395,3 +396,73 @@ class TestBatchedEngine:
         with pytest.raises(GuardExceeded) as engine:
             list(_trials(dyck, "(", 5, trials, seed))
         assert str(engine.value) == str(oracle.value)
+
+
+def seed_sequence_states(seed, lo, hi):
+    """Oracle: the state numpy's own SeedSequence([seed, i]) gives trial i's
+    PCG64, one trial at a time, for lo <= i < hi."""
+    return np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                     for i in range(lo, hi)], dtype=np.uint64).reshape(-1, 4)
+
+
+SEEDS = [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7, np.int64(5), np.uint64(5)]
+
+
+class TestBatchSeeding:
+    # 0..1100 crosses a block of 1024 states; i passes 2**32 in the second
+    # range, where it becomes two entropy words
+    @pytest.mark.parametrize("lo, hi", [(0, 1101), (2**32 - 2, 2**32 + 2)])
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_states_and_streams_match_seed_sequence(self, seed, lo, hi):
+        states = seed_states(seed, lo, hi)
+        assert states.dtype == np.uint64
+        assert np.array_equal(states, seed_sequence_states(seed, lo, hi))
+        rngs = list(generators(seed, lo, hi))
+        assert len(rngs) == hi - lo
+        for i, rng in zip(range(lo, hi), rngs):
+            oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+            assert np.array_equal(rng.random(64), oracle.random(64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**130 - 1), st.integers(0, 2**33), st.integers(1, 40))
+    def test_states_match_seed_sequence(self, seed, lo, size):
+        assert np.array_equal(seed_states(seed, lo, lo + size),
+                              seed_sequence_states(seed, lo, lo + size))
+
+    @pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (4, np.uint32),
+                                                (2, np.uint64), (4, None)])
+    def test_trial_seed_refuses_other_requests(self, n_words, dtype):
+        seed = TrialSeed(seed_states(1729, 0, 1)[0])
+        with pytest.raises(NotImplementedError,
+                           match=re.escape(f"not generate_state({n_words!r}, {dtype!r})")):
+            seed.generate_state(n_words, dtype)
+
+
+if __name__ == "__main__":
+    # the cost of seeding one trial's generator, by numpy's SeedSequence
+    # and by the sampler's route, `seed_states` over 1024 trials at a time,
+    # best of 5:
+    # PYTHONPATH=src python tests/test_sampler.py
+    import time
+
+    def best_per_trial(build, trials):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            build(trials)
+            times.append(time.perf_counter() - start)
+        return min(times) / trials * 1e6
+
+    def seed_sequence_route(trials):
+        return [np.random.Generator(np.random.PCG64(np.random.SeedSequence([1729, i])))
+                for i in range(trials)]
+
+    def batch_route(trials):
+        return list(generators(1729, 0, trials))
+
+    print("trials\tseed_sequence_us\tbatch_us")
+    for trials in (200, 1000, 5000):
+        assert np.array_equal(seed_states(1729, 0, trials),
+                              seed_sequence_states(1729, 0, trials))
+        print(f"{trials}\t{best_per_trial(seed_sequence_route, trials):.2f}"
+              f"\t{best_per_trial(batch_route, trials):.2f}")
