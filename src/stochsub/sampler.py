@@ -7,18 +7,22 @@ one pass of uint32 array operations (module `_seeding`); the contract is
 unchanged, as trial i still starts from exactly that state.  Within a trial,
 words are rewritten round by round; each round consumes one uniform per
 letter, left to right (also for letters with a single image, so streams stay
-aligned across rules).  Results are therefore independent of scheduling:
-trials run in batches, each round of a batch a few array operations over the
-words of all its trials, and the batch size changes no output.  A
-realisation is held at one byte per letter, as `bytes` of letter codes.
+aligned across rules).  Where one trial can consume at most 1024 uniforms
+(the longest words of its rounds summed), each trial draws them all in one
+call and its rounds read them in order: the same doubles in the same order,
+so the contract is unchanged.  Results are therefore independent of
+scheduling: trials run in batches, each round of a batch a few array
+operations over the words of all its trials, and the batch size changes no
+output.  A realisation is held at one byte per letter, as `bytes` of letter
+codes.
 
 Input contract, shared by every sampler and checked before the first trial:
 the start letter is a symbol or an in-range letter code (KeyError
-otherwise), the depth satisfies n >= 0, the trial count trials >= 1 and
-the seed is a non-negative integer (ValueError otherwise).  Each sampler
-states its own further conditions.  All samplers draw from one trial
-engine, `_trials`, and a sample that the letter guard refuses by the image
-lengths alone loads no numpy.
+otherwise), the depth is an integer n >= 0, the trial count an integer
+trials >= 1 and the seed a non-negative integer (ValueError otherwise).
+Each sampler states its own further conditions.  All samplers draw from one
+trial engine, `_trials`, and a sample that the letter guard refuses by the
+image lengths alone loads no numpy.
 """
 
 from __future__ import annotations
@@ -94,6 +98,20 @@ def _image_tables(rule: SubstitutionRule):
     return np.array(base, dtype=np.min_scalar_type(len(flat))), thr, lens, table
 
 
+def _pool_width(rule: SubstitutionRule, start: int, n: int) -> int:
+    """The uniforms one trial of depth n from `start` can consume, the sum
+    over k < n of the longest |theta^k(start)|, where that is 1 to 1024 (the
+    per-trial floor of the batch bound): its trials draw their whole streams
+    in one call each.  Else 0, and they draw round by round; the sum stops
+    once it passes 1024."""
+    ahead = 0
+    for lengths in islice(rule._length_steps(max, 1025), n):
+        ahead += lengths[start]
+        if ahead > 1024:
+            return 0
+    return ahead
+
+
 def _trials(
     rule: SubstitutionRule, letter, n: int, trials: int, seed: int
 ) -> Iterator[bytes]:
@@ -102,18 +120,20 @@ def _trials(
 
     The arguments are checked here, before the first trial is drawn: the
     start is a symbol or an in-range letter code (KeyError otherwise), and
-    n >= 0, trials >= 1 and the seed a non-negative integer (ValueError
-    otherwise).  From the first next() on, after each sampler's own checks,
+    n >= 0 and trials >= 1 integers and the seed a non-negative integer
+    (ValueError otherwise).  From the first next() on, after each sampler's own checks,
     GuardExceeded is raised before numpy loads where even the shortest
     realisation is over the letter guard, else in the round that builds one
-    over it, before its batch yields, or before the round draws where the
-    shortest image already takes the longest word over the guard.
+    over it, before its batch yields, or before the round reads its uniforms
+    where the shortest image already takes the longest word over the guard.
+    A batch whose trials draw their streams in one call each has drawn them
+    by then, and trips where and as a batch drawn round by round does.
     """
     (start,) = rule.encode((letter,))
-    if n < 0:
-        raise ValueError("iteration depth must be nonnegative")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"iteration depth must be a nonnegative integer, got {n!r}")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"need an integer trials >= 1, got {trials!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     letters = Budget(SAMPLE_LETTER_LIMIT, "sampled word exceeds letter budget {}")
@@ -129,6 +149,7 @@ def _trials(
         # deeper iterates than n = 20 run one trial per batch
         bound = max(rule.max_image_length() ** min(n, 20), 1024)
         batch = max(1, BATCH_LETTERS // bound)
+        ahead = _pool_width(rule, start, n)
         streams = generators(seed, 0, trials)
 
         def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
@@ -137,18 +158,28 @@ def _trials(
             rngs = list(islice(streams, hi - lo))
             word = np.full(hi - lo, start, dtype=np.uint8)
             ends = list(range(1, hi - lo + 1))
+            if ahead:  # each trial's whole stream in one call, a row per trial
+                pool = np.empty((hi - lo, ahead))
+                for rng, row in zip(rngs, pool):
+                    rng.random(out=row)
+                offset = np.arange(0, pool.size, ahead)  # its row's next unread
+                sizes = np.ones(hi - lo, dtype=np.intp)
             longest = 1  # letters in the longest word of the batch
             for _ in range(n):
                 letters.check(longest * minlen)  # no image is shorter than minlen
-                u = np.empty(len(word))
-                a = 0
-                for rng, b in zip(rngs, ends):
-                    rng.random(out=u[a:b])
-                    a = b
+                starts = np.array([0, *ends[:-1]])
+                if ahead:  # trial i reads the next sizes[i] values of its row
+                    u = pool.take(np.repeat(offset - starts, sizes) + np.arange(len(word)))
+                    offset += sizes
+                else:
+                    u = np.empty(len(word))
+                    a = 0
+                    for rng, b in zip(rngs, ends):
+                        rng.random(out=u[a:b])
+                        a = b
                 img = base.take(word)
                 for row in thr:
                     img += row[word] <= u
-                starts = np.array([0, *ends[:-1]])
                 sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
                 longest = int(sizes.max())
                 letters.check(longest)
@@ -191,6 +222,7 @@ def empirical_frequency(
     v = rule.encode(v)
     if not rule.language().is_legal(v):
         raise ValueError(f"word {rule.alphabet.decode(v)!r} is not legal")
+    v = bytes(v)  # as the realisations are, so they are searched in C
     freqs = (count_occurrences(word, v) / len(word) for word in realisations)
     first = next(freqs)  # a depth the guard refuses up front stops here, before numpy
     import numpy as np

@@ -16,7 +16,8 @@ import json
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from itertools import islice, repeat
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .guards import ITERATE_SUPPORT_LIMIT, SAMPLE_LETTER_LIMIT, Budget
 from .words import Alphabet, WordLike, abelianise
@@ -325,14 +326,19 @@ class SubstitutionRule:
 
     def _iterate_lengths(self, n: int, pick, cap: int) -> list[int]:
         """Per letter c, the `pick` (min or max) of |theta^n(c)|, capped at `cap`."""
+        return next(islice(self._length_steps(pick, cap), n, None))
+
+    def _length_steps(self, pick, cap: int) -> Iterator[list[int]]:
+        """Per letter c, the `pick` (min or max) of |theta^k(c)|, capped at
+        `cap`, for k = 0, 1, 2, ..."""
         lengths = [1] * self.alphabet.size
-        for _ in range(n):
+        while True:
+            yield lengths
             step = [min(pick(sum(map(lengths.__getitem__, w)) for w, _ in entries), cap)
                     for entries in self._integer_form[1]]
             if step == lengths:  # a fixed point: so are all later steps
-                break
+                yield from repeat(lengths)
             lengths = step
-        return lengths
 
     # -- mean matrix and classification ------------------------------------
 

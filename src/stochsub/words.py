@@ -113,11 +113,19 @@ class Alphabet:
 def count_occurrences(u: Sequence, v: Sequence) -> int:
     """Number of (possibly overlapping) occurrences of v as a subword of u.
 
-    Returns 0 when v is longer than u.
+    Returns 0 when v is longer than u.  Two `bytes` are searched in C.
     """
     lv = len(v)
     if lv == 0:
         raise ValueError("pattern word must be nonempty")
+    if isinstance(u, bytes) and isinstance(v, bytes):
+        if not any(v[:k] == v[-k:] for k in range(1, lv)):
+            return u.count(v)  # v has no border, so no two occurrences overlap
+        count, i = 0, u.find(v)
+        while i >= 0:
+            count += 1
+            i = u.find(v, i + 1)
+        return count
     # the windows of u are the tuples zip draws from its lv shifted copies
     return sum(map(tuple(v).__eq__, zip(*(u[k:] for k in range(lv)))))
 

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from stochsub import GuardExceeded, SubstitutionRule, sample_iterate
+from stochsub import GuardExceeded, SubstitutionRule, sample_iterate, sampler
 from stochsub.guards import Budget
 from stochsub.sampler import DEFAULT_SEED
 
@@ -114,11 +114,14 @@ SITES = {
         load("zeta"), lambda rule: len(rule.iterate_distribution("a", 4).entries), 256,
         "iterate support exceeds guard limit {}"),
 }
-# the uniforms each sampler site draws before it refuses count - 1: none up
-# front, the 1 + 3 letters of rounds 1 and 2 before round 3, and all three
-# rounds' 1 + 3 + 9 where only a round's own result can be refused
-SAMPLER_SITES = {"sampler up front": 0, "sampler before the round": 4,
-                 "sampler after the round": 13}
+# the uniforms each sampler site draws before it refuses count - 1, drawn
+# round by round: none up front, the 1 + 3 letters of rounds 1 and 2 before
+# round 3, and all three rounds' 1 + 3 + 9 where only a round's own result
+# can be refused; and as each trial is drawn where its whole stream fits in
+# 1024 uniforms, in one call before round 1: the 1 + 3 + 8 letters of the
+# longest theta^k(a), k < 3, before round 3
+SAMPLER_SITES = {"sampler up front": (0, 0), "sampler before the round": (4, 12),
+                 "sampler after the round": (13, 13)}
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -149,4 +152,9 @@ def test_sampler_site(monkeypatch, site):
     monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(count - 1))
     with pytest.raises(GuardExceeded):
         run(rule)
-    assert sum(drawn) == SAMPLER_SITES[site]
+    pooled = sum(drawn)
+    drawn.clear()
+    monkeypatch.setattr(sampler, "_pool_width", lambda rule, start, n: 0)
+    with pytest.raises(GuardExceeded):
+        run(rule)
+    assert (sum(drawn), pooled) == SAMPLER_SITES[site]

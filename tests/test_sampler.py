@@ -237,6 +237,24 @@ class TestInputContract:
         with pytest.raises(ValueError, match="trials >= 1"):
             SAMPLERS[name](fibonacci, "a", 3, 0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", None])
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_depth_not_an_integer(self, name, n, fibonacci):
+        with pytest.raises(ValueError, match=f"^iteration depth must be a nonnegative "
+                                             f"integer, got {re.escape(repr(n))}$"):
+            SAMPLERS[name](fibonacci, "a", n, 5)
+
+    @pytest.mark.parametrize("trials", [2.0, 2.5, "5", None])
+    @pytest.mark.parametrize("name", [s for s in SAMPLERS if s != "sample_iterate"])
+    def test_trial_count_not_an_integer(self, name, trials, fibonacci):
+        with pytest.raises(ValueError, match=f"^need an integer trials >= 1, "
+                                             f"got {re.escape(repr(trials))}$"):
+            SAMPLERS[name](fibonacci, "a", 3, trials)
+
+    def test_numpy_integers_are_integers(self, fibonacci):
+        assert sample_iterate_law(fibonacci, "a", np.int64(4), np.uint8(20), seed=3) == \
+            sample_iterate_law(fibonacci, "a", 4, 20, seed=3)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_seed_not_a_non_negative_integer(self, name, seed, fibonacci):
@@ -258,6 +276,10 @@ class TestInputContract:
             _trials(fibonacci, "a", 3, 0, 0)
         with pytest.raises(ValueError):
             _trials(fibonacci, "a", 3, 1, -1)
+        with pytest.raises(ValueError):
+            _trials(fibonacci, "a", 2.0, 1, 0)
+        with pytest.raises(ValueError):
+            _trials(fibonacci, "a", 3, 2.5, 0)
 
     def test_letter_guard_checked_after_the_samplers_own(self, period_doubling,
                                                          monkeypatch):
@@ -337,6 +359,19 @@ def outcome(realisations):
     return words, None
 
 
+# the uniforms a trial draws in one call, the sum over k < n of the longest
+# |theta^k(a)|, or 0 where that is over 1024 and its trials draw round by round
+POOL_WIDTHS = {
+    ("period_doubling", 16): 0,     # 2**16 - 1
+    ("fibonacci", 6): 32,           # 1 + 2 + 3 + 5 + 8 + 13
+    ("fibonacci", 10): 231,         # ... + 21 + 34 + 55 + 89
+    ("dyck", 4): 40,                # 1 + 3 + 9 + 27, most of it unread
+    ("dyck", 7): 0,                 # 1 + 3 + ... + 729 = 1093
+    ("non_expanding", 1024): 1024,  # one uniform per round
+    ("non_expanding", 1025): 0,
+}
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("name", SAMPLER_DIGESTS)
     def test_matches_reference_on_bundled_configs(self, name):
@@ -369,12 +404,30 @@ class TestBatchedEngine:
         ("period_doubling", "a", 16, 50),   # batches of 2**20 // 2**16 = 16
         ("fibonacci", "a", 6, 1025),        # 2**6 letters count as 1024:
         ("fibonacci", "a", 6, 2049),        # batches of 1024 trials
+        ("fibonacci", "a", 10, 1025),
+        ("fibonacci", "a", 10, 1),
+        ("dyck", "(", 4, 50),
+        ("dyck", "(", 7, 3),
+        ("dyck", "(", 7, 1),
+        ("non_expanding", "a", 1024, 3),
+        ("non_expanding", "a", 1025, 3),
     ])
     def test_matches_reference_across_batches(self, name, letter, n, trials):
         rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        assert sampler._pool_width(rule, rule.encode(letter)[0], n) == POOL_WIDTHS[name, n]
         bound = max(rule.max_image_length() ** n, 1024)
         assert trials % (sampler.BATCH_LETTERS // bound) != 0
         assert_engine_matches(rule, letter, n, trials, 1729)
+        if name == "dyck" and POOL_WIDTHS[name, n]:  # pooled uniforms left unread
+            assert min(map(len, reference_trials(rule, letter, n, trials, 1729))) < 27
+
+    def test_pool_width_stops_past_1024(self):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / "non_expanding.json")
+        steps = []
+        real = rule._length_steps
+        rule._length_steps = lambda *args: (steps.append(s) or s for s in real(*args))
+        assert sampler._pool_width(rule, 0, 100_000) == 0
+        assert len(steps) == 1025
 
     def test_realisations_are_bytes(self, dyck):
         words = list(_trials(dyck, "(", 4, 5, 3))
@@ -393,9 +446,26 @@ class TestBatchedEngine:
             if passed:
                 break
         assert 0 < len(passed) < trials
+        assert sampler._pool_width(dyck, 0, 5) == 121  # the batch is pooled
         with pytest.raises(GuardExceeded) as engine:
             list(_trials(dyck, "(", 5, trials, seed))
         assert str(engine.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_guard_matches_reference_at_every_limit_in_a_batch(self, dyck, pooled):
+        # 40 trials of dyck theta^5 in one batch, pooled (121 uniforms a
+        # trial) or round by round: each limit trips with the reference
+        # loop's message, and the batch yields nothing where any trial trips
+        trials, seed = 40, 5
+        longest = max(map(len, reference_trials(dyck, "(", 5, trials, seed)))
+        with pytest.MonkeyPatch.context() as mp:
+            if not pooled:
+                mp.setattr(sampler, "_pool_width", lambda rule, start, n: 0)
+            for limit in range(longest + 1):
+                mp.setenv("STOCHSUB_GUARD_LIMIT", str(limit))
+                words, message = outcome(reference_trials(dyck, "(", 5, trials, seed))
+                engine = outcome(_trials(dyck, "(", 5, trials, seed))
+                assert engine == (words if message is None else [], message)
 
 
 def seed_sequence_states(seed, lo, hi):
@@ -440,10 +510,16 @@ class TestBatchSeeding:
 
 if __name__ == "__main__":
     # the cost of seeding one trial's generator, by numpy's SeedSequence
-    # and by the sampler's route, `seed_states` over 1024 trials at a time,
-    # best of 5:
+    # and by the sampler's route, `seed_states` over 1024 trials at a time;
+    # then the cost of one trial of the bench's sampler shapes with its
+    # uniforms drawn round by round and with its whole stream drawn in one
+    # call (the route the sampler takes where that stream fits in 1024
+    # uniforms, marked *), the words of the two routes asserted equal; best
+    # of 5:
     # PYTHONPATH=src python tests/test_sampler.py
     import time
+    from itertools import islice
+    from unittest import mock
 
     def best_per_trial(build, trials):
         times = []
@@ -466,3 +542,22 @@ if __name__ == "__main__":
                               seed_sequence_states(1729, 0, trials))
         print(f"{trials}\t{best_per_trial(seed_sequence_route, trials):.2f}"
               f"\t{best_per_trial(batch_route, trials):.2f}")
+
+    def whole_stream(rule, start, n):
+        return sum(lengths[start] for lengths in islice(rule._length_steps(max, 2**62), n))
+
+    routes = {"round_by_round": lambda rule, start, n: 0, "pooled": whole_stream}
+    print("\nconfig\tn\ttrials\tuniforms\t" + "\t".join(f"{r}_us" for r in routes))
+    for name, letter, n, trials in [("fibonacci", "a", 6, 5000), ("fibonacci", "a", 10, 2000),
+                                    ("fibonacci", "a", 14, 1000), ("dyck", "(", 8, 200)]:
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        taken = "pooled" if sampler._pool_width(rule, 0, n) else "round_by_round"
+        cells, words = [], []
+        for route, width in routes.items():
+            with mock.patch.object(sampler, "_pool_width", width):
+                words.append(list(_trials(rule, letter, n, trials, 1729)))
+                cost = best_per_trial(lambda t: list(_trials(rule, letter, n, t, 1729)),
+                                      trials)
+            cells.append(f"{cost:.2f}" + "*" * (route == taken))
+        assert words[0] == words[1]
+        print(f"{name}\t{n}\t{trials}\t{whole_stream(rule, 0, n)}\t" + "\t".join(cells))

@@ -167,8 +167,22 @@ class TestCountOccurrences:
         assert count_occurrences("abab", "ab") == 2
         assert count_occurrences("ab", "ba") == 0
 
+    def test_overlapping_bytes(self):
+        # bordered patterns: occurrences overlap, so bytes.count would miss some
+        assert count_occurrences(b"aaaa", b"aa") == 3
+        assert count_occurrences(b"ababa", b"aba") == 2
+        assert count_occurrences(b"abab", b"ab") == 2  # no border
+
+    def test_mixed_types_compare_windows(self):
+        assert count_occurrences(b"\x00\x01\x00\x01", (0, 1)) == 2
+        assert count_occurrences(b"\x00\x00\x00", (0, 0)) == 2
+        assert count_occurrences(b"ab", "ab") == 0  # ints never equal strs
+        assert count_occurrences(b"\x00\x01", (0, 257)) == 0
+        assert count_occurrences((0, 1, 0), b"\x00") == 2
+
     def test_longer_pattern_gives_zero(self):
         assert count_occurrences("ab", "abc") == 0
+        assert count_occurrences(b"ab", b"abc") == 0
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +197,7 @@ class TestCountOccurrences:
         assert count_occurrences(bytes(u), tuple(v)) == naive
         ab = "".join("ab"[c] for c in u), "".join("ab"[c] for c in v)
         assert count_occurrences(*ab) == naive
+        assert count_occurrences(*(x.encode() for x in ab)) == naive
 
 
 class TestAbelianise:
