@@ -104,12 +104,14 @@ def _pool_width(rule: SubstitutionRule, start: int, n: int) -> int:
     per-trial floor of the batch bound): its trials draw their whole streams
     in one call each.  Else 0, and they draw round by round; the sum stops
     once it passes 1024."""
-    ahead = 0
-    for lengths in islice(rule._length_steps(max, 1025), n):
+    ahead = k = 0
+    for k, lengths in enumerate(islice(rule._length_steps(max, 1025), n), 1):
         ahead += lengths[start]
         if ahead > 1024:
             return 0
-    return ahead
+    if k < n:  # the steps stopped at a fixed point, which holds for the rest
+        ahead += (n - k) * lengths[start]
+    return ahead if ahead <= 1024 else 0
 
 
 def _trials(
@@ -169,7 +171,11 @@ def _trials(
                 letters.check(longest * minlen)  # no image is shorter than minlen
                 starts = np.array([0, *ends[:-1]])
                 if ahead:  # trial i reads the next sizes[i] values of its row
-                    u = pool.take(np.repeat(offset - starts, sizes) + np.arange(len(word)))
+                    # u is first the pool index, built in place; reusing the
+                    # name frees the last round's uniforms before it is built
+                    u = np.repeat(offset - starts, sizes)
+                    u += np.arange(len(word))
+                    u = pool.take(u)
                     offset += sizes
                 else:
                     u = np.empty(len(word))

@@ -16,7 +16,7 @@ import json
 import math
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .guards import ITERATE_SUPPORT_LIMIT, SAMPLE_LETTER_LIMIT, Budget
@@ -326,18 +326,21 @@ class SubstitutionRule:
 
     def _iterate_lengths(self, n: int, pick, cap: int) -> list[int]:
         """Per letter c, the `pick` (min or max) of |theta^n(c)|, capped at `cap`."""
-        return next(islice(self._length_steps(pick, cap), n, None))
+        for lengths in islice(self._length_steps(pick, cap), n + 1):
+            pass  # keep only the last step: a slow recursion may take many
+        return lengths
 
     def _length_steps(self, pick, cap: int) -> Iterator[list[int]]:
         """Per letter c, the `pick` (min or max) of |theta^k(c)|, capped at
-        `cap`, for k = 0, 1, 2, ..."""
+        `cap`, for k = 0, 1, 2, ... up to the first fixed point, which holds
+        for every later k."""
         lengths = [1] * self.alphabet.size
         while True:
             yield lengths
             step = [min(pick(sum(map(lengths.__getitem__, w)) for w, _ in entries), cap)
                     for entries in self._integer_form[1]]
-            if step == lengths:  # a fixed point: so are all later steps
-                yield from repeat(lengths)
+            if step == lengths:
+                return
             lengths = step
 
     # -- mean matrix and classification ------------------------------------

@@ -11,6 +11,7 @@ language, induced columns, iterate laws) and the sampler hold them as
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 WordLike = Union[str, Sequence[int]]
@@ -110,22 +111,24 @@ class Alphabet:
         return f"Alphabet({list(self._symbols)!r})"
 
 
+@lru_cache(maxsize=64)
+def _has_border(v: bytes) -> bool:
+    """Whether a proper prefix of v is also a suffix, so that two
+    occurrences of v can overlap."""
+    return any(v[:k] == v[-k:] for k in range(1, len(v)))
+
+
 def count_occurrences(u: Sequence, v: Sequence) -> int:
     """Number of (possibly overlapping) occurrences of v as a subword of u.
 
-    Returns 0 when v is longer than u.  Two `bytes` are searched in C.
+    Returns 0 when v is longer than u.  Two `bytes` are searched in C where
+    v has no border.
     """
     lv = len(v)
     if lv == 0:
         raise ValueError("pattern word must be nonempty")
-    if isinstance(u, bytes) and isinstance(v, bytes):
-        if not any(v[:k] == v[-k:] for k in range(1, lv)):
-            return u.count(v)  # v has no border, so no two occurrences overlap
-        count, i = 0, u.find(v)
-        while i >= 0:
-            count += 1
-            i = u.find(v, i + 1)
-        return count
+    if isinstance(u, bytes) and isinstance(v, bytes) and not _has_border(v):
+        return u.count(v)  # no two occurrences of v overlap
     # the windows of u are the tuples zip draws from its lv shifted copies
     return sum(map(tuple(v).__eq__, zip(*(u[k:] for k in range(lv)))))
 

@@ -372,6 +372,14 @@ POOL_WIDTHS = {
 }
 
 
+def count_length_steps(rule):
+    """Record, on `rule`, each step its length recursion takes."""
+    steps = []
+    real = rule._length_steps
+    rule._length_steps = lambda *args: (steps.append(s) or s for s in real(*args))
+    return steps
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("name", SAMPLER_DIGESTS)
     def test_matches_reference_on_bundled_configs(self, name):
@@ -421,13 +429,27 @@ class TestBatchedEngine:
         if name == "dyck" and POOL_WIDTHS[name, n]:  # pooled uniforms left unread
             assert min(map(len, reference_trials(rule, letter, n, trials, 1729))) < 27
 
-    def test_pool_width_stops_past_1024(self):
-        rule = SubstitutionRule.from_file(CONFIG_DIR / "non_expanding.json")
-        steps = []
-        real = rule._length_steps
-        rule._length_steps = lambda *args: (steps.append(s) or s for s in real(*args))
-        assert sampler._pool_width(rule, 0, 100_000) == 0
-        assert len(steps) == 1025
+    @pytest.mark.parametrize("name, n, width, taken", [
+        ("non_expanding", 100_000, 0, 1),   # its lengths are a fixed point at once
+        ("non_expanding", 10**15, 0, 1),
+        ("fibonacci", 10**15, 0, 14),       # 1 + 2 + ... + 610 passes 1024
+        ("period_doubling", 10, 1023, 10),
+    ])
+    def test_pool_width_takes_few_steps(self, name, n, width, taken):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        steps = count_length_steps(rule)
+        assert sampler._pool_width(rule, 0, n) == width
+        assert len(steps) == taken
+
+    def test_deep_samples_refused_in_few_steps(self, fibonacci):
+        # the up-front guards read the length recursion only up to its fixed
+        # point, so a depth of 10**12 is refused as quickly as one of 40
+        steps = count_length_steps(fibonacci)
+        with pytest.raises(GuardExceeded, match="letter budget"):
+            next(_trials(fibonacci, "a", 10**12, 3, 0))
+        with pytest.raises(GuardExceeded, match="letter guard"):
+            fibonacci.iterate_distribution("a", 10**12)
+        assert 0 < len(steps) < 200
 
     def test_realisations_are_bytes(self, dyck):
         words = list(_trials(dyck, "(", 4, 5, 3))
@@ -518,7 +540,6 @@ if __name__ == "__main__":
     # of 5:
     # PYTHONPATH=src python tests/test_sampler.py
     import time
-    from itertools import islice
     from unittest import mock
 
     def best_per_trial(build, trials):
@@ -544,7 +565,7 @@ if __name__ == "__main__":
               f"\t{best_per_trial(batch_route, trials):.2f}")
 
     def whole_stream(rule, start, n):
-        return sum(lengths[start] for lengths in islice(rule._length_steps(max, 2**62), n))
+        return sum(rule._iterate_lengths(k, max, 2**62)[start] for k in range(n))
 
     routes = {"round_by_round": lambda rule, start, n: 0, "pooled": whole_stream}
     print("\nconfig\tn\ttrials\tuniforms\t" + "\t".join(f"{r}_us" for r in routes))
