@@ -22,7 +22,10 @@ from .entropy import metric_entropy_partial, topological_entropy_partial
 from .guards import GuardExceeded, guard_limit
 from .induced import induced_mean_matrix
 from .measure import FrequencyMeasure
-from .sampler import DEFAULT_SEED, empirical_frequency, length_tail, sample_iterate
+# iterate mode reads _trials; sample_iterate stays bound here because
+# bench/tracer.py lists stochsub.cli:sample_iterate among the sites it wraps
+from .sampler import (DEFAULT_SEED, _trials, empirical_frequency, length_tail,
+                      sample_iterate)
 from .spectral import NonConvergence, pf_eigenpair
 from .substitution import SubstitutionRule
 
@@ -204,7 +207,9 @@ def _cmd_sample(rule, args):
         return lambda: report, [["fraction", _fmt(frac)]], True
     if args.trials < 1:
         raise ValueError("need trials >= 1")
-    word = sample_iterate(rule, args.letter, args.n, seed=args.seed)
+    # sample_iterate's realisation, kept as the engine's bytes: its tuple
+    # would hold 8 bytes a letter
+    word = next(_trials(rule, args.letter, args.n, 1, args.seed))
     decoded = rule.alphabet.decode(word)
     report = {"mode": "iterate", "n": args.n, "seed": args.seed,
               "length": len(word), "word": decoded}

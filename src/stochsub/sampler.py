@@ -13,8 +13,11 @@ call and its rounds read them in order: the same doubles in the same order,
 so the contract is unchanged.  Results are therefore independent of
 scheduling: trials run in batches, each round of a batch a few array
 operations over the words of all its trials, and the batch size changes no
-output.  A realisation is held at one byte per letter, as `bytes` of letter
-codes.
+output.  A round runs over at most 2**16 of its input letters at a time; a
+trial that a chunk's end splits draws the uniforms of its letters in the
+first chunk, then those in the next, from its own generator, so its stream
+is unchanged.  A realisation is held at one byte per letter, as `bytes` of
+letter codes, and `sample` prints it from those bytes.
 
 Input contract, shared by every sampler and checked before the first trial:
 the start letter is a symbol or an in-range letter code (KeyError
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -48,6 +52,10 @@ DEFAULT_SEED = 1729
 # longest image), counting at least 1024 per trial: each live generator holds
 # about 1.3 KB, so shallow iterates still stop at 1024 trials per batch.
 BATCH_LETTERS = 2**20
+# A round runs over at most this many of its input letters at a time: the
+# uniforms are float64, and numpy's take casts a uint8 index to intp, so
+# arrays of 8 bytes a letter span one chunk (512 KB), never the batch.
+_CHUNK_LETTERS = 2**16
 PAD = MAX_SYMBOLS  # pads the image table; every letter code is below it
 
 
@@ -166,37 +174,61 @@ def _trials(
                     rng.random(out=row)
                 offset = np.arange(0, pool.size, ahead)  # its row's next unread
                 sizes = np.ones(hi - lo, dtype=np.intp)
+            else:
+                buf = np.empty(_CHUNK_LETTERS)  # a chunk's uniforms
             longest = 1  # letters in the longest word of the batch
             for _ in range(n):
                 letters.check(longest * minlen)  # no image is shorter than minlen
                 starts = np.array([0, *ends[:-1]])
                 if ahead:  # trial i reads the next sizes[i] values of its row
-                    # u is first the pool index, built in place; reusing the
-                    # name frees the last round's uniforms before it is built
-                    u = np.repeat(offset - starts, sizes)
-                    u += np.arange(len(word))
-                    u = pool.take(u)
+                    skip = offset - starts  # letter j of trial i reads skip[i] + j
                     offset += sizes
-                else:
-                    u = np.empty(len(word))
-                    a = 0
-                    for rng, b in zip(rngs, ends):
-                        rng.random(out=u[a:b])
-                        a = b
-                img = base.take(word)
-                for row in thr:
-                    img += row[word] <= u
-                sizes = np.add.reduceat(lens.take(img), starts, dtype=np.intp)
+                # chunk by chunk: each letter's image into img, and the image
+                # lengths of each trial summed into sizes
+                img = np.empty(len(word), dtype=base.dtype)
+                sizes = np.zeros(hi - lo, dtype=np.intp)
+                for c in range(0, len(word), _CHUNK_LETTERS):
+                    w, part = word[c : c + _CHUNK_LETTERS], img[c : c + _CHUNK_LETTERS]
+                    # trials i..k reach into the chunk, trial i + j over
+                    # w[cut[j]:cut[j + 1]]; a trial the chunk's end splits
+                    # draws the rest of its uniforms in the next chunk
+                    i, k = bisect_right(ends, c), bisect_left(ends, c + len(w))
+                    cut = np.concatenate(([0], starts[i + 1 : k + 1] - c, [len(w)]))
+                    if ahead:
+                        u = np.repeat(skip[i : k + 1], np.diff(cut))
+                        u += np.arange(c, c + len(w))
+                        u = pool.take(u)
+                    else:
+                        u = buf[: len(w)]
+                        bounds = cut.tolist()
+                        for rng, a, b in zip(rngs[i : k + 1], bounds, bounds[1:]):
+                            rng.random(out=u[a:b])
+                    part[:] = base.take(w)
+                    for row in thr:
+                        part += row[w] <= u
+                    sizes[i : k + 1] += np.add.reduceat(lens.take(part), cut[:-1],
+                                                        dtype=np.intp)
+                del w  # a view of the word, which the next one replaces
                 longest = int(sizes.max())
                 letters.check(longest)
-                word = table.take(img, axis=0).ravel()
-                word = word[word != PAD]
                 ends = np.cumsum(sizes).tolist()
+                # the next word: the chosen images, less their padding
+                if len(img) <= _CHUNK_LETTERS:  # one chunk: no copy
+                    word = table.take(img, axis=0).ravel()
+                    word = word[word != PAD]
+                else:  # written chunk by chunk into a word of its exact length
+                    word, at = np.empty(ends[-1], dtype=np.uint8), 0
+                    for c in range(0, len(img), _CHUNK_LETTERS):
+                        images = table.take(img[c : c + _CHUNK_LETTERS], axis=0).ravel()
+                        images = images[images != PAD]
+                        word[at : at + len(images)] = images
+                        at += len(images)
             return word, ends
 
         for lo in range(0, trials, batch):
             word, ends = run(lo, min(lo + batch, trials))
             data, a = word.tobytes(), 0
+            del word  # its bytes are what the trials yield
             for b in ends:
                 yield data[a:b]
                 a = b

@@ -1,15 +1,18 @@
 """Shared fixtures: the example rules, both from the packaged configs and as
 parameterised builders with symbolic-friendly rational probabilities."""
 
+import subprocess
 import sys
 from bisect import bisect_right
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import stochsub
 from stochsub import Alphabet, GuardExceeded, RationalMatrix, SubstitutionRule
 from stochsub.guards import SAMPLE_LETTER_LIMIT, guard_limit
 from stochsub.language import _window_counts
@@ -24,6 +27,32 @@ def child_env(**env: str) -> dict[str, str]:
     PYTHONDONTWRITEBYTECODE=1 where this process writes no bytecode, so that
     a test run without bytecode leaves no __pycache__ in the checkout."""
     return {**env, **({"PYTHONDONTWRITEBYTECODE": "1"} if sys.dont_write_bytecode else {})}
+
+
+def peak_rss_kb(*argv, env=None):
+    """Exit code and peak RSS (kB) of a child process that runs the CLI with
+    argv and the environment variables in env, its stdout sent to the null
+    device.
+
+    The peak is the child's VmHWM, not its ru_maxrss: on Linux ru_maxrss
+    keeps the spawning process's peak across exec, here that of pytest."""
+    script = (
+        "import contextlib, os, sys\n"
+        "from stochsub.cli import run\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = run(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(line.split()[1] for line in status\n"
+        "                if line.startswith('VmHWM:'))\n"
+        "print(code, peak)\n"
+    )
+    src = str(Path(stochsub.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, check=True,
+        env=child_env(PYTHONPATH=src, **(env or {})))
+    code, maxrss_kb = map(int, done.stdout.split())
+    return code, maxrss_kb
 
 
 def rational_matrix(rows, denominator=1) -> RationalMatrix:

@@ -1,17 +1,14 @@
 import json
-import subprocess
 import sys
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
-import stochsub
 from stochsub import (RationalMatrix, RuleValidationError, SubstitutionRule,
                       induced_mean_matrix)
 from stochsub.cli import _emit, run
 
-from conftest import child_env
+from conftest import peak_rss_kb
 
 CONFIG_DIR = resources.files("stochsub") / "configs"
 
@@ -95,32 +92,6 @@ def dense_matrix_output(rule, ell, fmt):
         return json.dumps(doc, indent=2) + "\n"
     rows = [["", *labels]] + [[lab, *line] for lab, line in zip(labels, str_rows)]
     return "".join("\t".join(row) + "\n" for row in rows)
-
-
-def peak_rss_kb(*argv, env=None):
-    """Exit code and peak RSS (kB) of a child process that runs the CLI with
-    argv and the environment variables in env, its stdout sent to the null
-    device.
-
-    The peak is the child's VmHWM, not its ru_maxrss: on Linux ru_maxrss
-    keeps the spawning process's peak across exec, here that of pytest."""
-    script = (
-        "import contextlib, os, sys\n"
-        "from stochsub.cli import run\n"
-        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
-        "    code = run(sys.argv[1:])\n"
-        "with open('/proc/self/status') as status:\n"
-        "    peak = next(line.split()[1] for line in status\n"
-        "                if line.startswith('VmHWM:'))\n"
-        "print(code, peak)\n"
-    )
-    src = str(Path(stochsub.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, check=True,
-        env=child_env(PYTHONPATH=src, **(env or {})))
-    code, maxrss_kb = map(int, done.stdout.split())
-    return code, maxrss_kb
 
 
 class TestMatrixFromColumns:
@@ -368,6 +339,16 @@ class TestSample:
         code, maxrss_kb = peak_rss_kb("sample", "--config", cfg("period_doubling"),
                                       "--letter", "a", "--n", "27")
         assert code == 2 and maxrss_kb < 60_000
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
+    def test_admitted_depth_holds_its_wide_arrays_in_chunks(self):
+        # theta^22(a) has 2**22 letters; with every round's uniforms and
+        # index casts held for 2**16 letters at a time, and the word printed
+        # from its bytes, it peaks near 48 MB, where whole-round float64 and
+        # intp arrays and the word's tuple took it to 93 MB (Python 3.11, Linux)
+        code, maxrss_kb = peak_rss_kb("sample", "--config", cfg("period_doubling"),
+                                      "--letter", "a", "--n", "22")
+        assert code == 0 and maxrss_kb < 75_000
 
     def test_depth_zero_passes_a_zero_limit(self, capsys, monkeypatch):
         # theta^0(a) is the letter itself, drawn in no round, so no guard reads it

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -490,6 +492,87 @@ class TestBatchedEngine:
                 assert engine == (words if message is None else [], message)
 
 
+def words_digest(words):
+    """sha256 of the words, each as its length (8 bytes, little-endian) and
+    then its letter codes."""
+    h = hashlib.sha256()
+    for word in words:
+        h.update(len(word).to_bytes(8, "little"))
+        h.update(bytes(word))
+    return h.hexdigest()
+
+
+# words_digest of _trials(rule, letter, n, trials, 1729), recorded before
+# rounds ran in chunks of 2**16 input letters; per case, the route its batch
+# takes and how many chunk ends its last round's input has inside a trial
+CHUNKED_WORDS = {
+    # one round of exactly 2**16 letters, one chunk
+    ("period_doubling", "a", 17, 1): ("round_by_round", 0,
+        "628f45e468c0ae96880e6d5547450b0309606994a7da553918c73904ca4f5bf1"),
+    # one trial over two chunks
+    ("period_doubling", "a", 18, 1): ("round_by_round", 1,
+        "b9cba6f59d8c953e86f636f19b023b79e3f991d38ccaf9d1ae40ce03a13a59fd"),
+    # one batch of 479 trials, 77 671 letters into its last round
+    ("dyck", "(", 7, 479): ("round_by_round", 1,
+        "a968279ee66cbc2d4c061ffd4017928e3c093474583917b7699b49bb2b7c4da6"),
+    # one batch of 1024 trials, 70 654 letters into its last round
+    ("dyck", "(", 6, 1024): ("pooled", 1,
+        "99d511b7865885d5b59ef68cb94098a81281b85d9ed67a3fd6445f3aaf18c50b"),
+}
+
+
+@contextmanager
+def in_chunks(letters, pooled):
+    """Rounds in chunks of `letters` input letters; where not `pooled`,
+    every batch draws round by round."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_CHUNK_LETTERS", letters)
+        if not pooled:
+            mp.setattr(sampler, "_pool_width", lambda rule, start, n: 0)
+        yield
+
+
+class TestChunkedRounds:
+    def test_uniforms_drawn_in_slices_equal_one_draw(self):
+        # a PCG64 stream is sequential: a trial whose letters a chunk's end
+        # splits draws the same doubles in two calls as in one
+        whole = np.random.Generator(np.random.PCG64(7)).random(10_007)
+        rng = np.random.Generator(np.random.PCG64(7))
+        parts = np.empty(10_007)
+        for a, b in [(0, 4_000), (4_000, 4_001), (4_001, 10_007)]:
+            rng.random(out=parts[a:b])
+        assert parts.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("name, letter, n, trials", CHUNKED_WORDS)
+    def test_words_unchanged_where_chunks_split_trials(self, name, letter, n, trials):
+        route, splits, digest = CHUNKED_WORDS[name, letter, n, trials]
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        pooled = sampler._pool_width(rule, rule.encode(letter)[0], n) > 0
+        assert route == ("pooled" if pooled else "round_by_round")
+        ends = set(accumulate(map(len, _trials(rule, letter, n - 1, trials, 1729))))
+        chunk_ends = range(sampler._CHUNK_LETTERS, max(ends), sampler._CHUNK_LETTERS)
+        assert sum(c not in ends for c in chunk_ends) == splits
+        assert words_digest(_trials(rule, letter, n, trials, 1729)) == digest
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("name", ["fibonacci", "dyck", "zeta"])
+    def test_matches_reference_in_small_chunks(self, name, pooled, chunk):
+        # chunks of a few letters split trials in nearly every round
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        with in_chunks(chunk, pooled):
+            for seed in (0, 7):
+                assert_engine_matches(rule, 0, 6, 9, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rules(), st.integers(0, 6), st.integers(1, 12), st.integers(0, 2**32),
+           st.sampled_from([1, 2, 7]), st.booleans())
+    def test_matches_reference_in_small_chunks_on_random_rules(self, rule, n, trials, seed,
+                                                              chunk, pooled):
+        with in_chunks(chunk, pooled):
+            assert_engine_matches(rule, 0, n, trials, seed)
+
+
 def seed_sequence_states(seed, lo, hi):
     """Oracle: the state numpy's own SeedSequence([seed, i]) gives trial i's
     PCG64, one trial at a time, for lo <= i < hi."""
@@ -537,10 +620,13 @@ if __name__ == "__main__":
     # uniforms drawn round by round and with its whole stream drawn in one
     # call (the route the sampler takes where that stream fits in 1024
     # uniforms, marked *), the words of the two routes asserted equal; best
-    # of 5:
+    # of 5; then the wall time and the peak RSS (the child's VmHWM) of a
+    # `sample` process on period_doubling theta^n(a), best of 3:
     # PYTHONPATH=src python tests/test_sampler.py
     import time
     from unittest import mock
+
+    from conftest import peak_rss_kb
 
     def best_per_trial(build, trials):
         times = []
@@ -582,3 +668,16 @@ if __name__ == "__main__":
             cells.append(f"{cost:.2f}" + "*" * (route == taken))
         assert words[0] == words[1]
         print(f"{name}\t{n}\t{trials}\t{whole_stream(rule, 0, n)}\t" + "\t".join(cells))
+
+    print("\nsample\tn\twall_s\tpeak_mb")
+    for n in (20, 22, 24):
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, peak_kb = peak_rss_kb("sample", "--config",
+                                        str(CONFIG_DIR / "period_doubling.json"),
+                                        "--letter", "a", "--n", str(n))
+            assert code == 0
+            runs.append((time.perf_counter() - start, peak_kb / 1024))
+        print(f"period_doubling\t{n}\t{min(t for t, _ in runs):.2f}"
+              f"\t{min(m for _, m in runs):.1f}")

@@ -15,6 +15,16 @@ from stochsub import (
 )
 
 
+def encode_outcome(word):
+    """The codes Alphabet(["a", "b"]).encode(word) returns with their types,
+    or the type and message of the error it raises."""
+    try:
+        codes = Alphabet(["a", "b"]).encode(word)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return codes, [type(c) for c in codes]
+
+
 class TestAlphabet:
     def test_encode_decode_roundtrip(self):
         ab = Alphabet(["a", "b"])
@@ -153,6 +163,27 @@ class TestAlphabet:
         codes = Alphabet(["a", "b"]).encode([np.int64(1), True, np.uint8(0), 0])
         assert codes == (1, 1, 0, 0)
         assert all(type(c) is int for c in codes)
+
+    @pytest.mark.parametrize("word", [
+        b"", b"\x00\x01\x01", b"\x02", b"\xff", (), (0, 1, 1), [1, 0],
+        (np.int64(1), np.uint8(0)), [np.int64(2)], [True, False], (0, 1.0), [1, -1],
+        (0, 2), [0, 255], (256,), [2**70], ["a", 1], (0, "b"), [np.True_],
+    ], ids=repr)
+    def test_encode_of_code_sequences_matches_the_item_loop(self, word):
+        # bytes, tuples and lists are read in C where every item is a code;
+        # any other iterable goes item by item, which the C path must match
+        # in the codes it returns and in each error and its message
+        assert encode_outcome(word) == encode_outcome(iter(word))
+
+    @given(st.one_of(st.binary(max_size=12), st.lists(st.integers(-3, 300), max_size=12),
+                     st.lists(st.integers(0, 2), max_size=12).map(tuple)))
+    def test_encode_of_random_code_sequences_matches_the_item_loop(self, word):
+        assert encode_outcome(word) == encode_outcome(iter(word))
+
+    def test_encode_of_a_number_is_no_word(self):
+        # bytes(5) is five zero bytes; encode iterates its argument instead
+        with pytest.raises(TypeError, match="not iterable"):
+            Alphabet(["a", "b"]).encode(5)
 
     def test_at_most_255_symbols(self):
         symbols = [chr(0x100 + i) for i in range(256)]
