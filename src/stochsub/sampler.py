@@ -212,17 +212,14 @@ def _trials(
                 longest = int(sizes.max())
                 letters.check(longest)
                 ends = np.cumsum(sizes).tolist()
-                # the next word: the chosen images, less their padding
-                if len(img) <= _CHUNK_LETTERS:  # one chunk: no copy
-                    word = table.take(img, axis=0).ravel()
-                    word = word[word != PAD]
-                else:  # written chunk by chunk into a word of its exact length
-                    word, at = np.empty(ends[-1], dtype=np.uint8), 0
-                    for c in range(0, len(img), _CHUNK_LETTERS):
-                        images = table.take(img[c : c + _CHUNK_LETTERS], axis=0).ravel()
-                        images = images[images != PAD]
-                        word[at : at + len(images)] = images
-                        at += len(images)
+                # the next word: the chosen images, less their padding, written
+                # chunk by chunk into a word of its exact length
+                word, at = np.empty(ends[-1], dtype=np.uint8), 0
+                for c in range(0, len(img), _CHUNK_LETTERS):
+                    images = table.take(img[c : c + _CHUNK_LETTERS], axis=0).ravel()
+                    images = images[images != PAD]
+                    word[at : at + len(images)] = images
+                    at += len(images)
             return word, ends
 
         for lo in range(0, trials, batch):

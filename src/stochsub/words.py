@@ -73,14 +73,6 @@ class Alphabet:
             if not self._codes.keys() >= set(word.split(" ")):
                 raise ValueError(f"{word!r} is not a space-separated word of symbols")
             word = word.split(" ")  # as `decode` joins them
-        elif isinstance(word, (bytes, tuple, list)):
-            try:  # codes in C: ints, bools and numpy integers, as below
-                raw = bytes(word)
-            except (TypeError, ValueError):  # symbols, or a code the loop reports
-                pass
-            else:
-                if not raw.translate(None, self._valid):
-                    return tuple(raw)
         out = []
         for x in word:
             if isinstance(x, str):

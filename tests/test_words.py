@@ -170,9 +170,9 @@ class TestAlphabet:
         (0, 2), [0, 255], (256,), [2**70], ["a", 1], (0, "b"), [np.True_],
     ], ids=repr)
     def test_encode_of_code_sequences_matches_the_item_loop(self, word):
-        # bytes, tuples and lists are read in C where every item is a code;
-        # any other iterable goes item by item, which the C path must match
-        # in the codes it returns and in each error and its message
+        # a bytes, tuple or list word gives the same codes, of the same
+        # types, or the same error and message, as any other iterable of
+        # its items
         assert encode_outcome(word) == encode_outcome(iter(word))
 
     @given(st.one_of(st.binary(max_size=12), st.lists(st.integers(-3, 300), max_size=12),
