@@ -32,7 +32,7 @@ INDUCED_CELL_LIMIT = 5 * 10**7
 # longest word of an exact iterate law.  The deepest `sample --n` it admits and
 # the first it refuses, before any round where the image lengths fix it:
 #
-#   period_doubling, zeta   26 (2^26 letters; 739 MB on period_doubling), 27:
+#   period_doubling, zeta   26 (2^26 letters; 229 MB on period_doubling), 27:
 #                           every realisation has 2^27 letters (15 MB)
 #   fibonacci,              37, 38: |theta^n(a)| = F(n + 2) and F(40) =
 #   deterministic_fibonacci 102 334 155 (15 MB)

@@ -22,11 +22,11 @@ of theta^(j+1)(a) starts in the image of the first letter of theta(x), where
 x is the ell-window (cut short at the end) of the realisation of theta^j(a)
 at that letter, so by induction on j the rounds collect them all.
 
-The closure (once per round), the recursion (once per length, on all of L_m,
-with the rule's integer images for `legal_words`, which reads only the
-windows, or weighted by R_m for the frequency recursion) and each induced
-column (once, on its word) call one kernel, `_window_counts`.  It enumerates
-the images of each word's tail once, each tail letter spending the current
+The closure (once per round), the recursion (once per length, on all of L_m
+and the power's integer images, unweighted for `legal_words`, which reads
+only the windows, or weighted by R_m in integers for the frequencies) and
+each induced column (once, on its word) call one kernel, `_window_counts`.
+It enumerates the images of each word's tail once, each tail letter spending the current
 states from a `guards.Budget` (raising GuardExceeded past its limit), sums the
 tails per first letter, and joins each letter's images to that sum once.
 
@@ -72,15 +72,15 @@ def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
     (1 without `weights`), summed over the words; exact weights give the
     sums of plain enumeration.  images[c] lists the (image, weight) pairs of
     letter c, whose weights sum to `mass` (D for the integer weights p * D).
-    Each tail u[1:] is enumerated once, its joint realisations merged by
-    their first ell - 1 letters (all that a window reads past the first
-    image), each tail letter spending the current states from `budget`.
-    The tails are summed per first letter, and each image of the letter is
-    joined to the sum once: p times a tail's weight, or times their total
-    inside the image."""
+    Each tail u[1:] is enumerated once, from weight 1, its joint
+    realisations merged by their first ell - 1 letters (all that a window
+    reads past the first image), each tail letter spending the current
+    states from `budget`.  The tails, scaled by the word's weight, are
+    summed per first letter, and each image of the letter is joined to the
+    sum once: p times a tail's weight, or times their total inside it."""
     heads: list[Counts] = [{} for _ in images]  # tail prefixes by first letter
     for u, scale in zip(words, weights or repeat(1)):
-        states: Counts = {b"": scale}
+        states: Counts = {b"": 1}
         for letter in u[1:]:
             budget.spend(len(states))
             nxt: Counts = {}
@@ -95,7 +95,7 @@ def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
             states = nxt
         tails = heads[u[0]]
         for tail, weight in states.items():
-            tails[tail] = tails.get(tail, 0) + weight
+            tails[tail] = tails.get(tail, 0) + weight * scale
     counts: Counts = {}
     for first, tails in zip(images, heads):
         if not tails:
@@ -129,14 +129,16 @@ def _closure(
     return seen
 
 
-def _recursion_pass(table: LanguageTable, ell: int, m: int, images: Sequence,
+def _recursion_pass(table: LanguageTable, ell: int, m: int,
                     weights: Sequence | None = None) -> tuple[tuple[Word, ...], list | None]:
-    """The kernel over the legal m-words, each scaled by its weight (1
-    without `weights`), under one language budget.  Its windows, the legal
-    ell-words, are stored in `table` (the first words stored stay) and
-    returned, with their summed weights if `weights`."""
+    """The kernel over the legal m-words on the power's integer images p * D,
+    each word scaled by its weight (1 without `weights`), under one language
+    budget.  Its windows, the legal ell-words, are stored in `table` (the
+    first words stored stay) and returned, with their sums if `weights`:
+    D^m times the weighted expected window counts."""
+    denominator, images = table.power[1]._integer_form
     counts = _window_counts(images, table.words_of_length(m), ell,
-                            _language_budget(), weights)
+                            _language_budget(), weights, denominator)
     keys = sorted(counts)  # bytes sort as the tuples of the stored words
     sums = None if weights is None else list(map(counts.__getitem__, keys))
     del counts  # freed before the tuples are built, which lowers the peak
@@ -162,7 +164,7 @@ def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
         return words
     m = table.prefix_length(ell)
     if m is not None:
-        return _recursion_pass(table, ell, m, table.power[1]._integer_form[1])[0]
+        return _recursion_pass(table, ell, m)[0]
     found = _closure(rule._integer_form[1], ell, _language_budget())
     words = sorted(w for w in found if len(w) == ell)
     return table._table.setdefault(ell, tuple(map(tuple, words)))
@@ -189,32 +191,26 @@ class LanguageTable:
         """The smallest power theta^k whose shortest image has at least two
         letters, as (k, exact rule of theta^k).
 
-        The shortest image lengths and realisation counts of the powers follow
-        from the supports by an integer recursion, so k is found without building
-        any law (building the laws power by power took a 100-letter cycle rule
-        from 0.018 s to 34 s).  A chain of one-letter images longer than the
-        alphabet must revisit a letter, which then has a one-letter image in
-        every power: if k exceeds the alphabet size no power inflates, and the
-        result is None.  None too when theta^k has more than
-        POWER_REALISATION_LIMIT realisations."""
+        The shortest image lengths of the powers, capped at 2, follow from the
+        supports by an integer recursion (`SubstitutionRule._length_steps`),
+        so k is found without building any law (building the laws power by
+        power took a 100-letter cycle rule from 0.018 s to 34 s).  If it
+        reaches its fixed point below 2 no power inflates: None.  None too
+        when theta^k has more than POWER_REALISATION_LIMIT realisations."""
+        steps = enumerate(self.rule._length_steps(min, 2))
+        k = next((k for k, shortest in steps if min(shortest) >= 2), None)
+        if k is None:
+            return None
+        if k == 1:
+            return 1, self.rule
         supports = self.rule.supports()
         letters = range(self.rule.alphabet.size)
-        shortest = [1] * len(letters)
         realisations = [1] * len(letters)
-        for k in range(1, len(letters) + 1):
-            shortest = [
-                min(sum(shortest[c] for c in w) for w in supports[a]) for a in letters
-            ]
+        for _ in range(k):
             realisations = [
                 sum(math.prod(realisations[c] for c in w) for w in supports[a])
                 for a in letters
             ]
-            if min(shortest) >= 2:
-                break
-        else:
-            return None
-        if k == 1:
-            return 1, self.rule
         if sum(realisations) > POWER_REALISATION_LIMIT:
             return None
         images = [

@@ -22,12 +22,15 @@ of p's first letter.  R_ell comes from R_m in the language's one pass per
 length (`language._recursion_pass`), which sums the tail prefixes of every
 p, scaled by R_m(p), per first letter and joins each sum once; every
 probability is positive, so its windows are the legal ell-words, which the
-rule's `LanguageTable` stores with the vector.  The total must equal
-lambda^k = sum over letters a of R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the
-stored letter frequencies and theta^k's `expected_image_length`, and
-normalises it.  The PF solve on `induced_mean_matrix` remains where the
-recursion does not apply: at lengths 1 and 2, and for rules without an
-inflating power or whose power has a large law.
+rule's `LanguageTable` stores with the vector.  The pass sums exact
+integers: R_m over one power of two, theta^k's images weighted p * D.
+Their total over that scale and D^m must equal lambda^k = sum over letters a
+of R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the stored letter frequencies
+and theta^k's `expected_image_length`, and normalises them, one correctly
+rounded int / int quotient per component.  The PF solve on
+`induced_mean_matrix` remains where the recursion does not apply: at
+lengths 1 and 2, and for rules without an inflating power or whose power
+has a large law.
 `FrequencyMeasure.frequency_vector` is the one writer of the table's
 vectors.  Every FrequencyMeasure on one rule shares the table, and finds a
 cylinder's component by bisecting its sorted words; nothing is locked, and
@@ -39,7 +42,6 @@ table shares, and no frequency or entropy loads numpy.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import NamedTuple, Sequence
 
@@ -85,21 +87,22 @@ class FrequencyMeasure:
     def _recursion_vector(self, ell: int, m: int) -> tuple[float, ...]:
         _, prefix_vec = self.frequency_vector(m)
         k, power = self.table.power
-        denominator, integer_images = power._integer_form
-        images = [[(img, q / denominator) for img, q in entries]
-                  for entries in integer_images]  # q / D is the double float(p)
-        _, sums = _recursion_pass(self.table, ell, m, images, prefix_vec)
-        total = math.fsum(sums)  # exactly rounded, so no summation error
+        # R_m exactly, as integers over the largest of its power-of-two denominators
+        ratios = [x.as_integer_ratio() for x in prefix_vec]
+        scale = max(d for _, d in ratios)
+        _, sums = _recursion_pass(self.table, ell, m, [n * (scale // d) for n, d in ratios])
+        total = sum(sums)
         # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
         _, letter_vec = self.frequency_vector(1)
         expected = sum(r * float(power.expected_image_length(a))
                        for a, r in enumerate(letter_vec))
-        if abs(total - expected) > 1e-9 * expected:
+        found = total / (scale * power._integer_form[0] ** m)
+        if abs(found - expected) > 1e-9 * expected:
             raise RuntimeError(
-                f"frequency vector for length {ell} sums to {total} before "
+                f"frequency vector for length {ell} sums to {found} before "
                 f"normalisation, not lambda^{k} = {expected}"
             )
-        return tuple(x / total for x in sums)
+        return tuple(x / total for x in sums)  # int / int rounds correctly
 
     def cylinder_measure(self, v: WordLike) -> float:
         """Measure of the cylinder set of v at any fixed position.

@@ -7,7 +7,7 @@ API speaks `fractions.Fraction` and tuple words; inside, with D the lcm of
 the probability denominators and integer image weights q = p * D, the kernel
 and the iterate laws run on integer numerators over powers of D, on `bytes`
 words.  Floating point enters only through `RationalMatrix.to_float`, the
-sparse float view that the spectral module's PF solve reads.
+sparse float view the PF solve reads, and `measure`'s int / int division.
 """
 
 from __future__ import annotations

@@ -88,8 +88,8 @@ EXPECTED = {
     'deterministic_fibonacci: freqs --ell 1': (0, '10a4dfe2b988483154c4d14adecbae8327fbf4a4696ac38f18b2dbc9d1c34675'),
     'deterministic_fibonacci: freqs --ell 4': (0, '346b658c219aeb5bd1e682b5eddad73fbcc791ce8c966b4669b40eac44847ead'),
     'deterministic_fibonacci: entropy --max-n 4': (0, 'cfff8343fa0bd02e941493fb565669b46511cc283eb7d08549af94e7c2494706'),
-    'deterministic_fibonacci: check': (0, 'f798ce505254d78117630fe281fe29be375cc66570b8bf6125bf3aea2cec528d'),
-    'deterministic_fibonacci: check --format json': (0, 'b894efd9ce104c8fcf128bd4b3b9616ae46043a2f7d7c115170f094a7a4a799e'),
+    'deterministic_fibonacci: check': (0, '9c6aa6c95d5e079d5e6362ccd367c89f33f1a386f4fa1f64fdd3fc03f98c2cb3'),
+    'deterministic_fibonacci: check --format json': (0, 'dc0232fdc7b43627cea0b0cc07c1e435233e7ae602ec2971b56174286ac78a23'),
     'deterministic_fibonacci: matrix --ell 5': (0, 'c6d678d1a113f53649292c1de673bce2f58c213673c607c0eccbb85d65be70f6'),
     'deterministic_fibonacci: freqs --ell 6': (0, '918cd179ee1145afe3d8c7d44106c2b999c0690076786d431d784abbed74ad58'),
     'deterministic_fibonacci: entropy --max-n 6': (0, 'ab32efae781ea5b9151df3fdbe95f53ec834cc1d1970db74b6630e44b6681be3'),
@@ -126,8 +126,8 @@ EXPECTED = {
     'fibonacci: freqs --ell 1': (0, '10a4dfe2b988483154c4d14adecbae8327fbf4a4696ac38f18b2dbc9d1c34675'),
     'fibonacci: freqs --ell 4': (0, '0869bcc3e736da225bac4a961dceaf289f0068c81579b8d18d7a0d3aeb05a106'),
     'fibonacci: entropy --max-n 4': (0, 'f351fbb411b45818b25c02c152195e796153c88b8c90c47bcbf7fb76fa37ffcb'),
-    'fibonacci: check': (0, 'ce66fc496393054c28d17e929a2f81d35c9aa438038aa5c68a934732e82d0623'),
-    'fibonacci: check --format json': (0, '34124bdfb8eb6380e9ccf21a03d3a78988914901960ffa318a0e5d6a69e4f918'),
+    'fibonacci: check': (0, '88ccea23223da7af457c1f83ce55367a5325f128d39d9c336931ab6d1e0d7a6c'),
+    'fibonacci: check --format json': (0, '11859f95b0cf90dcfbb48b5cf2fcbb5efc2d203197200bdee7bf456411d8e2ab'),
     'fibonacci: matrix --ell 5': (0, '98173c9d70ad33f3fad4006cca2ecaaaab9d80dc4f27d42f7d21ba601c760397'),
     'fibonacci: freqs --ell 6': (0, '95eba943265413ed2446995fd63e6d33ec0dfbbb233dd01c6118e680465728c5'),
     'fibonacci: entropy --max-n 6': (0, 'c3433065156187aaf6f2e34555d181ccd9db66042dd8694cbc2e6f397a45fa74'),

@@ -24,17 +24,24 @@ pass as it ran with one window dict per prefix, merged by a second loop;
 the library's pass must give the same words and a vector within 1e-14 of
 it, relative on the bundled configs and absolute on random small rules.
 There a letter of theta^3 can have a thousand images, and the oracle itself
-is up to 1.4e-14 relative from the exact sum of its float inputs, so a
-relative bound would measure the oracle's rounding.  `exact_frequency_vector`
-runs the same pass in Fractions on exact copies of those float inputs, R_m
-and the power's images q / D, and normalises exactly; on the bundled configs
-the library's vector must lie within 1e-15 relative of it (the worst is
-5.2e-16, on fibonacci at ell 14, as the library normalises by an exactly
-rounded sum).  Run as a script, the module prints the worst error per length
-on period_doubling and fibonacci.
+is up to 6.1e-14 relative (1.7e-14 absolute) from the exact sums, so a
+relative bound would measure the oracle's rounding.
+`exact_frequency_vector` runs the same pass in Fractions on the library's
+inputs, R_m (Fractions of its floats) and the power's probabilities q / D,
+and normalises exactly.  The library runs that pass in integers and rounds
+each quotient once, so its vector must lie within 2^-53 relative of the
+oracle's, on the bundled configs, on random small rules and on two rules
+whose float sums were 1e-13 off.  Run as a script, the module prints the
+worst error per length on period_doubling, fibonacci and zeta with the
+oracle's and the library's times, or with `--ladder SRC...` times the
+library on a few deep lengths in fresh processes, on each source tree given.
 """
 
 import math
+import statistics
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -50,6 +57,7 @@ from stochsub.language import _closure, _window_counts
 
 from conftest import (
     CONFIG_DIR,
+    child_env,
     column_weights,
     make_large_power,
     make_no_inflating_power,
@@ -259,7 +267,11 @@ def test_frequency_pass_against_per_word_merge(name, top):
         assert_pass_matches_per_word_merge(rule, ell, rtol=1e-14)
 
 
-@given(small_rules(), st.integers(3, 6))
+# rules with an inflating power, drawn often enough that few are discarded
+recursion_rules = st.one_of(small_rules(min_length=2), small_rules())
+
+
+@given(recursion_rules, st.integers(3, 6))
 @settings(max_examples=40, deadline=None)
 def test_frequency_pass_against_per_word_merge_small_rules(rule, ell):
     assume(rule.is_primitive()[0] and rule.is_expanding())
@@ -268,13 +280,14 @@ def test_frequency_pass_against_per_word_merge_small_rules(rule, ell):
 
 
 def exact_frequency_vector(rule, ell):
-    """Oracle: the frequency pass in exact arithmetic on the float inputs the
-    library's pass reads, R_m and theta^k's images q / D, as Fractions."""
+    """Oracle: the frequency pass in exact arithmetic on the inputs the
+    library's pass reads, R_m (floats, so Fractions of them) and theta^k's
+    probabilities q / D."""
     fm = FrequencyMeasure(rule)
     m = fm.table.prefix_length(ell)
     prefixes, prefix_vec = fm.frequency_vector(m)
     denominator, integer_images = fm.table.power[1]._integer_form
-    images = [[(img, F(q / denominator)) for img, q in entries]
+    images = [[(img, F(q, denominator)) for img, q in entries]
               for entries in integer_images]
     counts = _window_counts(images, prefixes, ell, Budget(10**7, "oracle"),
                             list(map(F, prefix_vec)))
@@ -292,24 +305,101 @@ def worst_relative_error(rule, ell):
     return max(abs(F(x) - y) / y for x, y in zip(vec, expected))
 
 
+def uniform_rule(*supports):
+    """The rule on a, b, c whose letters take the images in `supports`
+    ("c|aa" for c or aa), each with equal probability."""
+    return SubstitutionRule.from_data({
+        "alphabet": ["a", "b", "c"],
+        "rules": {a: [{"word": w, "prob": f"1/{len(words)}"} for w in words]
+                  for a, words in zip("abc", (s.split("|") for s in supports))},
+    })
+
+
+ULP = F(1, 2**53)  # a correctly rounded quotient is at most this far, relative
+
+
 @pytest.mark.parametrize("name", ["deterministic_fibonacci", "fibonacci",
                                   "period_doubling", "zeta"])
 def test_frequency_pass_against_exact_sums(name):
     rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
     top = 18 if name == "period_doubling" else 14
     for ell in range(3, top + 1):
-        assert worst_relative_error(rule, ell) <= F(1e-15), ell
+        assert worst_relative_error(rule, ell) <= ULP, ell
+
+
+@pytest.mark.parametrize("supports", [
+    ("bbb", "c|aa", "a|aaa"),  # theta^3: 8.6e-14 with float sums
+    ("c", "ab|bbb", "b"),  # theta^2: 1.4e-13 with float sums
+], ids=["a-bbb", "a-c"])
+def test_frequency_pass_against_exact_sums_long_power(supports):
+    assert worst_relative_error(uniform_rule(*supports), 3) <= ULP
+
+
+@given(recursion_rules, st.integers(3, 5))
+@settings(max_examples=30, deadline=None)
+def test_frequency_pass_against_exact_sums_small_rules(rule, ell):
+    assume(rule.is_primitive()[0] and rule.is_expanding())
+    assume(rule.language().prefix_length(ell) is not None)
+    assert worst_relative_error(rule, ell) <= ULP
+
+
+# the ladder rungs timed in fresh processes by `--ladder`
+LADDER = (("period_doubling", 22), ("period_doubling", 23), ("zeta", 23),
+          ("fibonacci", 19))
+RUNG = """\
+import sys, time
+from importlib import resources
+from stochsub import FrequencyMeasure, SubstitutionRule
+name, ell = sys.argv[1], int(sys.argv[2])
+rule = SubstitutionRule.from_file(resources.files("stochsub") / "configs" / f"{name}.json")
+start = time.perf_counter()
+FrequencyMeasure(rule).frequency_vector(ell)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(seconds, int(peak) / 1024)
+"""
+
+
+def ladder(sources, runs=7):
+    """Per rung of LADDER and source tree, the median seconds of a fresh
+    process's `frequency_vector` (every length it needs, words included) and
+    the median of the processes' peak RSS (VmHWM, MB), over `runs` runs that
+    alternate the order of the trees."""
+    print("config\tell\tsrc\tmedian_seconds\tmedian_vmhwm_mb\tseconds")
+    for name, ell in LADDER:
+        times = {src: [] for src in sources}
+        for run in range(runs):
+            for src in sources[::-1] if run % 2 else sources:
+                done = subprocess.run([sys.executable, "-c", RUNG, name, str(ell)],
+                                      capture_output=True, text=True, check=True,
+                                      env=child_env(PYTHONPATH=src))
+                times[src].append(tuple(map(float, done.stdout.split())))
+        for src, runs_of_src in times.items():
+            seconds, peaks = zip(*runs_of_src)
+            print(f"{name}\t{ell}\t{src}\t{statistics.median(seconds):.3f}\t"
+                  f"{statistics.median(peaks):.1f}\t"
+                  + " ".join(f"{x:.3f}" for x in seconds))
 
 
 if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_kernel_oracle.py prints, per length,
     # the worst relative error of the frequency pass against the exact sums,
-    # per length: PYTHONPATH=src python tests/test_kernel_oracle.py
-    import time
-    print("config\tell\tworst_relative_error\tseconds")
-    for name, top in (("period_doubling", 20), ("fibonacci", 17)):
-        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    # the oracle's seconds and those of the library's own `frequency_vector`
+    # on a fresh rule (every length it needs).  With `--ladder SRC...` it
+    # times LADDER instead, in fresh processes on each source tree SRC.
+    if sys.argv[1:2] == ["--ladder"]:
+        ladder(sys.argv[2:])
+        sys.exit()
+    print("config\tell\tworst_relative_error\toracle_seconds\tlibrary_seconds")
+    for name, top in (("period_doubling", 20), ("fibonacci", 17), ("zeta", 18)):
+        path = CONFIG_DIR / f"{name}.json"
         for ell in range(3, top + 1):
+            rule = SubstitutionRule.from_file(path)
+            start = time.perf_counter()
+            FrequencyMeasure(rule).frequency_vector(ell)
+            library = time.perf_counter() - start
             start = time.perf_counter()
             worst = worst_relative_error(rule, ell)
-            seconds = time.perf_counter() - start
-            print(f"{name}\t{ell}\t{float(worst):.3g}\t{seconds:.2f}")
+            oracle = time.perf_counter() - start
+            print(f"{name}\t{ell}\t{float(worst):.3g}\t{oracle:.2f}\t{library:.3f}")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,55 @@ def test_one_primitivity_gate(call):
 def test_one_length_gate(call):
     with pytest.raises(ValueError, match="^word length must be >= 1$"):
         call(make_period_doubling())
+
+
+def power_oracle(rule):
+    """Oracle: (k, images of theta^k) for the smallest power whose shortest
+    image has two letters, or None, found by its own loop over the shortest
+    image lengths: a chain of one-letter images longer than the alphabet
+    revisits a letter, so no k beyond the alphabet size is tried."""
+    supports = rule.supports()
+    letters = range(rule.alphabet.size)
+    shortest = [1] * len(letters)
+    realisations = [1] * len(letters)
+    for k in range(1, len(letters) + 1):
+        shortest = [min(sum(shortest[c] for c in w) for w in supports[a])
+                    for a in letters]
+        realisations = [sum(math.prod(realisations[c] for c in w) for w in supports[a])
+                        for a in letters]
+        if min(shortest) >= 2:
+            break
+    else:
+        return None
+    if sum(realisations) > language.POWER_REALISATION_LIMIT:
+        return None
+    return k, tuple(tuple(sorted(rule.iterate_distribution((a,), k).entries.items()))
+                    for a in letters)
+
+
+def power_of(rule):
+    """`LanguageTable.power` in the oracle's form."""
+    power = LanguageTable(rule).power
+    return None if power is None else (
+        power[0], tuple(tuple(sorted(entries)) for entries in power[1].images))
+
+
+class TestPowerAgainstOracle:
+    @pytest.mark.parametrize("name", ["deterministic_fibonacci", "dyck", "fibonacci",
+                                      "non_expanding", "period_doubling", "zeta"])
+    def test_bundled_configs(self, name):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        assert power_of(rule) == power_oracle(rule)
+
+    @pytest.mark.parametrize("make", [make_no_inflating_power, make_large_power])
+    def test_rules_without_usable_power(self, make):
+        assert power_of(make()) is power_oracle(make()) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rules())
+    def test_small_rules(self, rule):
+        assume(rule.is_primitive()[0])
+        assert power_of(rule) == power_oracle(rule)
 
 
 class TestAgainstFixedPoint:
