@@ -1,8 +1,8 @@
 """Entropy partial sums and the constant-length maximal-entropy criterion.
 
 Both entropies are computed as finite-n partial quantities over the legal
-words of length n; natural logarithms throughout.  The language refuses n < 1
-and a non-primitive rule.
+words of length n; natural logarithms throughout.  The language refuses a
+non-integer n, n < 1 and a non-primitive rule.
 """
 
 from __future__ import annotations

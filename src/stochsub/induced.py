@@ -36,7 +36,7 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
 
     For ell = 1 this is the plain mean substitution matrix; ell > 1 needs an
     expanding rule, the standing hypothesis of the induced construction.  The
-    language refuses ell < 1 and a non-primitive rule.
+    language refuses a non-integer ell, ell < 1 and a non-primitive rule.
     """
     if ell > 1 and not rule.is_expanding():
         raise ValueError("induced matrices with ell > 1 require an expanding rule")

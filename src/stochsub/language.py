@@ -42,6 +42,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from numbers import Integral
 from typing import Sequence
 
 from .guards import LANGUAGE_STATE_LIMIT, Budget
@@ -62,6 +63,15 @@ POWER_REALISATION_LIMIT = 2000
 def _language_budget() -> Budget:
     """The state budget of one word length: its words and frequency vector."""
     return Budget(LANGUAGE_STATE_LIMIT, "language enumeration exceeds guard {} kernel states")
+
+
+def _check_length(ell) -> None:
+    """The one check of a word length: ValueError unless ell is an integer
+    (numpy integers and bools are) of at least 1."""
+    if not isinstance(ell, Integral):
+        raise ValueError(f"word length must be an integer, got {ell}")
+    if ell < 1:
+        raise ValueError("word length must be >= 1")
 
 
 def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
@@ -151,13 +161,12 @@ def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
 
     They are read from, or enumerated once into, the rule's language table
     `rule.language()`, with the shorter lengths the recursion needs, so
-    they stay with the rule and are freed with it.  Raises ValueError for
-    ell < 1 (the one length check of all built on the language) and
-    GuardExceeded when the kernel states spent on this length exceed the
-    language guard.
+    they stay with the rule and are freed with it.  Raises ValueError for a
+    non-integer ell or ell < 1 (`_check_length`, the one length check of all
+    built on the language) and GuardExceeded when the kernel states spent on
+    this length exceed the language guard.
     """
-    if ell < 1:
-        raise ValueError("word length must be >= 1")
+    _check_length(ell)  # before the stored lengths, where 2.0 finds 2
     table = rule.language()
     words = table._table.get(ell)
     if words is not None:
@@ -174,17 +183,19 @@ class LanguageTable:
     """Per-length cache of the legal words, sorted so that lookups bisect them,
     and of their frequency vectors (written only by
     `measure.FrequencyMeasure.frequency_vector`), with the inflating power
-    the recursions use, `power`.  Making it, once per rule by
-    `SubstitutionRule.language()`, is the one primitivity check (ValueError).
-    Its words are stored by `legal_words` and the recursion pass only, in
-    `rule.language()`, so a table built directly reads through to that one."""
+    the recursions use, `power`.  A rule has one table, `rule._language`:
+    `LanguageTable(rule)` and `rule.language()` both return it, built on
+    first use, which is the one primitivity check (ValueError on every call
+    for a non-primitive rule).  `legal_words` and the recursion pass alone
+    store its words."""
 
-    def __init__(self, rule: SubstitutionRule):
-        if not rule.is_primitive()[0]:
-            raise ValueError("languages and frequency measures need a primitive rule")
-        self.rule = rule
-        self._table: dict[int, tuple[Word, ...]] = {}
-        self._vectors: dict[int, tuple[float, ...]] = {}
+    def __new__(cls, rule: SubstitutionRule):
+        if rule._language is None:
+            if not rule.is_primitive()[0]:
+                raise ValueError("languages and frequency measures need a primitive rule")
+            rule._language = table = super().__new__(cls)
+            table.rule, table._table, table._vectors = rule, {}, {}
+        return rule._language
 
     @cached_property
     def power(self) -> tuple[int, SubstitutionRule] | None:
@@ -223,16 +234,20 @@ class LanguageTable:
     def prefix_length(self, ell: int) -> int | None:
         """The length m < ell of the legal words whose images under the
         inflating power (two letters or more each, so m < ell) contain every
-        legal ell-word, or None at lengths 1 and 2 or without that power."""
+        legal ell-word, or None at lengths 1 and 2 or without that power;
+        ValueError for a non-integer ell or ell < 1."""
+        _check_length(ell)  # else a length like 3.5 would ask for m = 2.0
         if ell < 3 or self.power is None:
             return None
         return (ell - 2) // self.power[1].min_image_length() + 2
 
     def words_of_length(self, ell: int) -> tuple[Word, ...]:
         """The legal ell-words, enumerated once per length into the rule's
-        table by `legal_words` (ValueError for ell < 1, GuardExceeded past
-        the language guard)."""
+        table by `legal_words` (ValueError for a non-integer ell or ell < 1,
+        GuardExceeded past the language guard)."""
+        _check_length(ell)
         words = self._table.get(ell)  # () is a stored length too
+        # the public legal_words, as bench/tracer.py counts language work there
         return legal_words(self.rule, ell) if words is None else words
 
     def position(self, word: WordLike) -> int | None:

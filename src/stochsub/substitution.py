@@ -17,6 +17,7 @@ import math
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
+from numbers import Integral
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .guards import ITERATE_SUPPORT_LIMIT, SAMPLE_LETTER_LIMIT, Budget
@@ -302,6 +303,8 @@ class SubstitutionRule:
         give that word's length (as the sampler's shortest) before any law
         is built, and no partial law holds a longer word."""
         u = self.encode(u)
+        if not isinstance(n, Integral):  # numpy integers and bools are
+            raise ValueError(f"iteration count must be an integer, got {n}")
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
         if n == 0:
@@ -366,11 +369,9 @@ class SubstitutionRule:
     def language(self):
         """The rule's LanguageTable, created on first use and shared by its
         frequency measures, entropy partial sums and samplers."""
-        if self._language is None:
-            from .language import LanguageTable  # language imports this module
+        from .language import LanguageTable  # language imports this module
 
-            self._language = LanguageTable(self)
-        return self._language
+        return LanguageTable(self)
 
     def is_expanding(self) -> bool:
         """True iff some image word is longer than one letter."""

@@ -19,22 +19,26 @@ and type for unit, integer and Fraction weights, within 1e-15 relative for
 floats.  Key order is not part of that contract: the callers that pass many
 words sort the keys or read only the keys.  The closure calls the kernel
 once per round on the words the last round found, and must inflate each
-word it finds exactly once.  `per_word_frequency_vector` is the frequency
-pass as it ran with one window dict per prefix, merged by a second loop;
-the library's pass must give the same words and a vector within 1e-14 of
-it, relative on the bundled configs and absolute on random small rules.
-There a letter of theta^3 can have a thousand images, and the oracle itself
-is up to 6.1e-14 relative (1.7e-14 absolute) from the exact sums, so a
-relative bound would measure the oracle's rounding.
-`exact_frequency_vector` runs the same pass in Fractions on the library's
-inputs, R_m (Fractions of its floats) and the power's probabilities q / D,
-and normalises exactly.  The library runs that pass in integers and rounds
-each quotient once, so its vector must lie within 2^-53 relative of the
-oracle's, on the bundled configs, on random small rules and on two rules
-whose float sums were 1e-13 off.  Run as a script, the module prints the
-worst error per length on period_doubling, fibonacci and zeta with the
-oracle's and the library's times, or with `--ladder SRC...` times the
-library on a few deep lengths in fresh processes, on each source tree given.
+word it finds exactly once.  `exact_frequency_vector` runs the frequency
+pass in Fractions on the library's inputs, R_m (Fractions of its floats)
+and the power's probabilities q / D, and normalises exactly;
+`per_word_frequency_vector` does the same as the pass once ran, with one
+window dict per prefix, merged by a second loop.  The library runs that
+pass in integers and rounds each quotient once, so it must give the same
+words and a vector within 2^-53 relative of either oracle's, on the bundled
+configs, on random small rules and on two rules whose float sums were 1e-13
+off.  Those bounds take the library's R_m as given.  `truth_vectors` takes
+nothing from the library's floats: where the PF eigenvalue is rational
+(period_doubling and zeta: 2, dyck: 7/3), the true frequency vector at a
+base length is the exact null vector of the induced matrix minus that
+eigenvalue, by Fraction elimination, and `exact_pass` carries it to longer
+lengths.  Every library vector must lie within 2e-12 relative of it: the PF
+solves stop at an L1 residual of 1e-12, and the recursion carries their
+error to every length.  Run as a script, the module prints the worst error
+per length on period_doubling, fibonacci and zeta with the oracle's and the
+library's times, then the worst error against the truth per length, or with
+`--ladder SRC...` times the library on a few deep lengths in fresh
+processes, on each source tree given.
 """
 
 import math
@@ -45,12 +49,11 @@ import time
 from fractions import Fraction
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochsub import FrequencyMeasure, SubstitutionRule
+from stochsub import FrequencyMeasure, SubstitutionRule, induced_mean_matrix
 from stochsub import language
 from stochsub.guards import Budget
 from stochsub.language import _closure, _window_counts
@@ -65,6 +68,7 @@ from conftest import (
 )
 
 F = Fraction
+ULP = F(1, 2**53)  # a correctly rounded quotient is at most this far, relative
 CONFIGS = ("deterministic_fibonacci", "dyck", "fibonacci", "non_expanding",
            "period_doubling", "zeta")
 
@@ -232,29 +236,23 @@ def test_closure_inflates_each_word_once_small_rules(rule, ell):
 
 
 def per_word_frequency_vector(rule, ell):
-    """Oracle: R_ell from the library's R_m, with the kernel run into a
-    fresh dict per prefix and merged into the total by a second loop."""
+    """Oracle: R_ell from the library's R_m in exact arithmetic, as
+    `exact_frequency_vector`, but with the kernel run into a fresh dict per
+    prefix and merged into the total by a second loop."""
     fm = FrequencyMeasure(rule)
     m = fm.table.prefix_length(ell)
     prefixes, prefix_vec = fm.frequency_vector(m)
     denominator, integer_images = fm.table.power[1]._integer_form
-    images = [[(img, q / denominator) for img, q in entries]
+    images = [[(img, F(q, denominator)) for img, q in entries]
               for entries in integer_images]
     budget = Budget(10**7, "oracle")
     counts = {}
     for p, r in zip(prefixes, prefix_vec):
-        for w, x in column_weights(images, p, ell, budget, float(r)).items():
+        for w, x in column_weights(images, p, ell, budget, F(r)).items():
             counts[w] = counts.get(w, 0) + x
+    total = sum(counts.values())
     keys = sorted(counts)
-    vec = np.array([counts[w] for w in keys])
-    return tuple(map(tuple, keys)), vec / vec.sum()
-
-
-def assert_pass_matches_per_word_merge(rule, ell, rtol=0.0, atol=0.0):
-    expected_words, expected = per_word_frequency_vector(rule, ell)
-    words, vec = FrequencyMeasure(rule).frequency_vector(ell)
-    assert words == expected_words
-    assert np.allclose(vec, expected, rtol=rtol, atol=atol)
+    return tuple(map(tuple, keys)), [counts[w] / total for w in keys]
 
 
 @pytest.mark.parametrize("name,top", [
@@ -264,7 +262,7 @@ def assert_pass_matches_per_word_merge(rule, ell, rtol=0.0, atol=0.0):
 def test_frequency_pass_against_per_word_merge(name, top):
     rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
     for ell in range(3, top + 1):
-        assert_pass_matches_per_word_merge(rule, ell, rtol=1e-14)
+        assert worst_relative_error(rule, ell, per_word_frequency_vector) <= ULP, ell
 
 
 # rules with an inflating power, drawn often enough that few are discarded
@@ -276,17 +274,16 @@ recursion_rules = st.one_of(small_rules(min_length=2), small_rules())
 def test_frequency_pass_against_per_word_merge_small_rules(rule, ell):
     assume(rule.is_primitive()[0] and rule.is_expanding())
     assume(rule.language().prefix_length(ell) is not None)
-    assert_pass_matches_per_word_merge(rule, ell, atol=1e-14)
+    assert worst_relative_error(rule, ell, per_word_frequency_vector) <= ULP
 
 
-def exact_frequency_vector(rule, ell):
-    """Oracle: the frequency pass in exact arithmetic on the inputs the
-    library's pass reads, R_m (floats, so Fractions of them) and theta^k's
-    probabilities q / D."""
-    fm = FrequencyMeasure(rule)
-    m = fm.table.prefix_length(ell)
-    prefixes, prefix_vec = fm.frequency_vector(m)
-    denominator, integer_images = fm.table.power[1]._integer_form
+def exact_pass(rule, ell, prefix_vec):
+    """The frequency pass at ell in exact arithmetic, from R_m given as
+    Fractions or floats (so Fractions of them) and theta^k's probabilities
+    q / D, normalised exactly."""
+    table = rule.language()
+    prefixes = table.words_of_length(table.prefix_length(ell))
+    denominator, integer_images = table.power[1]._integer_form
     images = [[(img, F(q, denominator)) for img, q in entries]
               for entries in integer_images]
     counts = _window_counts(images, prefixes, ell, Budget(10**7, "oracle"),
@@ -296,10 +293,19 @@ def exact_frequency_vector(rule, ell):
     return tuple(map(tuple, keys)), [counts[w] / total for w in keys]
 
 
-def worst_relative_error(rule, ell):
-    """The library's vector against `exact_frequency_vector`, as the largest
-    relative error of a component (a Fraction; every frequency is positive)."""
-    expected_words, expected = exact_frequency_vector(rule, ell)
+def exact_frequency_vector(rule, ell):
+    """Oracle: the frequency pass in exact arithmetic on the inputs the
+    library's pass reads, its own R_m and theta^k's probabilities."""
+    fm = FrequencyMeasure(rule)
+    _, prefix_vec = fm.frequency_vector(fm.table.prefix_length(ell))
+    return exact_pass(rule, ell, prefix_vec)
+
+
+def worst_relative_error(rule, ell, oracle=exact_frequency_vector):
+    """The library's vector against `oracle` (by default
+    `exact_frequency_vector`), as the largest relative error of a component
+    (a Fraction; every frequency is positive)."""
+    expected_words, expected = oracle(rule, ell)
     words, vec = FrequencyMeasure(rule).frequency_vector(ell)
     assert words == expected_words
     return max(abs(F(x) - y) / y for x, y in zip(vec, expected))
@@ -313,9 +319,6 @@ def uniform_rule(*supports):
         "rules": {a: [{"word": w, "prob": f"1/{len(words)}"} for w in words]
                   for a, words in zip("abc", (s.split("|") for s in supports))},
     })
-
-
-ULP = F(1, 2**53)  # a correctly rounded quotient is at most this far, relative
 
 
 @pytest.mark.parametrize("name", ["deterministic_fibonacci", "fibonacci",
@@ -341,6 +344,71 @@ def test_frequency_pass_against_exact_sums_small_rules(rule, ell):
     assume(rule.is_primitive()[0] and rule.is_expanding())
     assume(rule.language().prefix_length(ell) is not None)
     assert worst_relative_error(rule, ell) <= ULP
+
+
+def null_vector(rows, eigenvalue):
+    """The exact null vector of A - eigenvalue I, normalised to sum 1, by
+    Fraction elimination; the eigenvalue must be simple."""
+    n = len(rows)
+    a = [[x - eigenvalue * (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(rows)]
+    pivots = []  # reduced row echelon form: row r has its 1 at pivots[r]
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    (free,) = set(range(n)) - set(pivots)  # one free column: a simple eigenvalue
+    x = [F(0)] * n
+    x[free] = F(1)
+    for row, c in zip(a, pivots):
+        x[c] = -row[free]
+    total = sum(x)
+    return [v / total for v in x]
+
+
+# (config, PF eigenvalue, deepest length): where the eigenvalue is rational
+# the true measure is exact at every length
+TRUTH_CASES = (("period_doubling", F(2), 12), ("zeta", F(2), 12), ("dyck", F(7, 3), 3))
+
+
+def truth_vectors(rule, eigenvalue, top):
+    """Oracle: per length 1..top, the legal words and the true frequency
+    vector, in Fractions: the exact null vector of the induced matrix minus
+    eigenvalue I where the library solves PF, else `exact_pass` on the true
+    R_m."""
+    table = rule.language()
+    truth = {}
+    for ell in range(1, top + 1):
+        m = table.prefix_length(ell)
+        if m is None:
+            matrix = induced_mean_matrix(rule, ell)
+            truth[ell] = matrix.labels, null_vector(matrix.rows, eigenvalue)
+        else:
+            truth[ell] = exact_pass(rule, ell, truth[m][1])
+    return truth
+
+
+def truth_errors(name, eigenvalue, top):
+    """Per length 1..top, the largest relative error of a component of the
+    library's vector against `truth_vectors` (a Fraction)."""
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    truth = truth_vectors(rule, eigenvalue, top)
+    return [worst_relative_error(rule, ell, lambda rule, ell: truth[ell])
+            for ell in truth]
+
+
+@pytest.mark.parametrize("name,eigenvalue,top", TRUTH_CASES,
+                         ids=[case[0] for case in TRUTH_CASES])
+def test_frequency_vectors_against_truth(name, eigenvalue, top):
+    errors = truth_errors(name, eigenvalue, top)
+    assert all(error <= F(2, 10**12) for error in errors), list(map(float, errors))
 
 
 # the ladder rungs timed in fresh processes by `--ladder`
@@ -386,7 +454,8 @@ if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_kernel_oracle.py prints, per length,
     # the worst relative error of the frequency pass against the exact sums,
     # the oracle's seconds and those of the library's own `frequency_vector`
-    # on a fresh rule (every length it needs).  With `--ladder SRC...` it
+    # on a fresh rule (every length it needs); then, per TRUTH_CASES length,
+    # the worst relative error of the library's vector against the truth.  With `--ladder SRC...` it
     # times LADDER instead, in fresh processes on each source tree SRC.
     if sys.argv[1:2] == ["--ladder"]:
         ladder(sys.argv[2:])
@@ -403,3 +472,7 @@ if __name__ == "__main__":
             worst = worst_relative_error(rule, ell)
             oracle = time.perf_counter() - start
             print(f"{name}\t{ell}\t{float(worst):.3g}\t{oracle:.2f}\t{library:.3f}")
+    print("\nconfig\tell\tworst_relative_error_vs_truth")
+    for case in TRUTH_CASES:
+        for ell, worst in enumerate(truth_errors(*case), 1):
+            print(f"{case[0]}\t{ell}\t{float(worst):.3g}")

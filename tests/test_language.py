@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -206,6 +207,131 @@ def test_one_primitivity_gate(call):
 def test_one_length_gate(call):
     with pytest.raises(ValueError, match="^word length must be >= 1$"):
         call(make_period_doubling())
+
+
+CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+PRIMITIVE = "^languages and frequency measures need a primitive rule$"
+
+
+def assert_one_table(make):
+    """`LanguageTable(rule)` and `rule.language()` give one table, whichever
+    is called first, on fresh rules from `make`; on a non-primitive rule
+    both raise the primitivity ValueError on every call and store nothing."""
+    spellings = (LanguageTable, SubstitutionRule.language)
+    for first, second in (spellings, spellings[::-1]):
+        rule = make()
+        if not rule.is_primitive()[0]:
+            for call in (first, second, first, second):
+                with pytest.raises(ValueError, match=PRIMITIVE):
+                    call(rule)
+            assert rule._language is None
+            continue
+        table = first(rule)
+        assert second(rule) is table and first(rule) is table
+        assert rule._language is table and table.rule is rule
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_language_table_is_the_rules_table(name):
+    assert_one_table(lambda: SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json"))
+
+
+def test_language_table_refuses_a_non_primitive_rule():
+    assert_one_table(lambda: SubstitutionRule(AB, NOT_PRIMITIVE.images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rules())
+def test_language_table_is_the_rules_table_small_rules(rule):
+    assert_one_table(lambda: SubstitutionRule(rule.alphabet, rule.images))
+
+
+def assert_power_built_once(monkeypatch, rule):
+    """theta^k's law is built by `rule.language().power` alone: reading it
+    again through `LanguageTable(rule)` calls no `iterate_distribution`.
+    Returns the calls the first read made."""
+    calls = []
+    iterate_distribution = SubstitutionRule.iterate_distribution
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return iterate_distribution(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubstitutionRule, "iterate_distribution", spy)
+    power = rule.language().power
+    built = len(calls)
+    again = LanguageTable(rule).power
+    assert len(calls) == built
+    assert again is power
+    return built
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_power_built_once(monkeypatch, name):
+    rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+    built = assert_power_built_once(monkeypatch, rule)
+    # theta^2's law, one call per letter, on the rules with one-letter images
+    assert built == (2 if name in ("fibonacci", "deterministic_fibonacci") else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rules())
+def test_power_built_once_small_rules(rule):
+    assume(rule.is_primitive()[0])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_power_built_once(monkeypatch, rule)
+
+
+LENGTH_CALLS = {
+    "legal_words": lambda rule, ell: legal_words(rule, ell),
+    "words_of_length": lambda rule, ell: rule.language().words_of_length(ell),
+    "induced": lambda rule, ell: induced_mean_matrix(rule, ell),
+    "frequency_vector": lambda rule, ell: FrequencyMeasure(rule).frequency_vector(ell),
+    "consistency_short": lambda rule, ell: FrequencyMeasure(rule).consistency_residual(ell, 4),
+    "consistency_long": lambda rule, ell: FrequencyMeasure(rule).consistency_residual(1, ell),
+    "metric": lambda rule, ell: metric_entropy_partial(FrequencyMeasure(rule), ell),
+    "topological": lambda rule, ell: topological_entropy_partial(rule, ell),
+}
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["fresh", "stored"])
+@pytest.mark.parametrize("call", LENGTH_CALLS.values(), ids=LENGTH_CALLS.keys())
+@pytest.mark.parametrize("ell", [2.5, 2.0, 3.5, Fraction(2)])
+def test_non_integer_length_is_refused(call, ell, stored):
+    # refused before the stored lengths are read, where 2.0 would find 2
+    rule = make_fibonacci()
+    if stored:
+        FrequencyMeasure(rule).frequency_vector(4)  # lengths 1 to 4, words and vectors
+    with pytest.raises(ValueError, match=f"^word length must be an integer, got {ell}$"):
+        call(rule, ell)
+
+
+@pytest.mark.parametrize("n", [2.0, 0.5, -1.5, Fraction(1)])
+def test_non_integer_iteration_count_is_refused(n):
+    with pytest.raises(ValueError, match=f"^iteration count must be an integer, got {n}$"):
+        make_fibonacci().iterate_distribution("a", n)
+
+
+@pytest.mark.parametrize("call", LENGTH_CALLS.values(), ids=LENGTH_CALLS.keys())
+def test_bool_length(call):
+    got, expected = call(make_fibonacci(), True), call(make_fibonacci(), 1)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("call", [LENGTH_CALLS["legal_words"],
+                                  LENGTH_CALLS["words_of_length"]])
+def test_numpy_integer_lengths(call):
+    for ell, same in ((np.int64(3), 3), (np.int32(2), 2), (np.uint8(1), 1)):
+        assert call(make_fibonacci(), ell) == call(make_fibonacci(), same)
+
+
+def test_integer_iteration_counts_of_any_type():
+    rule = make_fibonacci()
+    for n, same in ((np.int64(3), 3), (True, 1), (False, 0)):
+        assert rule.iterate_distribution("a", n).entries == \
+            rule.iterate_distribution("a", same).entries
+    with pytest.raises(ValueError, match="^iteration count must be nonnegative$"):
+        rule.iterate_distribution("a", np.int64(-1))
 
 
 def power_oracle(rule):

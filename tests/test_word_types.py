@@ -38,9 +38,7 @@ def test_entry_points_return_tuple_words(name, top):
         assert type(words) is tuple and all(map(is_word, words))
         assert rule.language().words_of_length(ell) == words
         assert all(map(is_word, rule.language().words_of_length(ell)))
-        fresh = LanguageTable(rule).words_of_length(ell)
-        assert type(fresh) is tuple and all(map(is_word, fresh))
-        assert fresh == words
+        assert LanguageTable(rule) is rule.language()  # so it holds these words
         if expanding or ell == 1:
             labels = induced_mean_matrix(rule, ell).labels
             assert type(labels) is tuple and all(map(is_word, labels))
