@@ -20,7 +20,7 @@ def metric_entropy_partial(fm: FrequencyMeasure, n: int) -> float:
     `FrequencyMeasure.frequency_vector`) for n > 1 on a non-expanding rule,
     which has no legal words longer than one letter."""
     _, vec = fm.frequency_vector(n)
-    return -sum(x * math.log(x) for x in vec if x > 0) / n
+    return -sum(x * math.log(x) for x in vec if x > 0) / int(n)  # not a numpy float
 
 
 def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:
@@ -28,7 +28,7 @@ def topological_entropy_partial(rule: SubstitutionRule, n: int) -> float:
     non-expanding rule, which has no legal words longer than one letter."""
     if n > 1 and not rule.is_expanding():
         raise ValueError("topological entropy with n > 1 requires an expanding rule")
-    return math.log(len(rule.language().words_of_length(n))) / n
+    return math.log(len(rule.language().words_of_length(n))) / int(n)  # not a numpy float
 
 
 class MaxEntropyReport(NamedTuple):

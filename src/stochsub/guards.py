@@ -24,7 +24,7 @@ ITERATE_SUPPORT_LIMIT = 10**6
 # 100 (dyck 7), ell - 1 (deterministic_fibonacci): a net for other rules only
 INDUCED_COLUMN_LIMIT = 10**7
 # INDUCED_CELL_LIMIT counts the n * n cells of an induced matrix on n legal
-# words, the table `stochsub matrix` prints, and is checked before any column:
+# words, built only by `matrix` (which prints it) and `check`, before any column:
 #   period_doubling ell 15: 5 686^2 = 32.3 M   ell 16: 9 816^2 = 96.4 M (refused)
 #   dyck            ell 7:  5 568^2 = 31.0 M   (ell 8 trips the language guard)
 INDUCED_CELL_LIMIT = 5 * 10**7
@@ -44,8 +44,8 @@ SAMPLE_LETTER_LIMIT = 10**8
 
 # LANGUAGE_STATE_LIMIT counts the states of the realisation kernel
 # (`language._window_counts`), summed over the letters after the first of
-# every word it inflates for one word length; the frequency recursion spends
-# it in the one pass that yields both words and vector.  Measured counts:
+# every word it inflates for one word length; a frequency vector spends it in
+# one pass (the recursion's also yields the words) and any self part.  Counts:
 #
 #   period_doubling  ell 23:   332 190   ell 24:   889 767
 #   zeta             ell 23:   388 930   ell 24: 1 040 130 (refused)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .guards import INDUCED_CELL_LIMIT, INDUCED_COLUMN_LIMIT, Budget
-from .language import _window_counts
+from .language import _check_length, _window_counts
 from .substitution import RationalMatrix, SubstitutionRule
 
 
@@ -38,6 +38,7 @@ def induced_mean_matrix(rule: SubstitutionRule, ell: int) -> RationalMatrix:
     expanding rule, the standing hypothesis of the induced construction.  The
     language refuses a non-integer ell, ell < 1 and a non-primitive rule.
     """
+    ell = _check_length(ell)
     if ell > 1 and not rule.is_expanding():
         raise ValueError("induced matrices with ell > 1 require an expanding rule")
     table = rule.language()

@@ -24,11 +24,11 @@ at that letter, so by induction on j the rounds collect them all.
 
 The closure (once per round), the recursion (once per length, on all of L_m
 and the power's integer images, unweighted for `legal_words`, which reads
-only the windows, or weighted by R_m in integers for the frequencies) and
-each induced column (once, on its word) call one kernel, `_window_counts`.
-It enumerates the images of each word's tail once, each tail letter spending the current
-states from a `guards.Budget` (raising GuardExceeded past its limit), sums the
-tails per first letter, and joins each letter's images to that sum once.
+only the windows, or weighted by R_m in integers for the frequencies, or
+theta's for a self part) and each induced column (once, on its word) call
+one kernel, `_window_counts`.  It enumerates each word's tail images once,
+each tail letter spending the current states from a `guards.Budget`, sums
+the tails per first letter, and joins each letter's images to that sum once.
 
 The kernel keys its states and windows by `bytes` words (one byte per
 letter code, see `words`), which sort exactly as tuples of codes do; the
@@ -38,6 +38,7 @@ words a LanguageTable stores are tuples, converted once per length.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
@@ -65,13 +66,14 @@ def _language_budget() -> Budget:
     return Budget(LANGUAGE_STATE_LIMIT, "language enumeration exceeds guard {} kernel states")
 
 
-def _check_length(ell) -> None:
+def _check_length(ell) -> int:
     """The one check of a word length: ValueError unless ell is an integer
-    (numpy integers and bools are) of at least 1."""
+    (numpy integers and bools are) of at least 1, returned as an int."""
     if not isinstance(ell, Integral):
         raise ValueError(f"word length must be an integer, got {ell}")
     if ell < 1:
         raise ValueError("word length must be >= 1")
+    return operator.index(ell)
 
 
 def _window_counts(images: Sequence[Sequence[tuple[bytes, Weight]]],
@@ -166,7 +168,7 @@ def legal_words(rule: SubstitutionRule, ell: int) -> tuple[Word, ...]:
     built on the language) and GuardExceeded when the kernel states spent on
     this length exceed the language guard.
     """
-    _check_length(ell)  # before the stored lengths, where 2.0 finds 2
+    ell = _check_length(ell)  # before the stored lengths, where 2.0 finds 2
     table = rule.language()
     words = table._table.get(ell)
     if words is not None:
@@ -233,10 +235,10 @@ class LanguageTable:
 
     def prefix_length(self, ell: int) -> int | None:
         """The length m < ell of the legal words whose images under the
-        inflating power (two letters or more each, so m < ell) contain every
-        legal ell-word, or None at lengths 1 and 2 or without that power;
+        inflating power contain every legal ell-word, or None at lengths 1
+        and 2 or without that power (closure words, `measure`'s self part);
         ValueError for a non-integer ell or ell < 1."""
-        _check_length(ell)  # else a length like 3.5 would ask for m = 2.0
+        ell = _check_length(ell)  # else a length like 3.5 would ask for m = 2.0
         if ell < 3 or self.power is None:
             return None
         return (ell - 2) // self.power[1].min_image_length() + 2
@@ -245,8 +247,7 @@ class LanguageTable:
         """The legal ell-words, enumerated once per length into the rule's
         table by `legal_words` (ValueError for a non-integer ell or ell < 1,
         GuardExceeded past the language guard)."""
-        _check_length(ell)
-        words = self._table.get(ell)  # () is a stored length too
+        words = self._table.get(_check_length(ell))  # () is a stored length too
         # the public legal_words, as bench/tracer.py counts language work there
         return legal_words(self.rule, ell) if words is None else words
 

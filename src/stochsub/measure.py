@@ -27,10 +27,14 @@ integers: R_m over one power of two, theta^k's images weighted p * D.
 Their total over that scale and D^m must equal lambda^k = sum over letters a
 of R_1(a) E|theta^k(a)| = 1^T M^k R_1, from the stored letter frequencies
 and theta^k's `expected_image_length`, and normalises them, one correctly
-rounded int / int quotient per component.  The PF solve on
-`induced_mean_matrix` remains where the recursion does not apply: at
-lengths 1 and 2, and for rules without an inflating power or whose power
-has a large law.
+rounded int / int quotient per component.  At length 2, and at every length
+without a usable power, the pass runs on theta over L_m, m = ell - 1, for
+the windows C that a word's first ell - 1 letters determine.  The self part
+B adds, per x in L_ell and realisation with single-letter images of
+x[1:-1], the window from the last letter of theta(x_0) to the first of
+theta(x[-1]).  So R_ell is the PF vector of C 1^T + B, by
+`spectral._power_iterate`, its eigenvalue checked as lambda.  The one PF
+solve on a matrix is R_1's, on the mean matrix.
 `FrequencyMeasure.frequency_vector` is the one writer of the table's
 vectors.  Every FrequencyMeasure on one rule shares the table, and finds a
 cylinder's component by bisecting its sorted words; nothing is locked, and
@@ -46,8 +50,8 @@ import warnings
 from typing import NamedTuple, Sequence
 
 from .induced import induced_mean_matrix
-from .language import _recursion_pass
-from .spectral import pf_eigenpair
+from .language import _check_length, _language_budget, _recursion_pass, _window_counts
+from .spectral import _power_iterate, pf_eigenpair
 from .substitution import SubstitutionRule, Word
 from .words import WordLike
 
@@ -73,36 +77,75 @@ class FrequencyMeasure:
         """Legal ell-words with their limiting frequencies (sums to 1), both
         tuples, shared by every FrequencyMeasure on the rule; ValueError for
         ell > 1 on a non-expanding rule."""
+        ell = _check_length(ell)
         if ell > 1 and not self.rule.is_expanding():
             raise ValueError("frequency vectors with ell > 1 require an expanding rule")
         vectors = self.table._vectors
         if ell not in vectors:
             m = self.table.prefix_length(ell)
-            if m is None:
-                vectors[ell] = pf_eigenpair(induced_mean_matrix(self.rule, ell)).right
+            if ell == 1:
+                vectors[1] = pf_eigenpair(induced_mean_matrix(self.rule, 1)).right
             else:
-                vectors[ell] = self._recursion_vector(ell, m)
+                vectors[ell] = (self._self_part_vector(ell) if m is None
+                                else self._recursion_vector(ell, m))
         return self.table.words_of_length(ell), vectors[ell]
 
-    def _recursion_vector(self, ell: int, m: int) -> tuple[float, ...]:
-        _, prefix_vec = self.frequency_vector(m)
-        k, power = self.table.power
-        # R_m exactly, as integers over the largest of its power-of-two denominators
-        ratios = [x.as_integer_ratio() for x in prefix_vec]
+    def _integer_vector(self, m: int) -> tuple[list[int], int]:
+        """R_m as integers over the largest of its power-of-two denominators."""
+        ratios = [x.as_integer_ratio() for x in self.frequency_vector(m)[1]]
         scale = max(d for _, d in ratios)
-        _, sums = _recursion_pass(self.table, ell, m, [n * (scale // d) for n, d in ratios])
-        total = sum(sums)
+        return [n * (scale // d) for n, d in ratios], scale
+
+    def _check_lambda(self, ell: int, found: float, k: int, power: SubstitutionRule) -> None:
         # lambda^k = 1^T M^k R_1: the letter frequencies times E|theta^k(a)|
         _, letter_vec = self.frequency_vector(1)
         expected = sum(r * float(power.expected_image_length(a))
                        for a, r in enumerate(letter_vec))
-        found = total / (scale * power._integer_form[0] ** m)
         if abs(found - expected) > 1e-9 * expected:
-            raise RuntimeError(
-                f"frequency vector for length {ell} sums to {found} before "
-                f"normalisation, not lambda^{k} = {expected}"
-            )
+            raise RuntimeError(f"frequency vector for length {ell} sums to {found} before "
+                               f"normalisation, not lambda^{k} = {expected}")
+
+    def _recursion_vector(self, ell: int, m: int) -> tuple[float, ...]:
+        k, power = self.table.power
+        weights, scale = self._integer_vector(m)
+        _, sums = _recursion_pass(self.table, ell, m, weights)
+        total = sum(sums)
+        self._check_lambda(ell, total / (scale * power._integer_form[0] ** m), k, power)
         return tuple(x / total for x in sums)  # int / int rounds correctly
+
+    def _self_part_vector(self, ell: int) -> tuple[float, ...]:
+        """R_ell as the PF vector of C 1^T + B on theta (module docstring), C
+        and B spending one language budget."""
+        words = self.table.words_of_length(ell)
+        index = {bytes(w): i for i, w in enumerate(words)}
+        weights, scale = self._integer_vector(ell - 1)
+        denominator, images = self.rule._integer_form
+        budget = _language_budget()
+        c = [0.0] * len(words)
+        for w, n in _window_counts(images, self.table.words_of_length(ell - 1), ell,
+                                   budget, weights, denominator).items():
+            if len(w) == ell:  # a cut-short window is the self part's
+                c[index[w]] = n / (scale * denominator ** (ell - 1))
+        self_part = []  # B's entries (row, column, value), a row repeating in a column
+        for j, u in enumerate(words):
+            middles = [(b"", 1)]
+            for letter in u[1:-1]:
+                budget.spend(len(middles))
+                middles = [(mid + img, n * q) for mid, n in middles
+                           for img, q in images[letter] if len(img) == 1]
+            self_part += [(index[a[-1:] + mid + b[:1]], j, p * n * q / denominator**ell)
+                          for a, p in images[u[0]] for mid, n in middles
+                          for b, q in images[u[-1]]]
+
+        def step(x: list[float]) -> list[float]:  # (C 1^T + B) x, as x sums to 1
+            y = list(c)
+            for i, j, v in self_part:
+                y[i] += v * x[j]
+            return y
+
+        lam, vec, _, _ = _power_iterate(step, len(words))
+        self._check_lambda(ell, lam, 1, self.rule)
+        return tuple(vec)
 
     def cylinder_measure(self, v: WordLike) -> float:
         """Measure of the cylinder set of v at any fixed position.

@@ -373,8 +373,9 @@ class TestCheckAndErrors:
         assert all(row["ok"] is True for row in doc["checks"])
 
     def test_check_reads_the_vectors_freqs_serves(self, capsys, monkeypatch):
-        # frequency vectors at twice the PF solve fail the rows that read
-        # them; check's own solves keep its eigenvalue rows passing
+        # letter frequencies at twice the PF solve reach the length-2 vector
+        # check reads, whose self-part eigenvalue, sqrt 5, is then not the
+        # doubled lambda = 2 (1 + sqrt 5) / 2: an internal error, not a row
         import stochsub.measure
 
         def doubled(mat, _solve=stochsub.measure.pf_eigenpair):
@@ -382,11 +383,10 @@ class TestCheckAndErrors:
             return pair._replace(right=tuple(2 * x for x in pair.right))
 
         monkeypatch.setattr(stochsub.measure, "pf_eigenpair", doubled)
-        code, out, _ = invoke(capsys, "check", "--config", cfg("fibonacci"))
-        failed = [row.split("\t")[0] for row in out.splitlines() if "\tFAIL\t" in row]
-        assert code == 1
-        assert failed == ["normalization-ell-1", "normalization-ell-2",
-                          "consistency-1-3"]
+        with pytest.raises(RuntimeError, match=r"^frequency vector for length 2 sums to "
+                                               r"2\.23606797\d* before normalisation, "
+                                               r"not lambda\^1 = 3\.23606797\d*$"):
+            invoke(capsys, "check", "--config", cfg("fibonacci"))
 
     def test_check_sums_every_induced_column(self, capsys, monkeypatch):
         # fibonacci's aa column, not the last column of its first letter a,

@@ -88,8 +88,8 @@ EXPECTED = {
     'deterministic_fibonacci: freqs --ell 1': (0, '10a4dfe2b988483154c4d14adecbae8327fbf4a4696ac38f18b2dbc9d1c34675'),
     'deterministic_fibonacci: freqs --ell 4': (0, '346b658c219aeb5bd1e682b5eddad73fbcc791ce8c966b4669b40eac44847ead'),
     'deterministic_fibonacci: entropy --max-n 4': (0, 'cfff8343fa0bd02e941493fb565669b46511cc283eb7d08549af94e7c2494706'),
-    'deterministic_fibonacci: check': (0, '9c6aa6c95d5e079d5e6362ccd367c89f33f1a386f4fa1f64fdd3fc03f98c2cb3'),
-    'deterministic_fibonacci: check --format json': (0, 'dc0232fdc7b43627cea0b0cc07c1e435233e7ae602ec2971b56174286ac78a23'),
+    'deterministic_fibonacci: check': (0, '192ed5bbab15ec770d2c57dfffff5010472b30e6003600b91669453ae7707c80'),
+    'deterministic_fibonacci: check --format json': (0, 'acc41896afa8a8e44902c079b654ad335c057244825ecc57db2607177779e430'),
     'deterministic_fibonacci: matrix --ell 5': (0, 'c6d678d1a113f53649292c1de673bce2f58c213673c607c0eccbb85d65be70f6'),
     'deterministic_fibonacci: freqs --ell 6': (0, '918cd179ee1145afe3d8c7d44106c2b999c0690076786d431d784abbed74ad58'),
     'deterministic_fibonacci: entropy --max-n 6': (0, 'ab32efae781ea5b9151df3fdbe95f53ec834cc1d1970db74b6630e44b6681be3'),
@@ -105,12 +105,12 @@ EXPECTED = {
     'dyck: matrix --ell 3': (0, '01c458f78b6dec0b7e5e39ade5ba9173c38e551676ab7f936ab7fca24d42a857'),
     'dyck: matrix --ell 3 --format json': (0, '0e8b83d0f846370a85988d663818db42c76b59a25f2f801a0438b9c5e252b46f'),
     'dyck: freqs --ell 1': (0, '97f14964ee9621d5d86cd457a5b41c7798bd63f8de0b8ed34f69fac982f005e9'),
-    'dyck: freqs --ell 4': (0, 'c119f301491fba1f40a72767a8b8b5fb427299df43ebdaba8dfba332aa2b8ee0'),
+    'dyck: freqs --ell 4': (0, '171638991013b0398a7be18f964e2fee35f1b064f1047d6d482c63c7add003ae'),
     'dyck: entropy --max-n 4': (0, 'f5d123b896e676f78a3376aae3e870314d9c721f303c027f78b36d1c276b22bd'),
-    'dyck: check': (0, 'e46ac8d20b14736e0a2a08b7ad2f3982627112f341c6c6479aff7b7c57ebd18d'),
-    'dyck: check --format json': (0, '578cc539d7ba0cf618412e2404294f1f6cdfff96a1e36f830a9183f675eb654e'),
+    'dyck: check': (0, 'c36a28cb9ab3e4415acf818a384e98524495b1a6ba20803370c0e18e54f8d6a0'),
+    'dyck: check --format json': (0, 'f98401905249193c57ea7471b447926220a21e60c92dea6eaa6dd4dac0d6516d'),
     'dyck: matrix --ell 5': (0, '3053521a80200913e7c5a493fc35d4506c758f80b543d7cd5a5ae7275893b96a'),
-    'dyck: freqs --ell 6': (0, '9aaae968f6916a289aeffee1de06bd0e2dd8d020edb8e1f7a756a61f4816e85e'),
+    'dyck: freqs --ell 6': (0, '5f3bb0dbf6311aa43558a4d6c66f1dd0836d85dd78298c06be9bdf144aaa3397'),
     'dyck: entropy --max-n 6': (0, 'bcfa7708c3d09244109f47293a59a37370c23edafd80cba14bbae4597fc119b4'),
     'dyck: sample --n 5 --letter ( --seed 7': (0, '21f7980bf427e6b4e94dcb5a8ba8f7df24eeeedd94542b4be1ae7d2187395b10'),
     'dyck: sample --word () --trials 20 --n 4 --letter ( --seed 7': (0, 'ced6da7143855ce3c36e5241743f51529d61d7c9a664f45b2d048bc6ab3b391b'),
@@ -125,12 +125,12 @@ EXPECTED = {
     'fibonacci: matrix --ell 3 --format json': (0, '053adc13128c27c5949665843c0b24240833950cfb896b918ffa7d2f4862e009'),
     'fibonacci: freqs --ell 1': (0, '10a4dfe2b988483154c4d14adecbae8327fbf4a4696ac38f18b2dbc9d1c34675'),
     'fibonacci: freqs --ell 4': (0, '0869bcc3e736da225bac4a961dceaf289f0068c81579b8d18d7a0d3aeb05a106'),
-    'fibonacci: entropy --max-n 4': (0, 'f351fbb411b45818b25c02c152195e796153c88b8c90c47bcbf7fb76fa37ffcb'),
-    'fibonacci: check': (0, '88ccea23223da7af457c1f83ce55367a5325f128d39d9c336931ab6d1e0d7a6c'),
-    'fibonacci: check --format json': (0, '11859f95b0cf90dcfbb48b5cf2fcbb5efc2d203197200bdee7bf456411d8e2ab'),
+    'fibonacci: entropy --max-n 4': (0, '47063180fe90814bfdc50573932e2c94c131718133637f92961a1813ca52f304'),
+    'fibonacci: check': (0, 'dfc841d7cead6113c12cbc3adc42a5b9fa41702e09a0041168b56cae13f16a5d'),
+    'fibonacci: check --format json': (0, '58cdad5331e9c5fc2266552375b54c28f83b4e506f81486b91b2f6fb21ed75ab'),
     'fibonacci: matrix --ell 5': (0, '98173c9d70ad33f3fad4006cca2ecaaaab9d80dc4f27d42f7d21ba601c760397'),
     'fibonacci: freqs --ell 6': (0, '95eba943265413ed2446995fd63e6d33ec0dfbbb233dd01c6118e680465728c5'),
-    'fibonacci: entropy --max-n 6': (0, 'c3433065156187aaf6f2e34555d181ccd9db66042dd8694cbc2e6f397a45fa74'),
+    'fibonacci: entropy --max-n 6': (0, 'd7ab0d07f316dffe013aacb684f82d429c82967364daa0d71ab4972f5f2db2d9'),
     'fibonacci: sample --n 5 --letter a --seed 7': (0, 'eae1efb8e57f65ca8e3300384733578ba7e1e49b2d9fe9be1604da352eebf842'),
     'fibonacci: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '8b51e8c85aedbbab42281b4ad9d5613858f35988bf5628ebe66e96685f21740c'),
     'fibonacci: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
@@ -164,8 +164,8 @@ EXPECTED = {
     'period_doubling: freqs --ell 1': (0, '9ab55480a69ab993b6ff58e3457021f451e12c273d5f2c89e0abfcbc91603dac'),
     'period_doubling: freqs --ell 4': (0, 'd8f8da77c7e0189f28d87787cb17b305bb110a5acf22c15ab922477b76cd50ac'),
     'period_doubling: entropy --max-n 4': (0, '8744e478e15389bd11cf3f0bf637ebcee830b8d59af504b4ea6925ab8edbee41'),
-    'period_doubling: check': (0, 'f29ff117081f0a1be01d73cb973f4a4f1acfa1888b5a63112538243a94108c59'),
-    'period_doubling: check --format json': (0, '5da79334ae6e28777fff33a3dc48df89c0c592192263519b53b086e87e3ce3b4'),
+    'period_doubling: check': (0, '3b159d92ec63ca26ae6ed468a8b48a108a9aa4d0891caa9fa2d9ece52e94a0c5'),
+    'period_doubling: check --format json': (0, 'efde483cc69e2577911ae3bedc0fd3898410c0b15d560e6097b13ba8096a89f9'),
     'period_doubling: matrix --ell 5': (0, '1882a61963232100c8b5581877a47c13a7c1fa522d87723d9ccffd72979bb1c7'),
     'period_doubling: freqs --ell 6': (0, '53b57b5b4957d0263fbb23f86684c63da54d61c2b15c62793697d66e2c99f266'),
     'period_doubling: entropy --max-n 6': (0, '3ae5567002d4429118e83c0086bea19a42ec646c60fd12cf57321a81ed320e3a'),
@@ -192,7 +192,7 @@ EXPECTED = {
     'zeta: sample --word ab --trials 20 --n 4 --letter a --seed 7': (0, '791d773c964bc6c5627893e56e73c069707446b9afa100509167b1c483d91ea5'),
     'zeta: sample --tail-K 1.5 --trials 20 --n 4 --letter a --seed 7': (0, 'e58cee37946e10d5aad8eaf6d5f7397d292f583f9c0a6246229d07891ed6fad0'),
     'fibonacci: language --ell 6 @ 10': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: language enumeration exceeds guard 10 kernel states\n'),
-    'zeta: freqs --ell 6 @ 10': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: induced matrix of 4 words exceeds guard 10 cells\n'),
+    'zeta: freqs --ell 6 @ 10': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: language enumeration exceeds guard 10 kernel states\n'),
     'period_doubling: sample --letter a --n 8 @ 100': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: sampled word exceeds letter budget 100\n'),
     'dyck: matrix --ell 2 @ 100': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: induced matrix of 14 words exceeds guard 100 cells\n'),
     'dyck: check @ 10': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: language enumeration exceeds guard 10 kernel states\n'),

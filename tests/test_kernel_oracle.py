@@ -32,15 +32,20 @@ nothing from the library's floats: where the PF eigenvalue is rational
 (period_doubling and zeta: 2, dyck: 7/3), the true frequency vector at a
 base length is the exact null vector of the induced matrix minus that
 eigenvalue, by Fraction elimination, and `exact_pass` carries it to longer
-lengths.  Every library vector must lie within 2e-12 relative of it: the PF
-solves stop at an L1 residual of 1e-12, and the recursion carries their
-error to every length.  Run as a script, the module prints the worst error
-per length on period_doubling, fibonacci and zeta with the oracle's and the
-library's times, then the worst error against the truth per length, or with
-`--ladder SRC...` times the library on a few deep lengths in fresh
-processes, on each source tree given.
+lengths.  Every library vector must lie within 2e-12 relative of it: the
+power iterations (R_1's PF solve, and the self part's where the language
+table has no prefix length) stop at an L1 residual of 1e-12, and the
+recursion carries their error to every length.  On dyck's true vectors the
+self part's split must hold exactly: 7/3 R_ell is the kernel's full-length
+windows over L_(ell-1), weighted by R_(ell-1), plus B R_ell, with B by plain
+enumeration of the realisations (`self_part_times`).  Run as a script, the
+module prints the worst error per length on period_doubling, fibonacci and
+zeta with the oracle's and the library's times, then the worst error
+against the truth per length, or with `--ladder SRC...` times the library
+on a few deep lengths in fresh processes, on each source tree given.
 """
 
+import itertools
 import math
 import statistics
 import subprocess
@@ -381,8 +386,8 @@ TRUTH_CASES = (("period_doubling", F(2), 12), ("zeta", F(2), 12), ("dyck", F(7, 
 def truth_vectors(rule, eigenvalue, top):
     """Oracle: per length 1..top, the legal words and the true frequency
     vector, in Fractions: the exact null vector of the induced matrix minus
-    eigenvalue I where the library solves PF, else `exact_pass` on the true
-    R_m."""
+    eigenvalue I where the language table has no prefix length, else
+    `exact_pass` on the true R_m."""
     table = rule.language()
     truth = {}
     for ell in range(1, top + 1):
@@ -411,9 +416,40 @@ def test_frequency_vectors_against_truth(name, eigenvalue, top):
     assert all(error <= F(2, 10**12) for error in errors), list(map(float, errors))
 
 
+def self_part_times(rule, words, vec):
+    """Oracle: B R by plain enumeration, in Fractions.  Each realisation of
+    theta(x), x in `words`, whose letters x[1:-1] take single-letter images
+    adds the window from the last letter of x_0's image to the first of
+    x[-1]'s, weighted by its probability times x's component of `vec`."""
+    out = {}
+    for x, r in zip(words, vec):
+        for choice in itertools.product(*(rule.images[c] for c in x)):
+            if all(len(img) == 1 for img, _ in choice[1:-1]):
+                middle = tuple(img[0] for img, _ in choice[1:-1])
+                window = (choice[0][0][-1], *middle, choice[-1][0][0])
+                out[window] = out.get(window, 0) + r * math.prod(p for _, p in choice)
+    return out
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_self_part_split_against_truth(ell):
+    # lambda R_ell = C + B R_ell exactly on dyck's true vectors: C the
+    # full-length windows of the kernel over L_(ell-1) weighted by R_(ell-1),
+    # B the windows only x[-1]'s image completes
+    rule = SubstitutionRule.from_file(CONFIG_DIR / "dyck.json")
+    truth = truth_vectors(rule, F(7, 3), ell)
+    (shorter, short_vec), (words, vec) = truth[ell - 1], truth[ell]
+    images = [[(bytes(img), p) for img, p in entries] for entries in rule.images]
+    counts = _window_counts(images, shorter, ell, Budget(10**7, "oracle"), short_vec)
+    c = {tuple(w): x for w, x in counts.items() if len(w) == ell}
+    b = self_part_times(rule, words, vec)
+    assert set(c) | set(b) == set(words)
+    assert all(c.get(v, 0) + b.get(v, 0) == F(7, 3) * r for v, r in zip(words, vec))
+
+
 # the ladder rungs timed in fresh processes by `--ladder`
 LADDER = (("period_doubling", 22), ("period_doubling", 23), ("zeta", 23),
-          ("fibonacci", 19))
+          ("fibonacci", 19), ("dyck", 7))
 RUNG = """\
 import sys, time
 from importlib import resources

@@ -259,6 +259,27 @@ class TestOneTablePerRule:
         assert rule.language()._vectors == {}
 
 
+@pytest.mark.parametrize("make,top", [
+    (lambda: load("dyck"), 5), (lambda: load("fibonacci"), 6),
+    (lambda: load("period_doubling"), 6), (make_no_inflating_power, 4),
+    (make_large_power, 4),
+], ids=["dyck", "fibonacci", "period_doubling", "no_inflating_power", "large_power"])
+def test_frequency_vectors_solve_no_eigenproblem_past_the_alphabet(monkeypatch, make, top):
+    # the one PF solve is R_1's on the mean matrix; every longer vector comes
+    # from the exact pass, with the self part where there is no prefix length
+    rule = make()
+
+    def letters_only(matrix, _solve=pf_eigenpair):
+        assert matrix.size <= rule.alphabet.size
+        return _solve(matrix)
+
+    monkeypatch.setattr("stochsub.measure.pf_eigenpair", letters_only)
+    fm = FrequencyMeasure(rule)
+    for ell in range(1, top + 1):
+        words, vec = fm.frequency_vector(ell)
+        assert len(vec) == len(words) and abs(sum(vec) - 1.0) <= 1e-12
+
+
 class TestAgainstPFRoute:
     @pytest.mark.parametrize("name,max_ell", [
         ("fibonacci", 6), ("period_doubling", 6), ("zeta", 6),
