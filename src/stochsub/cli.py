@@ -61,10 +61,12 @@ def _write_json(doc: dict) -> None:
 
 
 def _emit(report, rows, fmt: str) -> None:
-    """rows (any iterable of lists of str) drive the TSV output; report()
-    builds the JSON document, so that TSV never holds it."""
+    """rows (lists of str, or a function that yields the text) drive the TSV
+    output; report() builds the JSON document, so that TSV never holds it."""
     if fmt == "json":
         _write_json(report())
+    elif callable(rows):
+        sys.stdout.writelines(rows())
     else:
         sys.stdout.writelines("\t".join(row) + "\n" for row in rows)
 
@@ -109,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--word", help="estimate the frequency of this word")
     mode.add_argument("--tail-K", type=float, dest="tail_k", metavar="K",
-                      help="estimate P[length < K*n]")
+                      help="estimate P[length < K*n]; exact, drawing no trial, "
+                           "where the image lengths decide it")
 
     p = sub.add_parser("check", help="run the invariant suite on a config")
     common(p, _cmd_check)
@@ -210,10 +213,15 @@ def _cmd_sample(rule, args):
     # sample_iterate's realisation, kept as the engine's bytes: its tuple
     # would hold 8 bytes a letter
     word = next(_trials(rule, args.letter, args.n, 1, args.seed))
-    decoded = rule.alphabet.decode(word)
-    report = {"mode": "iterate", "n": args.n, "seed": args.seed,
-              "length": len(word), "word": decoded}
-    return lambda: report, [[decoded], ["length", str(len(word))]], True
+    report = {"mode": "iterate", "n": args.n, "seed": args.seed, "length": len(word)}
+    if args.format == "json":  # the document holds the word, and not its bytes
+        report["word"] = rule.alphabet.decode(word)
+        return lambda: report, None, True
+    decode, sep, step = rule.alphabet.decode, rule.alphabet._sep, 2**20
+    # TSV decodes the word a slice at a time, never holding it whole as a str
+    return None, lambda: chain((sep * (i > 0) + decode(word[i : i + step])
+                                for i in range(0, len(word), step)),
+                               [f"\nlength\t{len(word)}\n"]), True
 
 
 def _cmd_check(rule, args):

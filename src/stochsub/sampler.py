@@ -24,8 +24,8 @@ the start letter is a symbol or an in-range letter code (KeyError
 otherwise), the depth is an integer n >= 0, the trial count an integer
 trials >= 1 and the seed a non-negative integer (ValueError otherwise).
 Each sampler states its own further conditions.  All samplers draw from one
-trial engine, `_trials`, and a sample that the letter guard refuses by the
-image lengths alone loads no numpy.
+trial engine, `_trials`; a sample that the letter guard refuses by the image
+lengths alone, and a length tail that they decide, load no numpy.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 1729
 
 # Trials run in batches whose rounds are whole-array operations.  A batch
-# holds at most BATCH_LETTERS letters by the bound L**n of one trial (L the
-# longest image), counting at least 1024 per trial: each live generator holds
-# about 1.3 KB, so shallow iterates still stop at 1024 trials per batch.
+# holds at most BATCH_LETTERS letters by the longest realisation of one trial,
+# counting at least 1024 per trial: each live generator holds about 1.3 KB,
+# so shallow iterates still stop at 1024 trials per batch.
 BATCH_LETTERS = 2**20
 # A round runs over at most this many of its input letters at a time: the
 # uniforms are float64, and numpy's take casts a uint8 index to intp, so
@@ -155,9 +155,9 @@ def _trials(
         from ._seeding import generators
         minlen = rule.min_image_length()
         base, thr, lens, table = _image_tables(rule)
-        # L**n bounds the letters of one trial; as BATCH_LETTERS == 2**20,
-        # deeper iterates than n = 20 run one trial per batch
-        bound = max(rule.max_image_length() ** min(n, 20), 1024)
+        # the longest |theta^n(start)|, capped at BATCH_LETTERS, bounds the
+        # letters of one trial; where it reaches the cap, one trial a batch
+        bound = max(rule._iterate_lengths(n, max, BATCH_LETTERS)[start], 1024)
         batch = max(1, BATCH_LETTERS // bound)
         ahead = _pool_width(rule, start, n)
         streams = generators(seed, 0, trials)
@@ -327,9 +327,16 @@ def length_tail(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Empirical probability that the n-th iterate is shorter than k * n;
-    needs a finite k > 0 (ValueError otherwise)."""
+    needs a finite k > 0 (ValueError otherwise).  Exact, with no trial drawn,
+    where the image lengths decide it under the letter guard: on every bundled
+    rule but dyck, and on dyck where k * n <= 1 or k * n > 3**n."""
     realisations = _trials(rule, letter, n, trials, seed)
     if not 0 < k < math.inf:
         raise ValueError(f"tail threshold K must be finite and > 0, got {k}")
+    (start,) = rule.encode((letter,))
+    cap = Budget(SAMPLE_LETTER_LIMIT, "").limit + 1  # the letter guard's, plus one
+    longest, shortest = (rule._iterate_lengths(n, pick, cap)[start] for pick in (max, min))
+    if longest < cap and (longest < k * n or shortest >= k * n):
+        return float(longest < k * n)  # what every trial would find
     hits = sum(len(word) < k * n for word in realisations)
     return hits / trials

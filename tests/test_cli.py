@@ -350,6 +350,18 @@ class TestSample:
                                       "--letter", "a", "--n", "22")
         assert code == 0 and maxrss_kb < 75_000
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is Linux only")
+    def test_printed_word_adds_nothing_to_the_engines_peak(self):
+        # theta^22(a) has 2**22 letters, 4 MB as bytes. TSV decodes and writes
+        # them 2**20 at a time, so printing the word peaks within 1 MB of
+        # --word mode, which draws the same trial and decodes nothing. Decoded
+        # whole (the bytes, a latin-1 str and the translated str at once), it
+        # peaked 2 MB above it (Python 3.11, Linux)
+        argv = ("sample", "--config", cfg("period_doubling"), "--letter", "a", "--n", "22")
+        (code, printed_kb), (counted, counted_kb) = (peak_rss_kb(*argv),
+                                                     peak_rss_kb(*argv, "--word", "a"))
+        assert code == counted == 0 and printed_kb < counted_kb + 1024
+
     def test_depth_zero_passes_a_zero_limit(self, capsys, monkeypatch):
         # theta^0(a) is the letter itself, drawn in no round, so no guard reads it
         monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", "0")

@@ -132,6 +132,19 @@ def test_refused_sample_leaves_numpy_unloaded():
         assert run_child(body) == (2, set()), mode
 
 
+def test_decided_tail_leaves_numpy_unloaded():
+    # every realisation of fibonacci theta^14(a) has F(16) = 987 letters, not
+    # below K * n = 28, so the image lengths decide the tail: no trial drawn
+    argv = ["sample", "--config", config("fibonacci"), "--letter", "a", "--n", "14",
+            "--trials", "1000", "--tail-K", "2"]
+    body = ("import io\n"
+            "from stochsub.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    code = run({argv!r})\n"
+            "assert out.getvalue() == 'fraction\\t0\\n'")
+    assert run_child(body) == (0, set())
+
+
 @pytest.mark.parametrize("name,error", [("fibonacci", "GuardExceeded"),
                                         ("non_expanding", "ValueError")])
 def test_refused_direction_estimate_leaves_numpy_unloaded(name, error):

@@ -22,7 +22,7 @@ from stochsub import (
     sample_iterate_law,
 )
 
-from stochsub import sampler
+from stochsub import _seeding, sampler
 from stochsub._seeding import TrialSeed, generators, seed_states
 from stochsub.sampler import DirectionStats, _trials
 from stochsub.spectral import pf_eigenpair
@@ -190,6 +190,48 @@ class TestDirections:
         assert gw_direction_estimate(dyck, "(", n, 200, seed=seed) == oracle
 
 
+BUNDLED = ["deterministic_fibonacci", "dyck", "fibonacci", "non_expanding",
+           "period_doubling", "zeta"]
+
+
+def length_bounds(rule, n):
+    """Oracle: per letter c, the shortest and the longest |theta^n(c)|, by
+    the plain recursion over every image, uncapped."""
+    lo = hi = [1] * rule.alphabet.size
+    for _ in range(n):
+        lo, hi = ([pick(sum(lengths[c] for c in w) for w, _ in entries)
+                   for entries in rule.images] for pick, lengths in ((min, lo), (max, hi)))
+    return lo, hi
+
+
+def sampled_tail(rule, letter, n, k, trials, seed=sampler.DEFAULT_SEED):
+    """Oracle: length_tail drawing every trial, as it did before the image
+    lengths decided any tail; same checks, in the same order."""
+    realisations = _trials(rule, letter, n, trials, seed)
+    if not 0 < k < math.inf:
+        raise ValueError(f"tail threshold K must be finite and > 0, got {k}")
+    return sum(len(word) < k * n for word in realisations) / trials
+
+
+def tail_thresholds(rule, letter, n):
+    """Values of K that put K * n below, at, between and above the shortest
+    and the longest |theta^n(letter)|; any K where n is 0."""
+    if n == 0:
+        return [0.5, 1.0, 2.0]
+    (start,) = rule.encode((letter,))
+    lo, hi = (lengths[start] for lengths in length_bounds(rule, n))
+    edges = [lo - 1, lo - 0.5, lo, lo + 0.5, (lo + hi) / 2, hi - 0.5, hi, hi + 0.5, hi + 1]
+    return [t / n for t in edges if t > 0]
+
+
+def tail_outcome(tail, *args, **kwargs):
+    """What a tail call returns, or the type and message of what it raises."""
+    try:
+        return tail(*args, **kwargs)
+    except (KeyError, ValueError, GuardExceeded) as exc:
+        return type(exc), str(exc)
+
+
 class TestLengthTail:
     def test_fibonacci_lengths_beat_linear(self, fibonacci):
         assert length_tail(fibonacci, "a", 10, 1.0, 50, seed=4) == 0.0
@@ -202,6 +244,89 @@ class TestLengthTail:
         vals = [length_tail(period_doubling, "a", n, 1.0, 50, seed=4)
                 for n in (4, 8, 12)]
         assert vals[0] >= vals[1] >= vals[2]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_the_trials_on_bundled_configs(self, name):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        for letter in range(rule.alphabet.size):
+            for n in range(9):
+                for k in tail_thresholds(rule, letter, n):
+                    assert length_tail(rule, letter, n, k, 6, seed=n) == \
+                        sampled_tail(rule, letter, n, k, 6, seed=n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rules(), st.integers(0, 6), st.integers(1, 8), st.integers(0, 2**32))
+    def test_matches_the_trials_on_random_rules(self, rule, n, trials, seed):
+        for k in tail_thresholds(rule, 0, n):
+            assert length_tail(rule, 0, n, k, trials, seed) == \
+                sampled_tail(rule, 0, n, k, trials, seed)
+
+    @pytest.mark.parametrize("name, letter, n, k, fraction, drawn", [
+        ("period_doubling", "a", 22, 2.0, 0.0, False),  # 2**22 letters, not < 44
+        ("period_doubling", "a", 4, 5.0, 1.0, False),   # 16 < 20
+        ("zeta", "b", 8, 40.0, 1.0, False),
+        ("fibonacci", "a", 14, 2.0, 0.0, False),        # F(16) = 987
+        ("deterministic_fibonacci", "b", 6, 1.0, 0.0, False),
+        ("non_expanding", "a", 10**15, 1e-15, 0.0, False),
+        ("non_expanding", "a", 10**15, 2e-15, 1.0, False),
+        ("dyck", "(", 8, 0.125, 0.0, False),            # K * n <= 1
+        ("dyck", "(", 8, 821.0, 1.0, False),            # K * n > 3**8 = 6561
+        ("dyck", "(", 8, 2.0, None, True),
+        ("dyck", "(", 8, 820.125, None, True),          # K * n = 3**8
+    ])
+    def test_decided_tails_draw_no_trial(self, name, letter, n, k, fraction, drawn):
+        # every realisation of a point-mass length, and dyck's shortest (one
+        # letter) and longest (3**n), decide the tail without a trial
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        seeded = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = _seeding.generators
+            mp.setattr(_seeding, "generators", lambda *a: seeded.append(a) or real(*a))
+            value = length_tail(rule, letter, n, k, 20)
+        assert bool(seeded) == drawn
+        if not drawn:
+            assert value == fraction and type(value) is float
+
+    @pytest.mark.parametrize("args", [
+        ("c", 3, 2.0, 5), (-1, 3, 2.0, 5), (255, 3, 2.0, 5),  # letters
+        ("a", -1, 2.0, 5), ("a", 2.0, 2.0, 5), ("a", 3, 2.0, 0),  # depth, trials
+        ("a", 3, 2.0, 2.5), ("a", 3, 0.0, 5), ("a", 3, -1.0, 5),  # threshold K
+        ("a", 3, math.nan, 5), ("a", 3, math.inf, 5), ("a", -1, 0.0, 5),
+    ])
+    @pytest.mark.parametrize("name", ["period_doubling", "fibonacci", "dyck"])
+    def test_same_errors_as_the_trials(self, name, args):
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        letter, n, k, trials = args
+        if name == "dyck" and letter == "a":
+            letter = "("
+        for seed in (1, -1):
+            expected = tail_outcome(sampled_tail, rule, letter, n, k, trials, seed)
+            assert isinstance(expected, tuple)
+            assert tail_outcome(length_tail, rule, letter, n, k, trials, seed) == expected
+
+    def test_refused_up_front_as_the_trials_are(self, period_doubling, monkeypatch):
+        # every realisation of theta^27(a) has 2**27 letters, over the guard
+        monkeypatch.delenv("STOCHSUB_GUARD_LIMIT", raising=False)
+        for k in (1.0, 10**7):  # K * n below, then above, the length
+            expected = tail_outcome(sampled_tail, period_doubling, "a", 27, k, 3)
+            assert expected == (GuardExceeded,
+                                "sampled word exceeds letter budget 100000000")
+            assert tail_outcome(length_tail, period_doubling, "a", 27, k, 3) == expected
+
+    @pytest.mark.parametrize("name, letter, n", [("dyck", "(", 5), ("fibonacci", "a", 10)])
+    def test_same_as_the_trials_at_guard_limits_about_the_longest(self, name, letter, n,
+                                                                  monkeypatch):
+        # under a guard below the longest |theta^n(letter)| some seed could
+        # trip it, so the trials are drawn; at or above it, the tail is decided
+        rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
+        (start,) = rule.encode((letter,))
+        lo, hi = (lengths[start] for lengths in length_bounds(rule, n))
+        for limit in (lo - 1, lo, hi - 1, hi, hi + 1):
+            monkeypatch.setenv("STOCHSUB_GUARD_LIMIT", str(limit))
+            for k in tail_thresholds(rule, letter, n):
+                for seed in range(3):
+                    assert tail_outcome(length_tail, rule, letter, n, k, 8, seed) == \
+                        tail_outcome(sampled_tail, rule, letter, n, k, 8, seed)
 
 
 # every sampler called as (rule, letter, n, trials, **seed); sample_iterate
@@ -367,6 +492,8 @@ POOL_WIDTHS = {
     ("period_doubling", 16): 0,     # 2**16 - 1
     ("fibonacci", 6): 32,           # 1 + 2 + 3 + 5 + 8 + 13
     ("fibonacci", 10): 231,         # ... + 21 + 34 + 55 + 89
+    ("fibonacci", 12): 608,         # ... + 144 + 233
+    ("fibonacci", 14): 0,           # ... + 377 + 610 = 1595
     ("dyck", 4): 40,                # 1 + 3 + 9 + 27, most of it unread
     ("dyck", 7): 0,                 # 1 + 3 + ... + 729 = 1093
     ("non_expanding", 1024): 1024,  # one uniform per round
@@ -380,6 +507,16 @@ def count_length_steps(rule):
     real = rule._length_steps
     rule._length_steps = lambda *args: (steps.append(s) or s for s in real(*args))
     return steps
+
+
+# words_digest of _trials(rule, "a", n, trials, 1729), recorded while batches
+# were sized by the bound L**n, L the longest image
+BATCHED_WORDS = {
+    ("fibonacci", 12, 257): "a3277cfa387681d99c43e041ec3b7559ec63b58d10c06810dd0c0bea40926af6",
+    ("fibonacci", 12, 1025): "2fc87e69a3ceb831e45877e20376e305e88d621e1caf67fc34592cb3907545d9",
+    ("fibonacci", 14, 65): "5646ba3055eb67e7fb9d2e6253f0569b4ce6228c02f6f9b7192b42ef8241829d",
+    ("fibonacci", 14, 1025): "25046e590879a29fe843f4b8126abbab2a27a7c6c4bf8275e39c584dd5da6ff4",
+}
 
 
 class TestBatchedEngine:
@@ -410,12 +547,18 @@ class TestBatchedEngine:
                 engine = outcome(_trials(rule, 0, n, 3, seed))
                 assert engine == (words if message is None else [], message)
 
+    # a batch holds 2**20 letters by the longest |theta^n(a)| of one trial,
+    # counted as at least 1024, so that trials % batch != 0 in every case
     @pytest.mark.parametrize("name, letter, n, trials", [
         ("period_doubling", "a", 16, 50),   # batches of 2**20 // 2**16 = 16
-        ("fibonacci", "a", 6, 1025),        # 2**6 letters count as 1024:
+        ("fibonacci", "a", 6, 1025),        # 13 letters count as 1024:
         ("fibonacci", "a", 6, 2049),        # batches of 1024 trials
         ("fibonacci", "a", 10, 1025),
         ("fibonacci", "a", 10, 1),
+        ("fibonacci", "a", 12, 257),        # 233 letters count as 1024, where
+        ("fibonacci", "a", 12, 1025),       # the bound 2**12 made batches of 256
+        ("fibonacci", "a", 14, 65),         # 610 letters count as 1024, where
+        ("fibonacci", "a", 14, 1025),       # the bound 2**14 made batches of 64
         ("dyck", "(", 4, 50),
         ("dyck", "(", 7, 3),
         ("dyck", "(", 7, 1),
@@ -424,10 +567,14 @@ class TestBatchedEngine:
     ])
     def test_matches_reference_across_batches(self, name, letter, n, trials):
         rule = SubstitutionRule.from_file(CONFIG_DIR / f"{name}.json")
-        assert sampler._pool_width(rule, rule.encode(letter)[0], n) == POOL_WIDTHS[name, n]
-        bound = max(rule.max_image_length() ** n, 1024)
+        (start,) = rule.encode(letter)
+        assert sampler._pool_width(rule, start, n) == POOL_WIDTHS[name, n]
+        bound = max(length_bounds(rule, n)[1][start], 1024)
         assert trials % (sampler.BATCH_LETTERS // bound) != 0
         assert_engine_matches(rule, letter, n, trials, 1729)
+        if (name, n, trials) in BATCHED_WORDS:
+            assert words_digest(_trials(rule, letter, n, trials, 1729)) == \
+                BATCHED_WORDS[name, n, trials]
         if name == "dyck" and POOL_WIDTHS[name, n]:  # pooled uniforms left unread
             assert min(map(len, reference_trials(rule, letter, n, trials, 1729))) < 27
 
